@@ -155,7 +155,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/benchfmt/
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=30s ./internal/redteam/
 
-# Seed corpora under internal/*/testdata/fuzz are committed — clean only
-# removes generated run artifacts, never fuzz seeds.
+# Removes only untracked run artifacts. The BENCH_*.json baselines and the
+# seed corpora under internal/*/testdata/fuzz are committed and stay.
 clean:
-	rm -f BENCH_*.json runreport.json tables.md chaos-metrics.json serve_smoke.json cluster_smoke.json partition_smoke.json partition-metrics.json
+	rm -f runreport.json tables.md chaos-metrics.json serve_smoke.json cluster_smoke.json partition_smoke.json partition-metrics.json

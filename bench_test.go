@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/aig"
 	"repro/internal/bench"
 	"repro/internal/cec"
 	"repro/internal/cell"
@@ -452,9 +453,10 @@ func BenchmarkPowerEstimate(b *testing.B) {
 	}
 }
 
-// BenchmarkSimRun is the one-shot simulation path: every call rebuilds the
-// value arena (one allocation per run, none per node since the engine
-// rewrite). Compare with BenchmarkSimEngine.
+// BenchmarkSimRun measures the gate-level reference simulator (sim.Run):
+// one TopoOrder walk with logic.Kind.EvalWord per gate and word into a fresh
+// value arena. It is the oracle the packed kernel is tested against, not a
+// hot path; compare with BenchmarkPackedSim.
 func BenchmarkSimRun(b *testing.B) {
 	spec, err := bench.ByName("c6288")
 	if err != nil {
@@ -472,29 +474,27 @@ func BenchmarkSimRun(b *testing.B) {
 	b.SetBytes(int64(16 * 8 * c.NumNodes()))
 }
 
-// BenchmarkSimEngine re-runs a persistent sim.Engine on the same shape:
-// after the first run the arena and schedule are reused, so allocs/op must
-// be ~0 — the acceptance criterion of the zero-alloc simulation core.
-func BenchmarkSimEngine(b *testing.B) {
+// BenchmarkPackedSim re-runs the packed AIG kernel (aig.View.WithSim) on
+// the same shape: after the first run the view's arena is reused, so
+// allocs/op must be 0 — the zero-alloc guarantee of the one simulation
+// kernel.
+func BenchmarkPackedSim(b *testing.B) {
 	spec, err := bench.ByName("c6288")
 	if err != nil {
 		b.Fatal(err)
 	}
 	c := spec.Build()
 	vec := sim.Random(len(c.PIs), 16, 1)
-	eng, err := sim.NewEngine(c)
+	v, err := aig.ViewFor(c)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := eng.Run(vec); err != nil {
-		b.Fatal(err)
-	}
+	fn := func([]uint64) {}
+	v.WithSim(vec.Words, 16, fn)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(vec); err != nil {
-			b.Fatal(err)
-		}
+		v.WithSim(vec.Words, 16, fn)
 	}
 	b.SetBytes(int64(16 * 8 * c.NumNodes()))
 }

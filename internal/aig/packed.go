@@ -111,7 +111,7 @@ func (p *Packed) Stream(val []uint64, nWords int, r Ref) (words []uint64, mask u
 // when it has the right length (allocating otherwise) and using scratch as
 // the value buffer when it is large enough. It is the counterexample-replay
 // primitive: cec resolves which output a SAT witness flips by replaying it
-// here instead of building a throwaway gate-level simulation engine.
+// here.
 func (p *Packed) EvalPOs(inputs []bool, out []bool, scratch []uint64) []bool {
 	if cap(scratch) < p.nNodes {
 		scratch = make([]uint64, p.nNodes)

@@ -15,9 +15,11 @@ var (
 
 // View bundles the AIG decomposition of one circuit with its packed
 // simulation form and the circuit-node → AIG-edge map, plus a reusable
-// simulation arena. It is the unit the analysis hot paths consume: odc
-// streams masked fractions from it, cec fraigs miter sides and replays
-// counterexamples on it. Obtain one through ViewFor; the graph, packed form
+// simulation arena. It is the repository's one optimised simulation kernel,
+// the unit every hot path consumes: odc streams masked fractions from it,
+// cec fraigs and sweeps the session master and replays counterexamples on
+// it. Its values are tested bit-for-bit against the gate-level reference
+// simulator (sim.Run). Obtain one through ViewFor; the graph, packed form
 // and ref map are immutable, while simulation goes through WithSim/EvalPOs
 // which serialize on an internal lock so one cached arena serves all
 // callers.
@@ -32,9 +34,9 @@ type View struct {
 }
 
 // viewCache maps circuits to their views, evicting oldest-first beyond
-// viewCacheMax to bound memory in long runs (same discipline as
-// sim.EngineFor). A cached view is invalid once its circuit mutates; the
-// version check below drops stale entries.
+// viewCacheMax to bound memory (AIG plus arena) in long runs. A cached view
+// is invalid once its circuit mutates; the version check below drops stale
+// entries.
 var viewCache struct {
 	sync.Mutex
 	m     map[*circuit.Circuit]*cachedView
@@ -51,8 +53,8 @@ const viewCacheMax = 16
 // ViewFor returns a process-wide shared View of c, creating and caching it
 // on first use. A cache entry is keyed by circuit identity and stamped with
 // the circuit version, so mutating c and calling ViewFor again rebuilds
-// rather than returning a stale decomposition. Returns an error if c has a
-// cycle or an unsupported gate kind.
+// rather than returning a stale decomposition. Every logic.Kind decomposes,
+// so the only error is a combinational cycle in c.
 func ViewFor(c *circuit.Circuit) (*View, error) {
 	viewCache.Lock()
 	defer viewCache.Unlock()

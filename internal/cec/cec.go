@@ -1,9 +1,9 @@
-// Package cec implements combinational equivalence checking: it encodes two
-// circuits over the same primary-input/primary-output interface into CNF via
-// Tseitin transformation, builds a miter (XOR of each output pair, ORed and
-// asserted), and decides equivalence with the CDCL solver in internal/sat.
-// A bit-parallel random-simulation pre-pass catches inequivalent pairs
-// cheaply before SAT runs.
+// Package cec implements combinational equivalence checking: it strashes two
+// circuits over the same primary-input/primary-output interface into one
+// shared AIG, lowers it to CNF, builds a miter (XOR of each output pair,
+// ORed and asserted), and decides equivalence with the CDCL solver in
+// internal/sat. A bit-parallel random-simulation pre-pass over the packed
+// miter catches inequivalent pairs cheaply before SAT runs.
 //
 // This is the proof engine behind the paper's Requirement 1 ("correct
 // functionality"): every fingerprinted copy is checked equivalent to the
@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/aig"
 	"repro/internal/circuit"
@@ -260,41 +261,52 @@ func CheckCtx(ctx context.Context, a, b *circuit.Circuit, opts Options) (Verdict
 	if err := interfaceCheck(a, b); err != nil {
 		return Verdict{}, err
 	}
-	// Simulation pre-pass: a mismatch is a proved counterexample.
-	if opts.SimWords > 0 {
-		vec := sim.Random(len(a.PIs), opts.SimWords, opts.Seed)
-		mm, err := sim.Compare(a, b, vec)
-		if err != nil {
-			return Verdict{}, err
-		}
-		if mm != nil {
-			w, lane := mm.Pattern/64, uint(mm.Pattern%64)
-			cex := make([]bool, len(a.PIs))
-			for i := range cex {
-				cex[i] = vec.Words[i][w]>>lane&1 == 1
-			}
-			return Verdict{Equivalent: false, Proved: true, Counterexample: cex, PO: mm.PO}, nil
-		}
-	}
-
 	// Shared-AIG miter: strash both circuits into one AIG over name-shared
 	// primary inputs, so any cone the two sides compute identically — up to
 	// complement — collapses onto one node before CNF exists. Outputs whose
 	// edges coincide are proved equal by construction and never encoded; a
 	// fully-collapsing miter (e.g. a resynthesis round trip) is discharged
-	// with no SAT call at all. Gate-level Tseitin remains as the fallback
-	// for circuits the AIG cannot express.
+	// with no SAT call at all. FoldInto handles every gate kind, so it only
+	// fails on a combinational cycle.
 	g := aig.New("miter")
 	piRef := make(map[string]aig.Ref, len(a.PIs))
-	ra, errA := aig.FoldInto(g, a, piRef)
-	rb, errB := aig.FoldInto(g, b, piRef)
-	if errA != nil || errB != nil {
-		return checkTseitin(ctx, a, b, opts)
+	ra, err := aig.FoldInto(g, a, piRef)
+	if err != nil {
+		return Verdict{}, err
+	}
+	rb, err := aig.FoldInto(g, b, piRef)
+	if err != nil {
+		return Verdict{}, err
+	}
+	p := g.Pack()
+
+	// Simulation pre-pass on the packed miter: a mismatch is a proved
+	// counterexample. The miter's PIs are a's, in a's order, and the scan
+	// runs PO → word → lane, so the (PO, counterexample) pair is the one
+	// sim.Compare reports on the same vectors.
+	if n := opts.SimWords; n > 0 {
+		vec := sim.Random(len(a.PIs), n, opts.Seed)
+		val := make([]uint64, p.NumNodes()*n)
+		p.SimInto(val, vec.Words, n)
+		for i := range a.POs {
+			xa, ma := p.Stream(val, n, ra[a.POs[i].Driver])
+			xb, mb := p.Stream(val, n, rb[b.POs[i].Driver])
+			for w := range xa {
+				if diff := xa[w] ^ ma ^ xb[w] ^ mb; diff != 0 {
+					lane := uint(bits.TrailingZeros64(diff))
+					cex := make([]bool, len(a.PIs))
+					for j := range cex {
+						cex[j] = vec.Words[j][w]>>lane&1 == 1
+					}
+					return Verdict{Equivalent: false, Proved: true, Counterexample: cex, PO: a.POs[i].Name}, nil
+				}
+			}
+		}
 	}
 
 	s := sat.New()
 	s.MaxConflicts = opts.MaxConflicts
-	lits, err := encodeAIG(s, g)
+	lits, err := encodeAIG(s, p)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -350,11 +362,10 @@ func (l aigLits) lit(r aig.Ref) int {
 	return v
 }
 
-// encodeAIG lowers an AIG into CNF: one variable per node, the constant node
-// asserted true, and three clauses per AND (v ↔ l0 ∧ l1). Primary inputs get
-// free variables.
-func encodeAIG(s *sat.Solver, g *aig.AIG) (aigLits, error) {
-	p := g.Pack()
+// encodeAIG lowers a packed AIG into CNF: one variable per node, the
+// constant node asserted true, and three clauses per AND (v ↔ l0 ∧ l1).
+// Primary inputs get free variables.
+func encodeAIG(s *sat.Solver, p *aig.Packed) (aigLits, error) {
 	lits := aigLits{vars: make([]int, p.NumNodes())}
 	for i := range lits.vars {
 		lits.vars[i] = s.NewVar()
@@ -378,74 +389,18 @@ func encodeAIG(s *sat.Solver, g *aig.AIG) (aigLits, error) {
 	return lits, nil
 }
 
-// checkTseitin is the gate-level SAT phase of CheckCtx, used when a miter
-// side cannot be decomposed into an AIG. The simulation pre-pass has already
-// run.
-func checkTseitin(ctx context.Context, a, b *circuit.Circuit, opts Options) (Verdict, error) {
-	s := sat.New()
-	s.MaxConflicts = opts.MaxConflicts
-	piVars := make(map[string]int, len(a.PIs))
-	for _, pi := range a.PIs {
-		piVars[a.Nodes[pi].Name] = s.NewVar()
-	}
-	va, err := tseitin(s, a, piVars)
-	if err != nil {
-		return Verdict{}, err
-	}
-	vb, err := tseitin(s, b, piVars)
-	if err != nil {
-		return Verdict{}, err
-	}
-	diff := make([]int, 0, len(a.POs))
-	for i := range a.POs {
-		x := s.NewVar()
-		if err := encodeXor2(s, x, va[a.POs[i].Driver], vb[b.POs[i].Driver]); err != nil {
-			return Verdict{}, err
-		}
-		diff = append(diff, x)
-	}
-	if err := s.AddClause(diff...); err != nil {
-		return Verdict{}, err
-	}
-	st, err := s.SolveCtx(ctx)
-	if err != nil {
-		return Verdict{Conflicts: s.Conflicts()}, err
-	}
-	switch st {
-	case sat.Unsat:
-		return Verdict{Equivalent: true, Proved: true, Conflicts: s.Conflicts()}, nil
-	case sat.Sat:
-		cex := make([]bool, len(a.PIs))
-		for i, pi := range a.PIs {
-			cex[i] = s.Value(piVars[a.Nodes[pi].Name])
-		}
-		po := findDifferingPO(a, b, cex)
-		return Verdict{Equivalent: false, Proved: true, Counterexample: cex, PO: po, Conflicts: s.Conflicts()}, nil
-	default:
-		return Verdict{Conflicts: s.Conflicts()}, fmt.Errorf("%w (%d conflicts)", ErrBudgetExhausted, opts.MaxConflicts)
-	}
-}
-
 // findDifferingPO replays a counterexample to name a differing output. The
 // replay runs a single-word pass of the packed AIG kernel (aig.View.EvalPOs)
-// instead of building a throwaway gate-level simulation engine per side; the
-// scalar evaluator remains as the fallback for non-decomposable circuits.
+// on each side; both circuits have already been folded into the miter, so
+// their views cannot fail to build.
 func findDifferingPO(a, b *circuit.Circuit, cex []bool) string {
-	var oa, ob []bool
 	va, errA := aig.ViewFor(a)
 	vb, errB := aig.ViewFor(b)
-	if errA == nil && errB == nil {
-		oa = va.EvalPOs(cex, nil)
-		ob = vb.EvalPOs(cex, nil)
-	} else {
-		var err error
-		if oa, err = sim.EvalOne(a, cex); err != nil {
-			return ""
-		}
-		if ob, err = sim.EvalOne(b, cex); err != nil {
-			return ""
-		}
+	if errA != nil || errB != nil {
+		return ""
 	}
+	oa := va.EvalPOs(cex, nil)
+	ob := vb.EvalPOs(cex, nil)
 	for i := range oa {
 		if oa[i] != ob[i] {
 			return a.POs[i].Name

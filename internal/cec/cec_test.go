@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/logic"
 	"repro/internal/sim"
@@ -97,6 +98,63 @@ func TestSimPrePassDisabled(t *testing.T) {
 	ob, _ := sim.EvalOne(b, v.Counterexample)
 	if oa[0] == ob[0] {
 		t.Error("SAT counterexample invalid")
+	}
+}
+
+// TestSimPrePassMatchesCompare: the pre-pass over the packed miter reports
+// exactly the (PO, counterexample) that the gate-level reference
+// sim.Compare finds on the same vectors, for mismatches planted across a
+// real benchmark — including ones first seen past word 0 or on a later PO.
+func TestSimPrePassMatchesCompare(t *testing.T) {
+	spec, err := bench.ByName("c880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := spec.Build()
+	const nWords, seed = 16, 3
+	vec := sim.Random(len(a.PIs), nWords, seed)
+	planted, laterWord, laterPO := 0, false, false
+	for i := range a.Nodes {
+		nd := &a.Nodes[i]
+		if nd.IsPI || len(nd.Fanin) < 2 || i%5 != 0 {
+			continue
+		}
+		// Plant: widen the gate with one more primary-input pin. On an
+		// AND/OR this only flips the output when the other pins are all at
+		// the identity value, so first differences land at varied patterns.
+		b := a.Clone()
+		pin := b.PIs[i%len(b.PIs)]
+		if err := b.AddFanin(circuit.NodeID(i), pin); err != nil {
+			continue // already a fanin
+		}
+		mm, err := sim.Compare(a, b, vec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mm == nil {
+			continue // unobservable on these vectors
+		}
+		planted++
+		laterWord = laterWord || mm.Pattern >= 64
+		laterPO = laterPO || mm.PO != a.POs[0].Name
+		v, err := Check(a, b, Options{SimWords: nWords, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Equivalent || v.PO != mm.PO || v.Conflicts != 0 || len(v.Counterexample) != len(a.PIs) {
+			t.Fatalf("gate %s: verdict %+v, reference %s", nd.Name, v, mm)
+		}
+		w, lane := mm.Pattern/64, uint(mm.Pattern%64)
+		for j, got := range v.Counterexample {
+			if want := vec.Words[j][w]>>lane&1 == 1; got != want {
+				t.Fatalf("gate %s: counterexample PI %d = %v, reference pattern %d has %v",
+					nd.Name, j, got, mm.Pattern, want)
+			}
+		}
+	}
+	if planted < 10 || !laterWord || !laterPO {
+		t.Fatalf("weak coverage: %d planted mismatches, past word 0: %v, past PO 0: %v",
+			planted, laterWord, laterPO)
 	}
 }
 

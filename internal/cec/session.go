@@ -272,7 +272,7 @@ func structKey(buf []byte, kind logic.Kind, in []int) []byte {
 // sweeper carries the simulation signatures and candidate buckets for the
 // SAT-sweeping pre-pass.
 type sweeper struct {
-	sig     [][]uint64 // canonical signature per master node (nil: none)
+	sig     [][]uint64 // canonical signature per master node
 	phase   []bool     // true when the signature was complemented
 	buckets map[uint64][]sweepEntry
 }
@@ -283,11 +283,11 @@ type sweepEntry struct {
 	phase bool
 }
 
-// newSweeperAIG computes the same signatures as newSweeper from the packed
-// word-parallel AIG kernel: each circuit node's stream is its AIG edge's
-// positive-phase stream XOR the edge mask, which is bit-identical to the
-// gate-level engine's values on the same vectors, so buckets — and therefore
-// merge behaviour — are unchanged.
+// newSweeperAIG simulates the master on random vectors with the packed
+// word-parallel AIG kernel and canonicalizes each node's bit-signature up to
+// complement, so functionally-equal and antivalent nodes land in the same
+// bucket. A circuit node's stream is its AIG edge's positive-phase stream
+// XOR the edge mask, which equals the gate-level value on the same vectors.
 func newSweeperAIG(v *aig.View, nWords int, seed int64) *sweeper {
 	c := v.C
 	vec := sim.Random(len(c.PIs), nWords, seed)
@@ -313,41 +313,6 @@ func newSweeperAIG(v *aig.View, nWords int, seed int64) *sweeper {
 		}
 	})
 	return sw
-}
-
-// newSweeper simulates the master on random vectors and canonicalizes each
-// node's bit-signature up to complement, so functionally-equal and
-// antivalent nodes land in the same bucket.
-func newSweeper(c *circuit.Circuit, nWords int, seed int64) (*sweeper, error) {
-	eng, err := sim.NewEngine(c)
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.Run(sim.Random(len(c.PIs), nWords, seed))
-	if err != nil {
-		return nil, err
-	}
-	sw := &sweeper{
-		sig:     make([][]uint64, len(c.Nodes)),
-		phase:   make([]bool, len(c.Nodes)),
-		buckets: make(map[uint64][]sweepEntry),
-	}
-	for id := range c.Nodes {
-		words := res.Node[id]
-		if words == nil {
-			continue
-		}
-		canon := make([]uint64, len(words))
-		copy(canon, words)
-		if len(canon) > 0 && canon[0]&1 == 1 {
-			for i := range canon {
-				canon[i] = ^canon[i]
-			}
-			sw.phase[id] = true
-		}
-		sw.sig[id] = canon
-	}
-	return sw, nil
 }
 
 func sigHash(sig []uint64) uint64 {
@@ -377,9 +342,6 @@ func sigEqual(a, b []uint64) bool {
 // literal the node should use from now on.
 func (sess *Session) trySweep(sw *sweeper, id circuit.NodeID, v int) int {
 	sig := sw.sig[id]
-	if sig == nil {
-		return v
-	}
 	h := sigHash(sig)
 	for _, e := range sw.buckets[h] {
 		if !sigEqual(sw.sig[e.node], sig) {
@@ -494,26 +456,17 @@ func (sess *Session) build() error {
 	// literal — the same merge SAT sweeping buys with two bounded solves,
 	// obtained here for free and proved by construction rather than search.
 	// fraigRep maps AIG node index → the signed literal of its positive
-	// phase. Circuits the AIG cannot express fall back to hash+sweep alone.
-	var fraigRefs []aig.Ref
-	var fraigRep map[int]int
-	var view *aig.View
-	if v, err := aig.ViewFor(c); err == nil {
-		view = v
-		fraigRefs = v.Refs
-		fraigRep = make(map[int]int, len(c.Nodes))
+	// phase.
+	view, err := aig.ViewFor(c)
+	if err != nil {
+		return err
 	}
+	fraigRefs := view.Refs
+	fraigRep := make(map[int]int, len(c.Nodes))
 
 	var sw *sweeper
 	if sess.opts.SimWords > 0 {
-		if view != nil {
-			sw = newSweeperAIG(view, sess.opts.SimWords, sess.opts.Seed)
-		} else {
-			sw, err = newSweeper(c, sess.opts.SimWords, sess.opts.Seed)
-			if err != nil {
-				return err
-			}
-		}
+		sw = newSweeperAIG(view, sess.opts.SimWords, sess.opts.Seed)
 	}
 
 	// Master side, with fraiging, structural hashing and SAT sweeping.
@@ -532,13 +485,11 @@ func (sess *Session) build() error {
 			v := sess.s.NewVar()
 			nodeVar[id] = v
 			sess.piVars[piIndex[id]] = v
-			if fraigRep != nil {
-				fraigRep[fraigRefs[id].Node()] = v
-			}
+			fraigRep[fraigRefs[id].Node()] = v
 			// Register the PI as a sweep representative (so buffers of a
 			// PI can merge into it); never attempt to merge PIs themselves,
 			// as a free input is equivalent to no prior function.
-			if sw != nil && sw.sig[id] != nil {
+			if sw != nil {
 				h := sigHash(sw.sig[id])
 				sw.buckets[h] = append(sw.buckets[h], sweepEntry{node: id, v: v, phase: sw.phase[id]})
 			}
@@ -548,16 +499,14 @@ func (sess *Session) build() error {
 		// this node is its (possibly complemented) literal; no clauses needed.
 		// The constant node (index 0) is excluded — it has no variable to
 		// alias and constant-function gates encode fine below.
-		if fraigRep != nil {
-			if n := fraigRefs[id].Node(); n != 0 {
-				if rep, ok := fraigRep[n]; ok {
-					if fraigRefs[id].Compl() {
-						rep = -rep
-					}
-					nodeVar[id] = rep
-					sess.stats.Fraiged++
-					continue
+		if n := fraigRefs[id].Node(); n != 0 {
+			if rep, ok := fraigRep[n]; ok {
+				if fraigRefs[id].Compl() {
+					rep = -rep
 				}
+				nodeVar[id] = rep
+				sess.stats.Fraiged++
+				continue
 			}
 		}
 		in = in[:0]
@@ -579,14 +528,12 @@ func (sess *Session) build() error {
 			}
 			nodeVar[id] = v
 		}
-		if fraigRep != nil {
-			if n := fraigRefs[id].Node(); n != 0 {
-				rep := nodeVar[id]
-				if fraigRefs[id].Compl() {
-					rep = -rep
-				}
-				fraigRep[n] = rep
+		if n := fraigRefs[id].Node(); n != 0 {
+			rep := nodeVar[id]
+			if fraigRefs[id].Compl() {
+				rep = -rep
 			}
+			fraigRep[n] = rep
 		}
 	}
 

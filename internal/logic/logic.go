@@ -277,7 +277,8 @@ func (k Kind) Eval(in []bool) bool {
 }
 
 // EvalWord computes 64 evaluations of a k-gate in parallel, one per bit lane.
-// It is the workhorse of the bit-parallel simulator in internal/sim.
+// It is the workhorse of the gate-level reference simulator (sim.Run), which
+// calls it once per gate and word.
 func (k Kind) EvalWord(in []uint64) uint64 {
 	switch k {
 	case Const0:

@@ -149,24 +149,20 @@ func Stats(c *circuit.Circuit) ObservabilityStats {
 // Stimulus comes from sim.SharedRandom and simulation runs on the packed
 // AIG kernel (aig.ViewFor), so repeated calls with the same
 // circuit/seed/shape reuse both the vectors and the decomposition. The AIG
-// computes the same Boolean function per node, so the fractions are
-// bit-identical to the gate-level engine's; if the circuit cannot be
-// decomposed (exotic gate kind), the gate-level engine path is used
-// instead.
-func MaskedFraction(c *circuit.Circuit, nWords int, seed int64) (map[circuit.NodeID]float64, error) {
-	vec := sim.SharedRandom(len(c.PIs), nWords, seed)
-	if v, err := aig.ViewFor(c); err == nil {
-		return maskedFractionAIG(c, v, vec, nWords), nil
-	}
-	return maskedFractionEngine(c, vec, nWords)
-}
-
-// maskedFractionAIG tallies pin-0 masked fractions from the word-parallel
-// AIG kernel: each masker pin's value stream is read through its AIG edge
-// with an XOR mask folding together the edge complement and the gate's
+// computes the same Boolean function per node, so the fractions equal those
+// read off the gate-level reference (sim.Run). It fails only when the
+// circuit cannot be decomposed, i.e. has a cycle.
+//
+// Each masker pin's value stream is read through its AIG edge with an XOR
+// mask folding together the edge complement and the gate's
 // controlling-value polarity, so the inner loop is mask-or-popcount with no
 // branches.
-func maskedFractionAIG(c *circuit.Circuit, v *aig.View, vec *sim.Vectors, nWords int) map[circuit.NodeID]float64 {
+func MaskedFraction(c *circuit.Circuit, nWords int, seed int64) (map[circuit.NodeID]float64, error) {
+	v, err := aig.ViewFor(c)
+	if err != nil {
+		return nil, err
+	}
+	vec := sim.SharedRandom(len(c.PIs), nWords, seed)
 	out := make(map[circuit.NodeID]float64)
 	totalBits := float64(nWords * 64)
 	any := make([]uint64, nWords)
@@ -197,43 +193,5 @@ func maskedFractionAIG(c *circuit.Circuit, v *aig.View, vec *sim.Vectors, nWords
 			out[circuit.NodeID(i)] = float64(masked) / totalBits
 		}
 	})
-	return out
-}
-
-// maskedFractionEngine is the gate-level fallback, running on the shared
-// sim.Engine.
-func maskedFractionEngine(c *circuit.Circuit, vec *sim.Vectors, nWords int) (map[circuit.NodeID]float64, error) {
-	eng, err := sim.EngineFor(c)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[circuit.NodeID]float64)
-	totalBits := float64(nWords * 64)
-	err = eng.WithRun(vec, func(res *sim.Result) error {
-		for i := range c.Nodes {
-			nd := &c.Nodes[i]
-			if nd.IsPI || !HasLocalODC(nd.Kind, len(nd.Fanin)) {
-				continue
-			}
-			cv, _ := nd.Kind.ControllingValue()
-			masked := 0
-			for w := 0; w < nWords; w++ {
-				var any uint64
-				for p := 1; p < len(nd.Fanin); p++ {
-					v := res.Node[nd.Fanin[p]][w]
-					if !cv {
-						v = ^v
-					}
-					any |= v
-				}
-				masked += bits.OnesCount64(any)
-			}
-			out[circuit.NodeID(i)] = float64(masked) / totalBits
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	return out, nil
 }

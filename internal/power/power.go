@@ -99,22 +99,12 @@ func Total(c *circuit.Circuit, lib *cell.Library) (float64, error) {
 
 // MeasuredActivity estimates switching activity by toggle-counting a random
 // simulation of nWords×64 patterns. It serves as a cross-check of the
-// probabilistic model in tests (activity ≈ toggles / patterns).
-//
-// Simulation goes through the process-wide shared sim.Engine and memoized
-// random vectors, so repeated measurements of the same circuit with the same
-// seed/shape reuse both the stimulus and the value arena.
+// probabilistic model in tests (activity ≈ toggles / patterns), so it runs
+// on the gate-level reference simulator (sim.ToggleCounts) over memoized
+// random vectors: the check stays independent of the packed AIG kernel.
 func MeasuredActivity(c *circuit.Circuit, nWords int, seed int64) ([]float64, error) {
-	vec := sim.SharedRandom(len(c.PIs), nWords, seed)
-	eng, err := sim.EngineFor(c)
+	counts, err := sim.ToggleCounts(c, sim.SharedRandom(len(c.PIs), nWords, seed))
 	if err != nil {
-		return nil, err
-	}
-	var counts []int
-	if err := eng.WithRun(vec, func(res *sim.Result) error {
-		counts = res.Toggles()
-		return nil
-	}); err != nil {
 		return nil, err
 	}
 	patterns := float64(nWords*64 - 1)

@@ -114,11 +114,12 @@ type Store interface {
 
 	// Append durably persists recs for the design and returns the store's
 	// new sequence number. reg is the in-memory registry already holding
-	// the records (snapshot implementations serialise it; log
-	// implementations ignore it). The durability contract: when Append
-	// returns nil, the records survive any crash the implementation claims
-	// to tolerate — a process kill for Local, the kill of any single
-	// cluster node for Replicated.
+	// the records (snapshot implementations serialise it; the replicated
+	// log compares its record count with the log's, so records another
+	// writer appended meanwhile still show up as a Seq change). The
+	// durability contract: when Append returns nil, the records survive
+	// any crash the implementation claims to tolerate — a process kill for
+	// Local, the kill of any single cluster node for Replicated.
 	Append(ctx context.Context, digest string, reg *registry.Registry, recs []Record) (uint64, error)
 
 	// Seq returns the store's current sequence number for the design. A

@@ -260,13 +260,17 @@ func (r *Replicated) Load(digest string, a *core.Analysis) (*registry.Registry, 
 		return nil, 0, fmt.Errorf("registrystore: replicated: design digest mismatch (want %s, analysis %s)", digest, got)
 	}
 	reg := registry.New(a)
-	for _, rec := range r.wal.Records(digest) {
+	recs := r.wal.Records(digest)
+	for _, rec := range recs {
 		if err := reg.Adopt(rec.Buyer, rec.Value); err != nil {
 			return nil, 0, fmt.Errorf("registrystore: replicated: replaying %s: %w", digest, err)
 		}
 	}
 	mLoads.Inc()
-	return reg, r.wal.Total(digest), nil
+	// The sequence is the replayed snapshot's length, not a second read of
+	// the WAL total: a peer's record landing in between would otherwise be
+	// counted as loaded.
+	return reg, uint64(len(recs)), nil
 }
 
 // Append makes recs durable locally (group-committed WAL fsync), then
@@ -276,6 +280,11 @@ func (r *Replicated) Load(digest string, a *core.Analysis) (*registry.Registry, 
 // idempotently. Stragglers past the quorum keep replicating in the
 // background, bounded by AckTimeout; a peer that fails past the quorum gets
 // a durable hint and the redelivery loop finishes the job later.
+//
+// The returned sequence is the one reg is current at. When the WAL holds
+// records reg lacks — another writer's, replicated in after reg was loaded
+// (a killed leader's straggler, a hint redelivery) — it is reg's record
+// count, below the WAL total, so Seq tells the caller to reload.
 func (r *Replicated) Append(ctx context.Context, digest string, reg *registry.Registry, recs []Record) (uint64, error) {
 	added, total, err := r.wal.Append(digest, recs)
 	if err != nil {
@@ -287,9 +296,13 @@ func (r *Replicated) Append(ctx context.Context, digest string, reg *registry.Re
 		// Chaos plans stall here to land a node kill inside it.
 		fault.Stall(fault.ReplWindow)
 	}
+	seq := total
+	if reg != nil {
+		seq = min(seq, uint64(reg.NumIssued()))
+	}
 	need := r.w - 1 // remote acks required beyond self
 	if len(r.peers) == 0 {
-		return total, nil
+		return seq, nil
 	}
 	lo := total - uint64(added) // first sequence this append introduced
 	results := make(chan peerResult, len(r.peers))
@@ -312,7 +325,7 @@ func (r *Replicated) Append(ctx context.Context, digest string, reg *registry.Re
 		}
 	}
 	if acks >= need {
-		return total, nil
+		return seq, nil
 	}
 	return 0, &quorumError{acks: acks + 1, want: r.w, peerErrs: peerErrs}
 }
@@ -482,9 +495,11 @@ func (r *Replicated) redeliver() {
 					failed = true
 					break
 				}
-				hl.clear(digest)
+				// Count the delivery before clearing the hint, so anyone who
+				// sees the queue drained also sees it counted.
 				mHintsDelivered.Inc()
 				r.hintsDelivered.Add(1)
+				hl.clear(digest)
 				r.updateHintGauge()
 			}
 			if failed {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/registry"
 )
 
 const replTestDigest = "ffeeddccbbaa99887766554433221100"
@@ -112,6 +114,35 @@ func TestReplicatedQuorumAck(t *testing.T) {
 	// background under the ack timeout.
 	for _, n := range []string{"n2", "n3"} {
 		waitFor(t, n+" replication", func() bool { return ft.peers[n].Total(replTestDigest) == 2 })
+	}
+}
+
+// TestReplicatedAppendSeqFlagsForeignRecords: a record another writer
+// replicates in after a registry was loaded must leave Seq different from
+// the sequence Append returns for that registry — otherwise the caller
+// keeps serving a registry that misses an acknowledged issuance.
+func TestReplicatedAppendSeqFlagsForeignRecords(t *testing.T) {
+	r := openTestReplicated(t, newFakeTransport(t), "n1", []string{"n1"}, 1)
+	reg := &registry.Registry{Issued: map[string]string{}}
+	issue := func(buyer, value string) uint64 {
+		t.Helper()
+		if err := reg.Adopt(buyer, value); err != nil {
+			t.Fatal(err)
+		}
+		seq, err := r.Append(context.Background(), replTestDigest, reg, []Record{{Buyer: buyer, Value: value}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq
+	}
+	if seq := issue("alice", "101"); seq != r.Seq(replTestDigest) {
+		t.Fatalf("in-sync append returned seq %d, store at %d", seq, r.Seq(replTestDigest))
+	}
+	if _, err := r.ApplyReplica(replTestDigest, []Record{{Buyer: "bob", Value: "202"}}); err != nil {
+		t.Fatal(err)
+	}
+	if seq := issue("carol", "303"); seq == r.Seq(replTestDigest) {
+		t.Fatalf("append returned seq %d equal to the store's although the registry lacks bob", seq)
 	}
 }
 

@@ -583,9 +583,19 @@ func (s *segment) flush() {
 				}
 			}
 		}
+		// With no round queued, go idle before releasing the waiters, so an
+		// append that has returned never leaves the segment looking
+		// mid-commit (Scrub skips such a segment as busy).
+		idle := len(s.batches) == 0 && len(s.waiters) == 0
+		if idle {
+			s.flushing = false
+		}
 		s.mu.Unlock()
 		for _, done := range waiters {
 			done <- err
+		}
+		if idle {
+			return
 		}
 	}
 }

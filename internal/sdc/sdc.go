@@ -144,7 +144,8 @@ func Analyze(c *circuit.Circuit, opts Options) (*Analysis, error) {
 	if opts.SimWords <= 0 {
 		opts.SimWords = 16
 	}
-	// Phase 1: simulation marks occurring combinations.
+	// Phase 1: simulation marks occurring combinations. One run per
+	// analysis, so the gate-level reference costs less than an AIG view.
 	vec := sim.Random(len(c.PIs), opts.SimWords, opts.Seed)
 	res, err := sim.Run(c, vec)
 	if err != nil {

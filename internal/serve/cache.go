@@ -80,19 +80,22 @@ func (c *analysisCache) get(digest string) *core.Analysis {
 	return nil
 }
 
-// add inserts (or refreshes) digest, evicting the least recently used
-// entry beyond capacity.
-func (c *analysisCache) add(digest string, a *core.Analysis) {
+// add inserts digest, evicting the least recently used entry beyond
+// capacity, and returns the analysis the cache now serves for it. A digest
+// already present keeps its resident analysis and is only marked most
+// recently used: equal digests mean equal analyses, and the resident one
+// carries the warm state (its shared CEC session) a replacement would
+// throw away.
+func (c *analysisCache) add(digest string, a *core.Analysis) *core.Analysis {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.addLocked(digest, a)
+	return c.addLocked(digest, a)
 }
 
-func (c *analysisCache) addLocked(digest string, a *core.Analysis) {
+func (c *analysisCache) addLocked(digest string, a *core.Analysis) *core.Analysis {
 	if el, ok := c.items[digest]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).a = a
-		return
+		return el.Value.(*cacheEntry).a
 	}
 	c.items[digest] = c.ll.PushFront(&cacheEntry{digest: digest, a: a})
 	for c.ll.Len() > c.cap {
@@ -102,6 +105,7 @@ func (c *analysisCache) addLocked(digest string, a *core.Analysis) {
 		mCacheEvictions.Inc()
 	}
 	gCacheSize.Set(int64(c.ll.Len()))
+	return a
 }
 
 // len returns the number of cached analyses.
@@ -146,7 +150,7 @@ func (c *analysisCache) getOrLoad(ctx context.Context, digest string, load func(
 			c.mu.Lock()
 			delete(c.flight, digest)
 			if f.err == nil {
-				c.addLocked(digest, f.a)
+				f.a = c.addLocked(digest, f.a)
 			}
 			c.mu.Unlock()
 			close(f.done)

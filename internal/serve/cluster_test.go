@@ -224,6 +224,17 @@ func TestChaosClusterPartition(t *testing.T) {
 	majorityIdx := (leaderIdx + 1) % 3
 	minorityIdx := (leaderIdx + 2) % 3
 
+	// The upload's design push is asynchronous; let it land everywhere
+	// first, or a partition that cuts it leaves the majority without the
+	// design whenever the upload went to the minority node.
+	for _, srv := range servers {
+		waitUntil(t, "design push", 5*time.Second, func() bool {
+			srv.mu.Lock()
+			defer srv.mu.Unlock()
+			return srv.designs[info.Digest] != nil
+		})
+	}
+
 	// Sever the minority node from both majority nodes. Node ids are the
 	// advertised base URLs, so the group tokens are exact.
 	plan := fault.NewPlan(7, map[fault.Point]fault.Rule{

@@ -274,7 +274,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			// routed requests that outrun the push adopt the bytes on miss.
 			s.broadcastDesign(digest, d.meta, data)
 		}
-		s.cache.add(digest, a)
+		a = s.cache.add(digest, a)
 		mUploads.Inc()
 
 		reg, err := s.registryOf(d, a)

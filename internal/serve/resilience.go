@@ -183,7 +183,9 @@ func (s *Server) verifyIssued(ctx context.Context, a *core.Analysis, cp *circuit
 // degradedVerify is the fallback spot check: random-pattern simulation of
 // the master against the issued copy. It cannot prove equivalence, but any
 // mismatch it finds is real — so a failing spot check still blocks the
-// response.
+// response. It runs on the gate-level reference simulator (internal/sim)
+// on purpose: the check must stay independent of the cec/AIG stack whose
+// failure tripped the breaker in the first place.
 func (s *Server) degradedVerify(a *core.Analysis, cp *circuitAndValue) (string, error) {
 	mVerifyDegraded.Inc()
 	eq, mm, err := sim.EquivalentRandom(a.Circuit, cp.ckt, degradedSimWords, 1)

@@ -223,6 +223,33 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServeReuploadKeepsWarmAnalysis: re-uploading the bytes of a design
+// that is already served keeps the cached analysis — and with it the
+// shared CEC session — instead of replacing it with a fresh, cold one, so
+// the next verified issue builds no new session.
+func TestServeReuploadKeepsWarmAnalysis(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	netlist := benchBytes(t, "c880")
+	info, _ := uploadDesign(t, ts.URL, netlist)
+	issueCopy(t, ts.URL, info.Digest, "alice", "&verify=1")
+	first := s.cache.get(info.Digest)
+	if first == nil {
+		t.Fatal("uploaded design not in the analysis cache")
+	}
+	sessions := metricsSnapshot(t, ts.URL)["cec.sessions_built"]
+
+	if again, status := uploadDesign(t, ts.URL, netlist); again.Digest != info.Digest || status != http.StatusOK {
+		t.Fatalf("re-upload: digest %s status %d, want %s 200", again.Digest, status, info.Digest)
+	}
+	issueCopy(t, ts.URL, info.Digest, "bob", "&verify=1")
+	if got := s.cache.get(info.Digest); got != first {
+		t.Error("re-upload replaced the cached analysis")
+	}
+	if got := metricsSnapshot(t, ts.URL)["cec.sessions_built"]; got != sessions {
+		t.Errorf("cec.sessions_built moved %d → %d across re-upload and verified issue", sessions, got)
+	}
+}
+
 // TestServeRestartLosesNothing: issued fingerprints and designs survive a
 // daemon restart on the same store directory — the acceptance criterion
 // that an acknowledged issuance is never lost.

@@ -1,15 +1,32 @@
-// Package sim provides 64-way bit-parallel logic simulation of circuits,
-// with exhaustive enumeration for small input counts and seeded random
-// vectors otherwise. It backs functional-equivalence checks (together with
-// the SAT-based checker in internal/cec), toggle-based power estimation and
-// the ODC soundness tests.
+// Package sim is the gate-level reference simulator: stimulus generation
+// (seeded random vectors, exhaustive enumeration for small input counts) and
+// a deliberately plain 64-way bit-parallel evaluator that walks the netlist
+// gate by gate through logic.Kind.EvalWord. The optimised simulation kernel
+// is the packed AIG in internal/aig; this package is the independent oracle
+// that kernel and the fingerprinting pipeline are tested against. One-shot
+// callers (the SDC scan, the red-team DIP oracle) use it too, since one
+// reference run costs less than building an AIG view, and so does the
+// daemon's degraded spot-check, which must not depend on the AIG stack.
+//
+// It is a leaf package on purpose: it must not import internal/aig, so the
+// reference stays independent of the code it checks and the aig tests can
+// import it.
 package sim
 
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/circuit"
+	"repro/internal/obs"
+)
+
+// Observability counters (internal/obs): reference runs and gate-words
+// evaluated, both deterministic for a fixed workload.
+var (
+	mRuns  = obs.NewCounter("sim", "runs")
+	mWords = obs.NewCounter("sim", "gate_words")
 )
 
 // Vectors holds stimulus for a circuit: Words[i] is the bit-parallel value
@@ -39,6 +56,44 @@ func Random(nPI, nWords int, seed int64) *Vectors {
 		}
 		v.Words[i] = w
 	}
+	return v
+}
+
+// sharedRandomCache memoizes Random vector sets by shape and seed. The
+// vectors are immutable once published; callers must not write to them.
+var sharedRandomCache struct {
+	sync.RWMutex
+	m map[randomKey]*Vectors
+}
+
+type randomKey struct {
+	nPI, nWords int
+	seed        int64
+}
+
+// SharedRandom returns the same *Vectors as Random(nPI, nWords, seed) but
+// memoized process-wide, so repeated estimators with the same seed and shape
+// (power, ODC fraction) share one allocation. The result is shared and must
+// be treated as read-only.
+func SharedRandom(nPI, nWords int, seed int64) *Vectors {
+	key := randomKey{nPI, nWords, seed}
+	sharedRandomCache.RLock()
+	v := sharedRandomCache.m[key]
+	sharedRandomCache.RUnlock()
+	if v != nil {
+		return v
+	}
+	v = Random(nPI, nWords, seed)
+	sharedRandomCache.Lock()
+	if prev, ok := sharedRandomCache.m[key]; ok {
+		v = prev
+	} else {
+		if sharedRandomCache.m == nil {
+			sharedRandomCache.m = make(map[randomKey]*Vectors)
+		}
+		sharedRandomCache.m[key] = v
+	}
+	sharedRandomCache.Unlock()
 	return v
 }
 
@@ -101,19 +156,55 @@ type Result struct {
 	Node [][]uint64
 }
 
-// Run simulates the circuit on the given vectors and returns values for all
-// nodes. It fails if the vector shape does not match the PI count or the
-// circuit has a cycle.
+// Run is the reference simulator: it simulates the circuit on the given
+// vectors and returns values for all nodes. It walks c.TopoOrder() once and
+// evaluates each gate word by word with logic.Kind.EvalWord into freshly
+// allocated streams, so the Result owns its storage (PI streams alias the
+// input vectors) and stays valid indefinitely.
 //
-// Each call builds a fresh single-use Engine, so the Result owns its backing
-// storage and stays valid indefinitely; use a long-lived Engine (or
-// EngineFor) to amortize the arena and schedule across repeated runs.
+// It is kept as the oracle, not as a fast path: tests compare the packed AIG
+// kernel (aig.View.WithSim) and the pipeline's simulation against it, the
+// way core.AnalyzeBaseline anchors the packed analysis. It fails if the
+// vector shape does not match the PI count or the circuit has a cycle.
 func Run(c *circuit.Circuit, v *Vectors) (*Result, error) {
-	e, err := NewEngine(c)
+	if len(v.Words) != len(c.PIs) {
+		return nil, fmt.Errorf("sim: %d input streams for %d PIs", len(v.Words), len(c.PIs))
+	}
+	nWords := v.NumWords()
+	for i := range v.Words {
+		if len(v.Words[i]) != nWords {
+			return nil, fmt.Errorf("sim: ragged vector lengths")
+		}
+	}
+	order, err := c.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	return e.Run(v)
+	node := make([][]uint64, len(c.Nodes))
+	for i, pi := range c.PIs {
+		node[pi] = v.Words[i]
+	}
+	arena := make([]uint64, (len(order)-len(c.PIs))*nWords)
+	var in []uint64
+	for _, id := range order {
+		nd := &c.Nodes[id]
+		if nd.IsPI {
+			continue
+		}
+		out := arena[:nWords:nWords]
+		arena = arena[nWords:]
+		for w := range out {
+			in = in[:0]
+			for _, f := range nd.Fanin {
+				in = append(in, node[f][w])
+			}
+			out[w] = nd.Kind.EvalWord(in)
+		}
+		node[id] = out
+	}
+	mRuns.Inc()
+	mWords.Add(int64((len(order) - len(c.PIs)) * nWords))
+	return &Result{Node: node}, nil
 }
 
 // Outputs returns the PO value streams in PO order.
@@ -242,24 +333,14 @@ func EquivalentRandom(a, b *circuit.Circuit, nWords int, seed int64) (bool, *Mis
 
 // ToggleCounts simulates the circuit and returns, per node, the number of
 // value changes between consecutive patterns — a crude measured switching
-// activity used to cross-check the probabilistic power model.
+// activity that tests use to cross-check the probabilistic power model.
 func ToggleCounts(c *circuit.Circuit, v *Vectors) ([]int, error) {
 	res, err := Run(c, v)
 	if err != nil {
 		return nil, err
 	}
-	return res.Toggles(), nil
-}
-
-// Toggles counts, per node, the number of value changes between consecutive
-// patterns in the result. Nil node streams (unsimulated nodes) count zero.
-func (res *Result) Toggles() []int {
 	counts := make([]int, len(res.Node))
-	for id := range res.Node {
-		words := res.Node[id]
-		if words == nil {
-			continue
-		}
+	for id, words := range res.Node {
 		var last uint64 // value of previous pattern bit
 		first := true
 		for _, w := range words {
@@ -273,5 +354,5 @@ func (res *Result) Toggles() []int {
 			}
 		}
 	}
-	return counts
+	return counts, nil
 }

@@ -317,3 +317,60 @@ func TestOutputs(t *testing.T) {
 		t.Fatalf("Outputs shape wrong")
 	}
 }
+
+// exhaustiveReference is the original per-bit O(2^n·n) construction, kept as
+// the oracle for the block-fill fast path.
+func exhaustiveReference(nPI int) *Vectors {
+	patterns := 1 << uint(nPI)
+	nWords := (patterns + 63) / 64
+	v := &Vectors{Words: make([][]uint64, nPI)}
+	for i := 0; i < nPI; i++ {
+		w := make([]uint64, nWords)
+		for p := 0; p < nWords*64; p++ {
+			idx := p % patterns
+			if idx>>uint(i)&1 == 1 {
+				w[p/64] |= 1 << uint(p%64)
+			}
+		}
+		v.Words[i] = w
+	}
+	return v
+}
+
+func TestExhaustiveBlockFill(t *testing.T) {
+	for nPI := 1; nPI <= 10; nPI++ {
+		got, err := Exhaustive(nPI)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := exhaustiveReference(nPI)
+		for i := range want.Words {
+			for j := range want.Words[i] {
+				if got.Words[i][j] != want.Words[i][j] {
+					t.Fatalf("nPI=%d input %d word %d: got %016x want %016x",
+						nPI, i, j, got.Words[i][j], want.Words[i][j])
+				}
+			}
+		}
+	}
+}
+
+func TestSharedRandomMemoized(t *testing.T) {
+	a := SharedRandom(5, 4, 42)
+	b := SharedRandom(5, 4, 42)
+	if &a.Words[0][0] != &b.Words[0][0] {
+		t.Error("SharedRandom did not return the memoized vectors")
+	}
+	want := Random(5, 4, 42)
+	for i := range want.Words {
+		for j := range want.Words[i] {
+			if a.Words[i][j] != want.Words[i][j] {
+				t.Fatal("SharedRandom differs from Random")
+			}
+		}
+	}
+	other := SharedRandom(5, 4, 43)
+	if &other.Words[0][0] == &a.Words[0][0] {
+		t.Error("different seeds must not share vectors")
+	}
+}

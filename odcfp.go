@@ -39,7 +39,6 @@ import (
 	"repro/internal/fpcode"
 	"repro/internal/fuse"
 	"repro/internal/sdc"
-	"repro/internal/sim"
 	"repro/internal/techmap"
 	"repro/internal/verilog"
 	"repro/internal/watermark"
@@ -87,17 +86,11 @@ type (
 	Verifier = core.Verifier
 	// Verdict is an equivalence-check outcome (cec package).
 	Verdict = cec.Verdict
-	// SimEngine is a reusable zero-allocation bit-parallel simulator bound
-	// to one circuit.
-	SimEngine = sim.Engine
 )
 
 // NewVerifier builds an incremental verifier for an analysis; see
 // (*Analysis).SharedVerifier for the shared instance.
 func NewVerifier(a *Analysis) *Verifier { return core.NewVerifier(a) }
-
-// NewSimEngine builds a reusable simulation engine for a circuit.
-func NewSimEngine(c *Circuit) (*SimEngine, error) { return sim.NewEngine(c) }
 
 // DefaultLibrary returns the MCNC-flavoured standard-cell library used
 // throughout the reproduction.
