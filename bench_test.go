@@ -12,6 +12,7 @@
 package odcfp_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -28,6 +29,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fuse"
 	"repro/internal/power"
+	"repro/internal/registry"
 	"repro/internal/sdc"
 	"repro/internal/sim"
 	"repro/internal/sta"
@@ -616,6 +618,49 @@ func BenchmarkVerifyColdCEC(b *testing.B) {
 		}
 	}
 	b.ReportMetric(64, "copies/op")
+}
+
+// BenchmarkTraceScores is one score-mode trace (§III-E collusion tracing)
+// against a mature registry: c880 with 10 000 buyers preseeded by
+// IssueBatchValues, and one issued copy as the suspect. Every iteration
+// extracts the suspect and scores and sorts all 10 001 buyers.
+func BenchmarkTraceScores(b *testing.B) {
+	spec, err := bench.ByName("c880")
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := core.Analyze(spec.Build(), core.DefaultOptions(cell.Default()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := registry.New(a)
+	buyers := make([]string, 10000)
+	for i := range buyers {
+		buyers[i] = fmt.Sprintf("preseed-%05d", i)
+	}
+	if _, err := reg.IssueBatchValues(context.Background(), a, buyers); err != nil {
+		b.Fatal(err)
+	}
+	suspect, _, err := reg.Issue(a, "suspect")
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The first score trace builds the registry's resident score table,
+	// once per registry; time the traces after it.
+	if _, err := reg.TraceScores(a, suspect); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scores, err := reg.TraceScores(a, suspect)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(scores) != len(buyers)+1 || scores[0].Name != "suspect" {
+			b.Fatalf("%d scores, top %q", len(scores), scores[0].Name)
+		}
+	}
 }
 
 func BenchmarkSuiteGeneration(b *testing.B) {

@@ -19,6 +19,7 @@ package attack
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/circuit"
@@ -207,25 +208,19 @@ func transplantGate(dst, src *circuit.Circuit, name string, srcID circuit.NodeID
 // Tracer is the IP designer's registry of issued fingerprints.
 type Tracer struct {
 	Analysis *core.Analysis
-	buyers   []Buyer
-}
-
-// Buyer associates a name with the assignment embedded in their instance.
-type Buyer struct {
-	Name       string
-	Assignment core.Assignment
+	table    *Table
 }
 
 // NewTracer creates a tracer over the analysed original design.
-func NewTracer(a *core.Analysis) *Tracer { return &Tracer{Analysis: a} }
+func NewTracer(a *core.Analysis) *Tracer { return &Tracer{Analysis: a, table: NewTable(a)} }
 
-// Register records a buyer's fingerprint.
+// Register records a buyer's fingerprint. It panics if asg does not have
+// one digit per slot of the tracer's design.
 func (t *Tracer) Register(name string, asg core.Assignment) {
-	t.buyers = append(t.buyers, Buyer{Name: name, Assignment: asg})
+	if err := t.table.Add(name, asg); err != nil {
+		panic(err)
+	}
 }
-
-// Buyers returns the registered buyers.
-func (t *Tracer) Buyers() []Buyer { return t.buyers }
 
 // Score is one buyer's agreement with a suspect instance, split into the
 // evidence classes that matter under the marking assumption.
@@ -274,38 +269,10 @@ func (t *Tracer) TraceScores(suspect *circuit.Circuit) ([]Score, error) {
 }
 
 // scoreObserved builds the sorted per-buyer score table from an already
-// extracted (tolerant) assignment.
+// extracted (tolerant) assignment; ties keep registration order.
 func (t *Tracer) scoreObserved(got core.Assignment) []Score {
-	scores := make([]Score, 0, len(t.buyers))
-	for _, b := range t.buyers {
-		s := Score{Name: b.Name}
-		for i := range got {
-			for j := range got[i] {
-				obs := got[i][j]
-				if obs == core.Tampered {
-					continue
-				}
-				s.TotalAll++
-				match := obs == b.Assignment[i][j]
-				if match {
-					s.AgreeAll++
-				}
-				if obs >= 0 {
-					s.TotalPresent++
-					if match {
-						s.AgreePresent++
-					}
-				}
-			}
-		}
-		scores = append(scores, s)
-	}
-	sort.SliceStable(scores, func(i, j int) bool {
-		if scores[i].Fraction() != scores[j].Fraction() {
-			return scores[i].Fraction() > scores[j].Fraction()
-		}
-		return scores[i].FractionAll() > scores[j].FractionAll()
-	})
+	scores := t.table.Scores(got)
+	slices.SortStableFunc(scores, byEvidence)
 	return scores
 }
 

@@ -58,18 +58,55 @@ func (a *Analysis) AssignmentFromInt(value *big.Int) (Assignment, error) {
 	if value.Cmp(a.Combinations()) >= 0 {
 		return nil, fmt.Errorf("core: fingerprint value exceeds capacity (%s combinations)", a.Combinations().String())
 	}
-	asg := EmptyAssignment(a)
+	radices := a.Radices()
+	digits := make([]int, len(radices))
+	if err := DecodeDigits(value, radices, digits); err != nil {
+		return nil, err
+	}
+	asg := make(Assignment, len(a.Locations))
+	for i := range a.Locations {
+		n := len(a.Locations[i].Targets)
+		asg[i], digits = digits[:n:n], digits[n:]
+	}
+	return asg, nil
+}
+
+// Radices returns every modification slot's radix, 1 + its variant count,
+// in the positional order of AssignmentFromInt: location by location, and
+// within a location target by target.
+func (a *Analysis) Radices() []int {
+	var radices []int
+	for i := range a.Locations {
+		for j := range a.Locations[i].Targets {
+			radices = append(radices, 1+len(a.Locations[i].Targets[j].Variants))
+		}
+	}
+	return radices
+}
+
+// DecodeDigits writes the mixed-radix digits of value over radices (see
+// Radices) into dst, one per radix, each minus one: −1 is "unmodified" and
+// d ≥ 0 is variant d, the flat form of AssignmentFromInt. Values outside
+// [0, ∏radices) are rejected.
+func DecodeDigits(value *big.Int, radices []int, dst []int) error {
+	if value.Sign() < 0 {
+		return fmt.Errorf("core: negative fingerprint value")
+	}
+	if len(dst) != len(radices) {
+		return fmt.Errorf("core: %d digits for %d radices", len(dst), len(radices))
+	}
 	rest := new(big.Int).Set(value)
 	radix := new(big.Int)
 	digit := new(big.Int)
-	for i := range a.Locations {
-		for j := range a.Locations[i].Targets {
-			radix.SetInt64(int64(1 + len(a.Locations[i].Targets[j].Variants)))
-			rest.DivMod(rest, radix, digit)
-			asg[i][j] = int(digit.Int64()) - 1
-		}
+	for k, r := range radices {
+		radix.SetInt64(int64(r))
+		rest.DivMod(rest, radix, digit)
+		dst[k] = int(digit.Int64()) - 1
 	}
-	return asg, nil
+	if rest.Sign() != 0 {
+		return fmt.Errorf("core: fingerprint value exceeds capacity")
+	}
+	return nil
 }
 
 // IntFromAssignment is the inverse of AssignmentFromInt.

@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cell"
 	"repro/internal/circuit"
@@ -225,6 +226,24 @@ type Analysis struct {
 	varBuf    []Variant // variantsFor scratch
 	rrBuf     []Variant // rerouteVariants scratch
 	tgtBuf    []Target  // locationAt target scratch
+
+	// id is the analysis's process-unique identity, assigned by ID.
+	id atomic.Uint64
+}
+
+// lastAnalysisID is the most recently assigned Analysis identity.
+var lastAnalysisID atomic.Uint64
+
+// ID returns a process-unique, never-reused identity for this analysis,
+// assigned on first call. An analysis is immutable once built, so callers
+// can memoise work derived from it (a registry's digest check) by ID
+// without keeping the analysis — and its verifier session — alive.
+func (a *Analysis) ID() uint64 {
+	if id := a.id.Load(); id != 0 {
+		return id
+	}
+	a.id.CompareAndSwap(0, lastAnalysisID.Add(1))
+	return a.id.Load()
 }
 
 // arena hands out capacity-clamped sub-slices of large shared chunks. A

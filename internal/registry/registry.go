@@ -10,7 +10,8 @@
 // Buyers and Save may be called from any number of goroutines (the serving
 // daemon in internal/serve does exactly that). The expensive circuit work —
 // embedding a copy, extracting a suspect's assignment — runs outside the
-// internal lock; only the issued-record map is guarded.
+// internal lock; only the issued-record map and the indexes derived from it
+// are guarded.
 package registry
 
 import (
@@ -23,6 +24,7 @@ import (
 	"math/big"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/attack"
 	"repro/internal/circuit"
@@ -31,9 +33,9 @@ import (
 
 // Registry records issued fingerprints for one design.
 type Registry struct {
-	// mu guards Issued. The exported fields are set at construction/load
-	// time and never mutated afterwards, so reads of Design/Digest need no
-	// lock; every access to Issued takes it.
+	// mu guards Issued, byValue, table and rowOf. The exported fields are
+	// set at construction/load time and never mutated afterwards, so reads
+	// of Design/Digest need no lock; every access to Issued takes it.
 	mu sync.RWMutex
 
 	// Design is the circuit name (informational).
@@ -49,8 +51,24 @@ type Registry struct {
 	// byValue is the reverse index (decimal value → buyer) behind the
 	// collision check — built lazily under mu, never serialised. Without it
 	// every fresh reservation scans the whole record map, which turns
-	// fleet-scale batch minting quadratic.
+	// fleet-scale batch minting quadratic. Once built it is kept in sync
+	// with Issued and never dropped, so TraceExact reads it under the read
+	// lock.
 	byValue map[string]string
+
+	// table is the resident score table behind TraceScores: every record
+	// decoded once into a row, instead of once per trace. rowOf maps each
+	// buyer to its row. Both are built lazily under mu by the first
+	// TraceScores and nil until then, so issuance into a registry nobody
+	// score-traces pays nothing. Invariant: whenever mu is released, a
+	// built table's rows are exactly the records of Issued.
+	table *attack.Table
+	rowOf map[string]int
+
+	// checked is the core.Analysis.ID of the last analysis that passed
+	// check, so a repeat check skips re-hashing the netlist. An ID, not the
+	// pointer: the registry must not keep an evicted analysis alive.
+	checked atomic.Uint64
 }
 
 // valueIndex returns the reverse value→buyer index, building it from the
@@ -63,6 +81,43 @@ func (r *Registry) valueIndex() map[string]string {
 		}
 	}
 	return r.byValue
+}
+
+// buildTable decodes every record into the resident score table unless it
+// is already built. The caller must hold mu for writing.
+func (r *Registry) buildTable(a *core.Analysis) error {
+	if r.table != nil {
+		return nil
+	}
+	t := attack.NewTable(a)
+	rowOf := make(map[string]int, len(r.Issued))
+	for buyer, val := range r.Issued {
+		v, ok := new(big.Int).SetString(val, 10)
+		if !ok {
+			return fmt.Errorf("registry: corrupt record for %q", buyer)
+		}
+		if err := t.AddValue(buyer, v); err != nil {
+			return err
+		}
+		rowOf[buyer] = t.Len() - 1
+	}
+	r.table, r.rowOf = t, rowOf
+	return nil
+}
+
+// addRow mirrors a new record into the score table, if it is built. A
+// value the table cannot hold (out of the design's range; only Adopt can
+// record one) drops the table, so the next TraceScores rebuilds it and
+// reports that record. The caller must hold mu for writing.
+func (r *Registry) addRow(buyer string, value *big.Int) {
+	if r.table == nil {
+		return
+	}
+	if err := r.table.AddValue(buyer, value); err != nil {
+		r.table, r.rowOf = nil, nil
+		return
+	}
+	r.rowOf[buyer] = r.table.Len() - 1
 }
 
 // DesignDigest hashes the structural identity of the analysed design: the
@@ -148,6 +203,7 @@ func (r *Registry) reserve(buyer string, combos *big.Int) (value *big.Int, fresh
 	}
 	r.Issued[buyer] = dec
 	idx[dec] = buyer
+	r.addRow(buyer, value)
 	return value, true, nil
 }
 
@@ -171,11 +227,18 @@ func (r *Registry) release(buyer string, fresh bool) {
 	r.mu.Unlock()
 }
 
-// deleteRecord drops a buyer's record and its reverse-index entry. The
-// caller must hold mu for writing.
+// deleteRecord drops a buyer's record, its reverse-index entry and its
+// score-table row. The caller must hold mu for writing.
 func (r *Registry) deleteRecord(buyer string) {
 	if val, ok := r.Issued[buyer]; ok && r.byValue != nil {
 		delete(r.byValue, val)
+	}
+	if row, ok := r.rowOf[buyer]; ok {
+		r.table.Delete(row)
+		if row < r.table.Len() {
+			r.rowOf[r.table.Name(row)] = row
+		}
+		delete(r.rowOf, buyer)
 	}
 	delete(r.Issued, buyer)
 }
@@ -298,6 +361,7 @@ func (r *Registry) reserveBatch(buyers []string, combos *big.Int) ([]BatchItem, 
 		}
 		r.Issued[buyer] = dec
 		idx[dec] = buyer
+		r.addRow(buyer, v)
 		items[i].Value = v
 		items[i].Fresh = true
 		added = append(added, buyer)
@@ -316,7 +380,8 @@ func (r *Registry) Adopt(buyer, value string) error {
 	if buyer == "" {
 		return fmt.Errorf("registry: empty buyer name")
 	}
-	if _, ok := new(big.Int).SetString(value, 10); !ok {
+	v, ok := new(big.Int).SetString(value, 10)
+	if !ok {
 		return fmt.Errorf("registry: adopting corrupt value for %q", buyer)
 	}
 	r.mu.Lock()
@@ -333,6 +398,7 @@ func (r *Registry) Adopt(buyer, value string) error {
 	}
 	r.Issued[buyer] = value
 	idx[value] = buyer
+	r.addRow(buyer, v)
 	return nil
 }
 
@@ -393,46 +459,60 @@ func (r *Registry) TraceExact(a *core.Analysis, suspect *circuit.Circuit) (strin
 	}
 	dec := v.String()
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for buyer, val := range r.Issued {
-		if val == dec {
-			return buyer, nil
-		}
+	idx := r.byValue
+	buyer, ok := idx[dec]
+	r.mu.RUnlock()
+	if idx == nil {
+		r.mu.Lock()
+		buyer, ok = r.valueIndex()[dec]
+		r.mu.Unlock()
 	}
-	return "", fmt.Errorf("registry: fingerprint %s matches no issued copy", dec)
+	if !ok {
+		return "", fmt.Errorf("registry: fingerprint %s matches no issued copy", dec)
+	}
+	return buyer, nil
 }
 
 // TraceScores scores every registered buyer against a possibly tampered
-// suspect using the marking-assumption tracer of internal/attack.
+// suspect with the marking-assumption scoring of internal/attack, best
+// first and ties by buyer name. It scores against the resident table
+// (built on the first call), so a trace decodes no record.
 func (r *Registry) TraceScores(a *core.Analysis, suspect *circuit.Circuit) ([]attack.Score, error) {
 	if err := r.check(a); err != nil {
 		return nil, err
 	}
-	tr := attack.NewTracer(a)
-	for _, buyer := range r.Buyers() {
-		rec, ok := r.Value(buyer)
-		if !ok {
-			// Racing caller failed its embed and released the record
-			// between Buyers and here; skip it like Buyers never saw it.
-			continue
-		}
-		v, ok := new(big.Int).SetString(rec, 10)
-		if !ok {
-			return nil, fmt.Errorf("registry: corrupt record for %q", buyer)
-		}
-		asg, err := a.AssignmentFromInt(v)
+	got, _, err := core.ExtractTolerant(a, suspect)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.RLock()
+	// Once built, the table stays in sync with Issued; only an Adopt the
+	// table cannot hold drops it, and the next pass rebuilds it.
+	for r.table == nil {
+		r.mu.RUnlock()
+		r.mu.Lock()
+		err := r.buildTable(a)
+		r.mu.Unlock()
 		if err != nil {
 			return nil, err
 		}
-		tr.Register(buyer, asg)
+		r.mu.RLock()
 	}
-	return tr.TraceScores(suspect)
+	scores := r.table.Scores(got)
+	r.mu.RUnlock()
+	attack.SortScores(scores)
+	return scores, nil
 }
 
 func (r *Registry) check(a *core.Analysis) error {
+	id := a.ID()
+	if r.checked.Load() == id {
+		return nil
+	}
 	if got := DesignDigest(a); got != r.Digest {
 		return fmt.Errorf("registry: design digest mismatch (registry %s, analysis %s)", r.Digest, got)
 	}
+	r.checked.Store(id)
 	return nil
 }
 

@@ -5,15 +5,21 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/big"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/attack"
 	"repro/internal/bench"
 	"repro/internal/benchfmt"
 	"repro/internal/cell"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/logic"
 )
 
 func analyzed(t testing.TB, name string) *core.Analysis {
@@ -348,5 +354,387 @@ func TestReleaseItems(t *testing.T) {
 	r.ReleaseItems(items)
 	if got := r.Buyers(); len(got) != 1 || got[0] != "old" {
 		t.Errorf("after release Buyers = %v, want [old]", got)
+	}
+}
+
+// oracleScores is the score trace as the registry computed it before the
+// resident table, kept as the test oracle: every record decoded with
+// AssignmentFromInt into a per-buyer assignment, buyers in Buyers() (name)
+// order, scored slot by slot and stable-sorted by the float fractions.
+func oracleScores(t *testing.T, r *Registry, a *core.Analysis, suspect *circuit.Circuit) []attack.Score {
+	t.Helper()
+	got, _, err := core.ExtractTolerant(a, suspect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buyers := r.Buyers()
+	scores := make([]attack.Score, 0, len(buyers))
+	for _, buyer := range buyers {
+		rec, _ := r.Value(buyer)
+		v, ok := new(big.Int).SetString(rec, 10)
+		if !ok {
+			t.Fatalf("corrupt record for %q", buyer)
+		}
+		asg, err := a.AssignmentFromInt(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := attack.Score{Name: buyer}
+		for i := range got {
+			for j, obs := range got[i] {
+				if obs == core.Tampered {
+					continue
+				}
+				s.TotalAll++
+				match := obs == asg[i][j]
+				if match {
+					s.AgreeAll++
+				}
+				if obs >= 0 {
+					s.TotalPresent++
+					if match {
+						s.AgreePresent++
+					}
+				}
+			}
+		}
+		scores = append(scores, s)
+	}
+	sort.SliceStable(scores, func(i, j int) bool {
+		if scores[i].Fraction() != scores[j].Fraction() {
+			return scores[i].Fraction() > scores[j].Fraction()
+		}
+		return scores[i].FractionAll() > scores[j].FractionAll()
+	})
+	return scores
+}
+
+// tamper rewrites the first n fingerprint target gates of c to XOR/XNOR
+// over their current fanin, a form no catalogued variant takes, so
+// ExtractTolerant reports those slots as Tampered.
+func tamper(t *testing.T, a *core.Analysis, c *circuit.Circuit, n int) {
+	t.Helper()
+	for i := 0; i < len(a.Locations) && n > 0; i++ {
+		name := a.Circuit.Nodes[a.Locations[i].Targets[0].Gate].Name
+		id, ok := c.Lookup(name)
+		if !ok || len(c.Nodes[id].Fanin) < 2 {
+			continue
+		}
+		kind := logic.Xor
+		if c.Nodes[id].Kind == logic.Xor {
+			kind = logic.Xnor
+		}
+		if err := c.RewireGate(id, kind, append([]circuit.NodeID(nil), c.Nodes[id].Fanin...)); err != nil {
+			t.Fatal(err)
+		}
+		n--
+	}
+}
+
+// suspects returns the score-trace suspects for the oracle tests: a clean
+// copy, a collusion forgery of three copies with tampered slots, and a
+// fully stripped copy (the unfingerprinted design).
+func suspects(t *testing.T, a *core.Analysis, copies []*circuit.Circuit) map[string]*circuit.Circuit {
+	t.Helper()
+	res, err := attack.Collude(copies[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	tamper(t, a, res.Forged, 3)
+	if _, tampered, err := core.ExtractTolerant(a, res.Forged); err != nil || len(tampered) == 0 {
+		t.Fatalf("forgery has %d tampered slots (%v), want some", len(tampered), err)
+	}
+	return map[string]*circuit.Circuit{
+		"clean":    copies[0].Clone(),
+		"forged":   res.Forged,
+		"stripped": a.Circuit.Clone(),
+	}
+}
+
+// TestTraceScoresMatchesOracle runs seeded random interleavings of every
+// record mutation — Issue, IssueBatch (and its duplicate-buyer rollback),
+// failed-embed releases, ReleaseItems, Adopt and a save/Load round trip —
+// and after each step requires the resident-table TraceScores to equal the
+// oracle exactly, on every suspect.
+func TestTraceScoresMatchesOracle(t *testing.T) {
+	for _, design := range []string{"c432", "c880"} {
+		t.Run(design, func(t *testing.T) {
+			a := analyzed(t, design)
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(42))
+			r := New(a)
+			var copies []*circuit.Circuit
+			for i := 0; i < 4; i++ {
+				cp, _, err := r.Issue(a, fmt.Sprintf("base-%d", i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				copies = append(copies, cp)
+			}
+			sus := suspects(t, a, copies)
+			combos := a.Combinations()
+			name := func() string { return fmt.Sprintf("b%02d", rng.Intn(60)) }
+			// c432's fingerprint space is small enough for buyers to
+			// collide; a rejected collision must leave the registry as it
+			// was, which the oracle comparison below checks.
+			check := func(err error) {
+				t.Helper()
+				if err != nil && !strings.Contains(err.Error(), "collision") {
+					t.Fatal(err)
+				}
+			}
+			for step := 0; step < 40; step++ {
+				op := rng.Intn(6)
+				switch op {
+				case 0:
+					_, _, err := r.Issue(a, name())
+					check(err)
+				case 1:
+					buyers := []string{name(), name(), name()}
+					if rng.Intn(3) == 0 {
+						buyers = append(buyers, buyers[0]) // duplicate: rolls back
+					}
+					_, _ = r.IssueBatch(ctx, a, buyers)
+				case 2:
+					b := name()
+					_, fresh, err := r.reserve(b, combos)
+					check(err)
+					if err == nil {
+						r.release(b, fresh)
+					}
+				case 3:
+					items, err := r.IssueBatchValues(ctx, a, []string{name(), name() + "x"})
+					check(err)
+					r.ReleaseItems(items)
+				case 4:
+					other := New(a)
+					b := name() + "-adopted"
+					items, err := other.IssueBatchValues(ctx, a, []string{b})
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(r.Adopt(b, items[0].Value.String()))
+				case 5:
+					var buf bytes.Buffer
+					if err := r.Save(&buf); err != nil {
+						t.Fatal(err)
+					}
+					loaded, err := Load(&buf, a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r = loaded
+					// Mutate the fresh registry before its table is built.
+					_, _, err = r.Issue(a, name())
+					check(err)
+				}
+				for label, suspect := range sus {
+					got, err := r.TraceScores(a, suspect)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := oracleScores(t, r, a, suspect); !reflect.DeepEqual(got, want) {
+						t.Fatalf("step %d (op %d), %s suspect: TraceScores differs from the oracle\ngot  %v\nwant %v", step, op, label, got, want)
+					}
+				}
+			}
+			if r.NumIssued() <= 4 {
+				t.Fatalf("interleaving left only %d records; the property saw too few", r.NumIssued())
+			}
+		})
+	}
+}
+
+// TestTraceScoresConcurrent is the -race test for the resident table:
+// concurrent issues, released batches and score traces on one registry.
+func TestTraceScoresConcurrent(t *testing.T) {
+	a := analyzed(t, "c880")
+	r := New(a)
+	cp, _, err := r.Issue(a, "seed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(3)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				if _, _, err := r.Issue(a, fmt.Sprintf("w%d-%d", w, i)); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				items, err := r.IssueBatchValues(context.Background(), a, []string{fmt.Sprintf("tmp%d-%d", w, i)})
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				r.ReleaseItems(items)
+			}
+		}(w)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				scores, err := r.TraceScores(a, cp)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seen := map[string]bool{}
+				for _, s := range scores {
+					if seen[s.Name] {
+						t.Errorf("buyer %q scored twice", s.Name)
+					}
+					seen[s.Name] = true
+				}
+				if !seen["seed"] {
+					t.Error("score trace lost the seed buyer")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := r.NumIssued(), 1+3*8; got != want {
+		t.Fatalf("NumIssued = %d, want %d", got, want)
+	}
+	scores, err := r.TraceScores(a, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := oracleScores(t, r, a, cp); !reflect.DeepEqual(scores, want) {
+		t.Fatal("TraceScores differs from the oracle after the concurrent run")
+	}
+}
+
+// TestTraceExactAfterMutations: the reverse index behind TraceExact keeps
+// naming the right buyer across a failed-embed release, a released batch,
+// an Adopt and a save/Load round trip.
+func TestTraceExactAfterMutations(t *testing.T) {
+	a := analyzed(t, "c432")
+	ctx := context.Background()
+	r := New(a)
+	cp, _, err := r.Issue(a, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := func(stage string, r *Registry, cp *circuit.Circuit, want string) {
+		t.Helper()
+		if got, err := r.TraceExact(a, cp); err != nil || got != want {
+			t.Fatalf("after %s: traced to %q (%v), want %q", stage, got, err, want)
+		}
+	}
+	traces("issue", r, cp, "alice")
+
+	_, fresh, err := r.reserve("bob", a.Combinations())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.release("bob", fresh)
+	traces("release", r, cp, "alice")
+
+	items, err := r.IssueBatchValues(ctx, a, []string{"alice", "carol"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ReleaseItems(items)
+	traces("ReleaseItems", r, cp, "alice")
+	// Issuance is deterministic per design and buyer, so another registry
+	// mints the copies of the released buyers; neither may trace.
+	for _, gone := range []string{"bob", "carol"} {
+		gcp, _, err := New(a).Issue(a, gone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := r.TraceExact(a, gcp); err == nil {
+			t.Fatalf("released buyer %s's copy traced to %q", gone, got)
+		}
+	}
+
+	other := New(a)
+	dcp, dv, err := other.Issue(a, "dave")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.TraceExact(a, dcp); err == nil {
+		t.Fatal("dave's copy traced before dave was adopted")
+	}
+	if err := r.Adopt("dave", dv.String()); err != nil {
+		t.Fatal(err)
+	}
+	traces("Adopt", r, dcp, "dave")
+
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces("Load", loaded, cp, "alice")
+	traces("Load", loaded, dcp, "dave")
+}
+
+// TestCheckMemoStillRejects: once an analysis has passed the digest check,
+// the memo must not let an analysis of another design through, and a fresh
+// analysis of the same design still passes.
+func TestCheckMemoStillRejects(t *testing.T) {
+	good := analyzed(t, "c432")
+	other := analyzed(t, "c880")
+	r := New(good)
+	cp, _, err := r.Issue(good, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.TraceExact(good, cp); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Issue(other, "y"); err == nil {
+		t.Error("issue against another design accepted after a good check")
+	}
+	if _, err := r.TraceExact(other, other.Circuit); err == nil {
+		t.Error("exact trace against another design accepted after a good check")
+	}
+	if _, err := r.TraceScores(other, other.Circuit); err == nil {
+		t.Error("score trace against another design accepted after a good check")
+	}
+	if _, err := r.IssueBatchValues(context.Background(), other, []string{"z"}); err == nil {
+		t.Error("batch against another design accepted after a good check")
+	}
+	again := analyzed(t, "c432")
+	if got, err := r.TraceExact(again, cp); err != nil || got != "x" {
+		t.Errorf("fresh analysis of the same design: traced %q (%v)", got, err)
+	}
+	if _, err := r.TraceExact(good, cp); err != nil {
+		t.Errorf("first analysis rejected after a second passed: %v", err)
+	}
+}
+
+// TestTraceScoresUnholdableAdopt: Adopt records a decimal value beyond the
+// design's capacity without complaint (it checks only the format), so the
+// resident table cannot hold it; score traces must then report the record
+// rather than score a table that has lost it.
+func TestTraceScoresUnholdableAdopt(t *testing.T) {
+	a := analyzed(t, "c432")
+	r := New(a)
+	cp, _, err := r.Issue(a, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.TraceScores(a, cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Adopt("mallory", a.Combinations().String()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.TraceScores(a, cp); err == nil {
+		t.Fatal("score trace ignored a record beyond the design's capacity")
+	}
+	if got, err := r.TraceExact(a, cp); err != nil || got != "alice" {
+		t.Fatalf("exact trace after the bad adopt: %q (%v)", got, err)
 	}
 }

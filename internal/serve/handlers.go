@@ -507,6 +507,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			}
 			resp.Threshold = threshold
 			resp.FullRemoval = attack.FullRemoval(scores)
+			resp.Scores = make([]TraceScore, 0, len(scores))
 			for _, sc := range scores {
 				resp.Scores = append(resp.Scores, TraceScore{
 					Buyer:        sc.Name,
