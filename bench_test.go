@@ -566,21 +566,56 @@ func verifyFixture(b *testing.B, name string, nCopies int) (*core.Analysis, []co
 	return a, asgs
 }
 
-// BenchmarkVerifySession verifies 64 fingerprint copies of one analysis on
-// a persistent cec.Session: the miter is encoded once per iteration
-// (core.NewVerifier) and each copy costs one assumption solve on the shared
-// solver. Compare with BenchmarkVerifyColdCEC; cmd/benchverify records the
-// same contest in BENCH_verify.json.
-func BenchmarkVerifySession(b *testing.B) {
+// BenchmarkVerifyWindows is what a fresh design's verified issues cost: a
+// fresh core.Verifier per iteration, whose first verify proves the c5315
+// catalogue window by window (one small SAT query per composed window), then
+// 64 copies that need no solver at all. Compare with
+// BenchmarkVerifySession, the whole-circuit fallback.
+func BenchmarkVerifyWindows(b *testing.B) {
 	a, asgs := verifyFixture(b, "c5315", 64)
+	asgs = append([]core.Assignment{core.EmptyAssignment(a)}, asgs...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ver := core.NewVerifier(a)
-		if !ver.Incremental() {
-			b.Fatal("session construction failed; cold fallback would be measured")
-		}
 		for _, asg := range asgs {
 			v, err := ver.Verify(asg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !v.Equivalent {
+				b.Fatal("catalogued copy not equivalent")
+			}
+		}
+		if !ver.Certified() {
+			b.Fatal("a window failed; the session fallback would be measured")
+		}
+	}
+	b.ReportMetric(64, "copies/op")
+}
+
+// BenchmarkVerifySession verifies 64 fingerprint copies of one analysis on
+// a persistent cec.Session, built directly so that it keeps measuring the
+// verifier's fallback path: the miter is encoded once per iteration and
+// each copy costs one assumption solve on the shared solver. Compare with
+// BenchmarkVerifyColdCEC; cmd/benchverify records the same contest in
+// BENCH_verify.json.
+func BenchmarkVerifySession(b *testing.B) {
+	a, asgs := verifyFixture(b, "c5315", 64)
+	choices := make([][]int, len(asgs))
+	for i, asg := range asgs {
+		var err error
+		if choices[i], err = a.SlotChoice(asg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess, err := cec.NewSession(a.Circuit, a.Slots(), cec.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, choice := range choices {
+			v, err := sess.Verify(choice)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,9 +1,11 @@
-// Command benchverify times the incremental verification engine against the
-// one-shot baseline and records the result as a JSON baseline artefact:
-// verifying N fingerprint copies of one analysis through the persistent
-// cec.Session (including session construction) versus N cold cec.Check calls
-// on pre-embedded copies. Both paths must agree on every verdict; the
-// baseline asserts the session is at least 3× faster.
+// Command benchverify times the three verification paths for N fingerprint
+// copies of one analysis and records the result as a JSON baseline
+// artefact: the window certificates (a fresh core.Verifier, whose first
+// verify proves the catalogue window by window), the persistent cec.Session
+// (including session construction; the verifier's fallback), and N cold
+// cec.Check calls on pre-embedded copies. All three must agree on every
+// verdict; the baseline asserts the session is at least 3× faster than the
+// cold path.
 //
 //	benchverify                      c5315, 64 copies, BENCH_verify.json
 //	benchverify -circuit c7552 -copies 32 -o /tmp/b.json
@@ -11,8 +13,8 @@
 //
 // With -report the run additionally writes a report.RunReport manifest:
 // flags, stage wall times, the internal/obs metrics snapshot (miter sizes,
-// sweep/assumption solve counts, SAT work) and the verdict summary.
-// -deterministic zeroes the manifest's wall-clock fields.
+// window and sweep/assumption solve counts, SAT work) and the verdict
+// summary. -deterministic zeroes the manifest's wall-clock fields.
 package main
 
 import (
@@ -36,6 +38,8 @@ type Baseline struct {
 	Circuit       string  `json:"circuit"`
 	Gates         int     `json:"gates"`
 	Copies        int     `json:"copies"`
+	WindowSecs    float64 `json:"window_secs"`  // certify + N verifies
+	Certified     bool    `json:"certified"`    // every window proved: no fallback
 	SessionSecs   float64 `json:"session_secs"` // build + N incremental verifies
 	ColdSecs      float64 `json:"cold_secs"`    // N one-shot miters (embed excluded)
 	Speedup       float64 `json:"speedup"`
@@ -80,15 +84,32 @@ func main() {
 		fail(err)
 	}
 
+	// Window path: a fresh verifier certifies the catalogue on its first
+	// verify; every copy after that needs no solver.
+	windowStart := time.Now()
+	ver := core.NewVerifier(a)
+	windowVerdicts := make([]bool, *copies)
+	for i, asg := range asgs {
+		v, err := ver.Verify(asg)
+		fail(err)
+		windowVerdicts[i] = v.Equivalent
+	}
+	windowSecs := time.Since(windowStart).Seconds()
+	if rb != nil {
+		rb.Stage("window_verify", windowStart)
+	}
+
 	// Session path: one persistent miter, one assumption solve per copy.
 	sessionStart := time.Now()
-	ver := core.NewVerifier(a)
-	if !ver.Incremental() {
-		fail(fmt.Errorf("session construction failed for %s; cold fallback would be measured", *name))
+	sess, err := cec.NewSession(a.Circuit, a.Slots(), cec.DefaultOptions())
+	if err != nil {
+		fail(fmt.Errorf("session construction failed for %s: %w", *name, err))
 	}
 	sessionVerdicts := make([]bool, *copies)
 	for i, asg := range asgs {
-		v, err := ver.Verify(asg)
+		choice, err := a.SlotChoice(asg)
+		fail(err)
+		v, err := sess.Verify(choice)
 		fail(err)
 		sessionVerdicts[i] = v.Equivalent
 	}
@@ -110,7 +131,7 @@ func main() {
 	for i, inst := range instances {
 		v, err := cec.Check(a.Circuit, inst, cec.DefaultOptions())
 		fail(err)
-		if v.Equivalent != sessionVerdicts[i] {
+		if v.Equivalent != sessionVerdicts[i] || v.Equivalent != windowVerdicts[i] {
 			match = false
 		}
 		if !v.Equivalent {
@@ -126,6 +147,8 @@ func main() {
 		Circuit:       *name,
 		Gates:         c.NumGates(),
 		Copies:        *copies,
+		WindowSecs:    windowSecs,
+		Certified:     ver.Certified(),
 		SessionSecs:   sessionSecs,
 		ColdSecs:      coldSecs,
 		Speedup:       coldSecs / sessionSecs,
@@ -140,6 +163,7 @@ func main() {
 			Circuit:       b.Circuit,
 			Gates:         b.Gates,
 			Copies:        b.Copies,
+			WindowSecs:    b.WindowSecs,
 			SessionSecs:   b.SessionSecs,
 			ColdSecs:      b.ColdSecs,
 			Speedup:       b.Speedup,
@@ -148,10 +172,10 @@ func main() {
 		})
 		fail(rb.Finish().WriteFile(*reportPath))
 	}
-	fmt.Printf("%s: %d copies, session %.2fs vs cold %.2fs — %.1f× (verdicts match: %v)\n",
-		b.Circuit, b.Copies, b.SessionSecs, b.ColdSecs, b.Speedup, b.VerdictsMatch)
+	fmt.Printf("%s: %d copies, windows %.2fs (certified: %v), session %.2fs vs cold %.2fs — %.1f× (verdicts match: %v)\n",
+		b.Circuit, b.Copies, b.WindowSecs, b.Certified, b.SessionSecs, b.ColdSecs, b.Speedup, b.VerdictsMatch)
 	if !match {
-		fail(fmt.Errorf("session and one-shot verdicts disagree"))
+		fail(fmt.Errorf("window, session and one-shot verdicts disagree"))
 	}
 	if b.Speedup < 3 {
 		fail(fmt.Errorf("speedup %.2f× below the 3× acceptance bar", b.Speedup))

@@ -97,6 +97,12 @@ type SessionStats struct {
 // fully-instrumented fingerprint instance. Build it once per analysis with
 // NewSession, then call Verify for each copy.
 //
+// Session is the fallback and the test oracle of the window certificates
+// (Certifier): core.Verifier builds one only when some window of a
+// catalogue fails to certify, and the oracle tests hold every certificate
+// verdict against a session's. Unlike a certificate, it decides each copy
+// exactly and returns counterexamples.
+//
 // Contract:
 //   - The session snapshots the master's Version at build time; Verify
 //     returns an error once the master has been mutated, after which the
@@ -120,11 +126,11 @@ type Session struct {
 	trivial bool    // no slot reaches any PO: always equivalent
 
 	// Retained build products for cone-local universal closing: the union
-	// topological order, the affected-region mask, and the slot index per
-	// slot gate.
+	// topological order, the affected-region mask, and the region encoder,
+	// which also maps each slot gate to its slot index.
 	order    []circuit.NodeID
 	affected []bool
-	slotOf   map[circuit.NodeID]int
+	enc      *regionEncoder
 
 	// SAT work done by cone-local closing solvers, folded into the
 	// verify-phase totals by Stats (the shared solver's counters cannot see
@@ -411,10 +417,7 @@ func (sess *Session) build() error {
 	// master's — the slot gates and their transitive fanout in the union
 	// graph (literal edges included, because an instance gate reads its
 	// literals from the instance netlist).
-	slotOf := make(map[circuit.NodeID]int, len(sess.slots))
-	for i, sl := range sess.slots {
-		slotOf[sl.Gate] = i
-	}
+	enc := newRegionEncoder(c, sess.slots)
 	affected := make([]bool, len(c.Nodes))
 	{
 		adj := make([][]circuit.NodeID, len(c.Nodes))
@@ -556,8 +559,8 @@ func (sess *Session) build() error {
 		for _, f := range nd.Fanin {
 			in = append(in, iv(f))
 		}
-		si, isSlot := slotOf[id]
-		if !isSlot {
+		si := enc.slotOf[id]
+		if si < 0 {
 			v, err := sess.encodeHashed(table, &keyBuf, nd.Kind, in)
 			if err != nil {
 				return fmt.Errorf("cec: instance node %q: %w", nd.Name, err)
@@ -635,7 +638,7 @@ func (sess *Session) build() error {
 	sess.trivial = trivial
 	sess.poClosed = make([]bool, len(c.POs))
 	sess.poOpen = make([]bool, len(c.POs))
-	sess.order, sess.affected, sess.slotOf = order, affected, slotOf
+	sess.order, sess.affected, sess.enc = order, affected, enc
 	sess.stats.Vars = sess.s.NumVars()
 	sess.stats.Clauses = sess.s.NumClauses()
 	// Freeze the build-phase SAT work and zero the solver counters, so the
@@ -783,7 +786,8 @@ func (sess *Session) VerifyCtx(ctx context.Context, choice []int) (Verdict, erro
 // extends to a full-circuit model by evaluating the remaining gates in
 // topological order, so the PO really is open. When the session carries a
 // conflict budget, the solve is bounded by *remaining and its consumption
-// is deducted.
+// is deducted. The cone is a region whose cut is the PIs, encoded by the
+// same regionEncoder the window certifier uses.
 func (sess *Session) closeCone(ctx context.Context, po int, remaining *int64) (sat.Status, error) {
 	c := sess.master
 	d := c.POs[po].Driver
@@ -802,7 +806,7 @@ func (sess *Session) closeCone(ctx context.Context, po int, remaining *int64) (s
 				stack = append(stack, f)
 			}
 		}
-		if si, ok := sess.slotOf[n]; ok {
+		if si := sess.enc.slotOf[n]; si >= 0 {
 			for _, m := range sess.slots[si].Options {
 				for _, l := range m.Lits {
 					if !inCone[l.Node] {
@@ -810,6 +814,16 @@ func (sess *Session) closeCone(ctx context.Context, po int, remaining *int64) (s
 						stack = append(stack, l.Node)
 					}
 				}
+			}
+		}
+	}
+
+	var nodes, diff []circuit.NodeID
+	for _, id := range sess.order {
+		if inCone[id] {
+			nodes = append(nodes, id)
+			if sess.affected[id] {
+				diff = append(diff, id)
 			}
 		}
 	}
@@ -828,106 +842,7 @@ func (sess *Session) closeCone(ctx context.Context, po int, remaining *int64) (s
 		sess.coneConf += conf
 		*remaining -= conf
 	}()
-
-	// Master side of the cone, in the union topological order (which also
-	// respects literal edges, so every variable a slot gate reads exists by
-	// the time the gate is encoded).
-	mv := make([]int, len(c.Nodes))
-	iv2 := make([]int, len(c.Nodes))
-	ivOf := func(f circuit.NodeID) int {
-		if sess.affected[f] {
-			return iv2[f]
-		}
-		return mv[f]
-	}
-	in := make([]int, 0, 8)
-	for _, id := range sess.order {
-		if !inCone[id] {
-			continue
-		}
-		nd := &c.Nodes[id]
-		if nd.IsPI {
-			mv[id] = s.NewVar()
-			continue
-		}
-		in = in[:0]
-		for _, f := range nd.Fanin {
-			in = append(in, mv[f])
-		}
-		v := s.NewVar()
-		if err := encodeGate(s, nd.Kind, v, in); err != nil {
-			return sat.Unknown, fmt.Errorf("cec: cone master node %q: %w", nd.Name, err)
-		}
-		mv[id] = v
-	}
-
-	// Instance side: only affected cone nodes re-encode; everything else
-	// shares the master's cone variables. Activation variables are fresh and
-	// unconstrained — exactly the all-activations-free universal query.
-	for _, id := range sess.order {
-		if !inCone[id] || !sess.affected[id] {
-			continue
-		}
-		nd := &c.Nodes[id]
-		in = in[:0]
-		for _, f := range nd.Fanin {
-			in = append(in, ivOf(f))
-		}
-		si, isSlot := sess.slotOf[id]
-		if !isSlot {
-			v := s.NewVar()
-			if err := encodeGate(s, nd.Kind, v, in); err != nil {
-				return sat.Unknown, fmt.Errorf("cec: cone instance node %q: %w", nd.Name, err)
-			}
-			iv2[id] = v
-			continue
-		}
-		sl := &sess.slots[si]
-		base := s.NewVar()
-		if err := encodeGate(s, nd.Kind, base, in); err != nil {
-			return sat.Unknown, fmt.Errorf("cec: cone slot gate %q: %w", nd.Name, err)
-		}
-		o := s.NewVar()
-		iv2[id] = o
-		acts := make([]int, len(sl.Options))
-		for vi, m := range sl.Options {
-			optIn := append(make([]int, 0, len(in)+len(m.Lits)), in...)
-			for _, l := range m.Lits {
-				lv := ivOf(l.Node)
-				if l.Neg {
-					lv = -lv
-				}
-				optIn = append(optIn, lv)
-			}
-			ov := s.NewVar()
-			if err := encodeGate(s, m.Kind, ov, optIn); err != nil {
-				return sat.Unknown, fmt.Errorf("cec: cone slot gate %q option %d: %w", nd.Name, vi, err)
-			}
-			a := s.NewVar()
-			acts[vi] = a
-			if err := s.AddClause(-a, -o, ov); err != nil {
-				return sat.Unknown, err
-			}
-			if err := s.AddClause(-a, o, -ov); err != nil {
-				return sat.Unknown, err
-			}
-		}
-		cl := make([]int, 0, len(acts)+2)
-		cl = append(cl, acts...)
-		if err := s.AddClause(append(cl, -o, base)...); err != nil {
-			return sat.Unknown, err
-		}
-		cl = cl[:len(acts)]
-		if err := s.AddClause(append(cl, o, -base)...); err != nil {
-			return sat.Unknown, err
-		}
-	}
-
-	x := s.NewVar()
-	if err := encodeXor2(s, x, mv[d], ivOf(d)); err != nil {
-		return sat.Unknown, err
-	}
-	return s.SolveCtx(ctx, x)
+	return sess.enc.prove(ctx, s, nodes, diff, []circuit.NodeID{d})
 }
 
 // Slots returns the number of slots the session was built with.

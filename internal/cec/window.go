@@ -1,0 +1,523 @@
+package cec
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"sync"
+
+	"repro/internal/circuit"
+	"repro/internal/obs"
+	"repro/internal/sat"
+)
+
+// Window-certificate counters. Each window solve also counts in
+// cec.universal_solves: it is a universal query (every activation free),
+// the same kind of solve as a session's cone closing.
+var (
+	mWindowsProved = obs.NewCounter("cec", "windows_proved")
+	mWindowsMerged = obs.NewCounter("cec", "windows_merged")
+)
+
+// This file proves a whole catalogue safe region by region instead of on a
+// whole-circuit miter. A window is a set of master nodes; the slots whose
+// gates lie in it are its modifications. Within a window:
+//
+//   - a node is maybe-different when it lies in the fanout of one of the
+//     window's slot gates along edges between window nodes (every slot gate
+//     is maybe-different itself);
+//   - an output is a maybe-different node read from outside the window: by
+//     a gate outside it, by a primary output, or as a literal of a slot
+//     whose gate lies outside it;
+//   - the other maybe-different nodes are interior.
+//
+// A window's certificate is one SAT query: the master and the instrumented
+// instance encoded over the window nodes, every signal the window reads from
+// outside (its cut) a free variable shared by both sides, every activation
+// variable free, and the OR of the output differences asserted. Unsat
+// proves every output equal to the master for all cut values and every
+// activation combination.
+//
+// Composition rule: no window may contain, read as a fanin, or read as a
+// literal another window's interior node. Under that rule the certificates
+// compose by induction over the union graph's topological order: a cut
+// signal is never interior, so by the time a window's output is reached
+// every cut it depends on already equals the master, and a free cut only
+// over-approximates that (DESIGN.md §7, "Window certificates"). Windows
+// that break the rule are merged until it holds.
+
+// regionEncoder encodes master and instance copies of one region of the
+// master into a fresh solver. It is shared by the session's cone closing,
+// whose region is a PO's whole fanin cone (its cut is the PIs), and by the
+// window certifier. Its per-node scratch is reset after every region.
+type regionEncoder struct {
+	c      *circuit.Circuit
+	slots  []Slot
+	slotOf []int32 // per master node: slot index, or -1
+	mv, iv []int   // per master node: master / instance literal, 0 when unset
+	diff   []bool  // per master node: instance side re-encoded
+	used   []circuit.NodeID
+	in     []int
+}
+
+func newRegionEncoder(c *circuit.Circuit, slots []Slot) *regionEncoder {
+	n := len(c.Nodes)
+	e := &regionEncoder{
+		c:      c,
+		slots:  slots,
+		slotOf: make([]int32, n),
+		mv:     make([]int, n),
+		iv:     make([]int, n),
+		diff:   make([]bool, n),
+	}
+	for i := range e.slotOf {
+		e.slotOf[i] = -1
+	}
+	for i, sl := range slots {
+		e.slotOf[sl.Gate] = int32(i)
+	}
+	return e
+}
+
+// master returns the master literal of f, allocating a free cut variable
+// when f lies outside the region (shared by both sides).
+func (e *regionEncoder) master(s *sat.Solver, f circuit.NodeID) int {
+	if e.mv[f] == 0 {
+		e.mv[f] = s.NewVar()
+		e.used = append(e.used, f)
+	}
+	return e.mv[f]
+}
+
+// inst returns the instance literal of f: its own when f was re-encoded,
+// otherwise the master's.
+func (e *regionEncoder) inst(s *sat.Solver, f circuit.NodeID) int {
+	if e.iv[f] != 0 {
+		return e.iv[f]
+	}
+	return e.master(s, f)
+}
+
+// prove encodes the region — nodes in union topological order, diff the
+// nodes whose instance side is re-encoded — asserts that some output
+// differs, and solves. Unsat proves every output equal to the master under
+// all cut values and activation combinations. The solver's budget is the
+// caller's to set.
+func (e *regionEncoder) prove(ctx context.Context, s *sat.Solver, nodes, diff, outputs []circuit.NodeID) (sat.Status, error) {
+	defer e.reset(diff)
+	for _, id := range diff {
+		e.diff[id] = true
+	}
+	c := e.c
+	for _, id := range nodes {
+		nd := &c.Nodes[id]
+		if nd.IsPI {
+			e.master(s, id)
+			continue
+		}
+		e.in = e.in[:0]
+		for _, f := range nd.Fanin {
+			e.in = append(e.in, e.master(s, f))
+		}
+		v := s.NewVar()
+		if err := encodeGate(s, nd.Kind, v, e.in); err != nil {
+			return sat.Unknown, fmt.Errorf("cec: region master node %q: %w", nd.Name, err)
+		}
+		e.mv[id] = v
+		e.used = append(e.used, id)
+	}
+	// Instance side: only diff nodes re-encode; everything else shares the
+	// master's variables. A slot gate encodes its base function and every
+	// option, and ties its output o to the selected one through fresh,
+	// unconstrained activation variables: a_v → (o ↔ o_v), and
+	// (∧ ¬a_v) → (o ↔ o_base).
+	for _, id := range nodes {
+		if !e.diff[id] {
+			continue
+		}
+		nd := &c.Nodes[id]
+		e.in = e.in[:0]
+		for _, f := range nd.Fanin {
+			e.in = append(e.in, e.inst(s, f))
+		}
+		si := e.slotOf[id]
+		base := s.NewVar()
+		if err := encodeGate(s, nd.Kind, base, e.in); err != nil {
+			return sat.Unknown, fmt.Errorf("cec: region instance node %q: %w", nd.Name, err)
+		}
+		if si < 0 {
+			e.iv[id] = base
+			continue
+		}
+		sl := &e.slots[si]
+		o := s.NewVar()
+		e.iv[id] = o
+		acts := make([]int, 0, len(sl.Options)+2)
+		for vi, m := range sl.Options {
+			optIn := append(make([]int, 0, len(e.in)+len(m.Lits)), e.in...)
+			for _, l := range m.Lits {
+				lv := e.inst(s, l.Node)
+				if l.Neg {
+					lv = -lv
+				}
+				optIn = append(optIn, lv)
+			}
+			ov := s.NewVar()
+			if err := encodeGate(s, m.Kind, ov, optIn); err != nil {
+				return sat.Unknown, fmt.Errorf("cec: region slot gate %q option %d: %w", nd.Name, vi, err)
+			}
+			a := s.NewVar()
+			acts = append(acts, a)
+			if err := s.AddClause(-a, -o, ov); err != nil {
+				return sat.Unknown, err
+			}
+			if err := s.AddClause(-a, o, -ov); err != nil {
+				return sat.Unknown, err
+			}
+		}
+		n := len(acts)
+		if err := s.AddClause(append(acts, -o, base)...); err != nil {
+			return sat.Unknown, err
+		}
+		if err := s.AddClause(append(acts[:n], o, -base)...); err != nil {
+			return sat.Unknown, err
+		}
+	}
+	var xs []int
+	for _, o := range outputs {
+		a, b := e.mv[o], e.inst(s, o)
+		if a == b {
+			continue
+		}
+		x := s.NewVar()
+		if err := encodeXor2(s, x, a, b); err != nil {
+			return sat.Unknown, err
+		}
+		xs = append(xs, x)
+	}
+	if len(xs) == 0 {
+		return sat.Unsat, nil
+	}
+	if err := s.AddClause(xs...); err != nil {
+		return sat.Unknown, err
+	}
+	return s.SolveCtx(ctx)
+}
+
+func (e *regionEncoder) reset(diff []circuit.NodeID) {
+	for _, id := range e.used {
+		e.mv[id], e.iv[id] = 0, 0
+	}
+	for _, id := range diff {
+		e.diff[id] = false
+	}
+	e.used = e.used[:0]
+}
+
+// CertifierStats reports a certifier's windows and work.
+type CertifierStats struct {
+	Windows int  // windows after merging
+	Merged  int  // merges the composition rule forced
+	Proved  int  // windows certified so far
+	Failed  bool // a window returned Sat or ran out of budget
+	Solves  int  // window solves run
+}
+
+// certWindow is one composed window: its nodes in union topological order,
+// its maybe-different nodes and its outputs.
+type certWindow struct {
+	nodes, diff, outputs []circuit.NodeID
+	proved               bool
+}
+
+// Certifier proves a catalogue equivalence-preserving window by window:
+// once every window is certified, every choice of the slots' options is
+// equivalent to the master, and no whole-circuit miter is ever built. A
+// window that fails sends the caller to a Session, which decides each copy
+// exactly; window certificates over-approximate, so a failed window does
+// not imply an inequivalent copy.
+//
+// A Certifier is safe for concurrent use. Like a Session, it snapshots the
+// master's Version and refuses to certify a mutated master.
+type Certifier struct {
+	mu      sync.Mutex
+	master  *circuit.Circuit
+	version uint64
+	opts    Options
+	enc     *regionEncoder
+	windows []certWindow
+	stats   CertifierStats
+}
+
+// NewCertifier composes the given windows — each a set of master nodes — for
+// the slots. Every slot gate must lie in some window. Windows that break the
+// composition rule are merged; no SAT work happens until Certify. It fails
+// on malformed slots and, like NewSession, when a modification literal
+// would close a combinational cycle in the union graph.
+func NewCertifier(master *circuit.Circuit, slots []Slot, windows [][]circuit.NodeID, opts Options) (*Certifier, error) {
+	if err := validateSlots(master, slots); err != nil {
+		return nil, err
+	}
+	order, err := unionTopo(master, slots)
+	if err != nil {
+		return nil, err
+	}
+	ct := &Certifier{
+		master:  master,
+		version: master.Version(),
+		opts:    opts,
+		enc:     newRegionEncoder(master, slots),
+	}
+	if err := ct.compose(order, windows); err != nil {
+		return nil, err
+	}
+	return ct, nil
+}
+
+// compose merges windows with union-find until the composition rule holds,
+// then records each window's classification. Every pass is linear in the
+// windows' total size plus the edges they touch; a pass that merges nothing
+// ends the loop.
+func (ct *Certifier) compose(order []circuit.NodeID, init [][]circuit.NodeID) error {
+	c, e := ct.master, ct.enc
+	n := len(c.Nodes)
+	pos := make([]int32, n)
+	for i, id := range order {
+		pos[id] = int32(i)
+	}
+	poDriver := make([]bool, n)
+	for _, po := range c.POs {
+		poDriver[po.Driver] = true
+	}
+	// litReaders[x]: slot gates reading x as a literal of some option.
+	litReaders := make(map[circuit.NodeID][]circuit.NodeID)
+	for _, sl := range e.slots {
+		for _, m := range sl.Options {
+			for _, l := range m.Lits {
+				litReaders[l.Node] = append(litReaders[l.Node], sl.Gate)
+			}
+		}
+	}
+	covered := make([]bool, len(e.slots))
+	for _, w := range init {
+		for _, id := range w {
+			if int(id) < 0 || int(id) >= n {
+				return fmt.Errorf("cec: window node %d out of range", id)
+			}
+			if si := e.slotOf[id]; si >= 0 {
+				covered[si] = true
+			}
+		}
+	}
+	for si, ok := range covered {
+		if !ok {
+			return fmt.Errorf("cec: slot %d (gate %q) lies in no window", si, c.Nodes[e.slots[si].Gate].Name)
+		}
+	}
+
+	parent := make([]int32, len(init))
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	merges := 0
+	union := func(a, b int32) {
+		if a, b = find(a), find(b); a != b {
+			parent[max(a, b)] = min(a, b)
+			merges++
+		}
+	}
+
+	// Per-pass scratch: stamp marks the nodes of the window being examined,
+	// mdStamp its maybe-different nodes, interior the window owning each
+	// interior node (-1 for none).
+	stamp := make([]int32, n)
+	mdStamp := make([]int32, n)
+	interior := make([]int32, n)
+	var windows []certWindow
+	var roots []int32
+	for {
+		before := merges
+		// Gather each root's nodes, deduplicated, in union topological order.
+		members := make(map[int32][]int, len(init))
+		roots = roots[:0]
+		for i := range init {
+			r := find(int32(i))
+			if _, ok := members[r]; !ok {
+				roots = append(roots, r)
+			}
+			members[r] = append(members[r], i)
+		}
+		for i := range stamp {
+			stamp[i], mdStamp[i], interior[i] = -1, -1, -1
+		}
+		windows = windows[:0]
+		for wi, r := range roots {
+			var nodes []circuit.NodeID
+			for _, m := range members[r] {
+				for _, id := range init[m] {
+					if stamp[id] != int32(wi) {
+						stamp[id] = int32(wi)
+						nodes = append(nodes, id)
+					}
+				}
+			}
+			sort.Slice(nodes, func(i, j int) bool { return pos[nodes[i]] < pos[nodes[j]] })
+			w := certWindow{nodes: nodes}
+			// Maybe-different nodes: window nodes reachable from a slot gate
+			// along window edges. Walking the topological order once visits
+			// every fanin before its reader.
+			for _, id := range nodes {
+				md := e.slotOf[id] >= 0
+				for _, f := range c.Nodes[id].Fanin {
+					if mdStamp[f] == int32(wi) {
+						md = true
+						break
+					}
+				}
+				if !md {
+					continue
+				}
+				mdStamp[id] = int32(wi)
+				w.diff = append(w.diff, id)
+			}
+			for _, id := range w.diff {
+				out := poDriver[id]
+				for _, f := range c.Nodes[id].Fanout() {
+					out = out || stamp[f] != int32(wi)
+				}
+				for _, g := range litReaders[id] {
+					out = out || stamp[g] != int32(wi)
+				}
+				if out {
+					w.outputs = append(w.outputs, id)
+					continue
+				}
+				if o := interior[id]; o >= 0 {
+					union(o, r)
+				}
+				interior[id] = r
+			}
+			windows = append(windows, w)
+		}
+		// Reading rule: no window may contain, read as a fanin, or read as a
+		// literal another window's interior node.
+		for wi, r := range roots {
+			w := &windows[wi]
+			for _, id := range w.nodes {
+				stamp[id] = int32(wi)
+			}
+			touch := func(x circuit.NodeID) {
+				if o := interior[x]; o >= 0 {
+					union(o, r)
+				}
+			}
+			for _, id := range w.nodes {
+				touch(id)
+				for _, f := range c.Nodes[id].Fanin {
+					if stamp[f] != int32(wi) {
+						touch(f)
+					}
+				}
+				if si := e.slotOf[id]; si >= 0 {
+					for _, m := range e.slots[si].Options {
+						for _, l := range m.Lits {
+							if stamp[l.Node] != int32(wi) {
+								touch(l.Node)
+							}
+						}
+					}
+				}
+			}
+		}
+		if merges == before {
+			break
+		}
+	}
+	ct.windows = windows
+	ct.stats.Windows = len(windows)
+	ct.stats.Merged = merges
+	mWindowsMerged.Add(int64(merges))
+	return nil
+}
+
+// Certify proves every window not yet certified and reports whether all of
+// them are. It returns false with a nil error once a window returns Sat or
+// exhausts a real MaxConflicts budget: the certifier is then finished and
+// the caller must decide copies another way. A cancelled ctx returns its
+// error, and an injected budget exhaustion (the sat.budget fault) returns
+// an error wrapping ErrBudgetExhausted; either way the interrupted windows
+// stay unresolved and the next call retries them. Once every window is
+// proved, later calls return true without touching a solver.
+func (ct *Certifier) Certify(ctx context.Context) (bool, error) {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	if ct.master.Version() != ct.version {
+		return false, fmt.Errorf("cec: certifier stale: master circuit was modified (version %d → %d)", ct.version, ct.master.Version())
+	}
+	if ct.stats.Failed {
+		return false, nil
+	}
+	if ct.stats.Proved == ct.stats.Windows {
+		return true, nil
+	}
+	sp := obs.Start("cec.certify")
+	defer sp.End()
+	remaining := ct.opts.MaxConflicts
+	interrupted := false
+	for i := range ct.windows {
+		w := &ct.windows[i]
+		if w.proved {
+			continue
+		}
+		s := sat.New()
+		if ct.opts.MaxConflicts > 0 {
+			if remaining < 1 {
+				ct.stats.Failed = true
+				return false, nil
+			}
+			s.MaxConflicts = remaining
+		}
+		ct.stats.Solves++
+		mUniversalSolves.Inc()
+		st, err := ct.enc.prove(ctx, s, w.nodes, w.diff, w.outputs)
+		conf := s.Conflicts()
+		remaining -= conf
+		if err != nil {
+			return false, err
+		}
+		switch {
+		case st == sat.Unsat:
+			w.proved = true
+			ct.stats.Proved++
+			mWindowsProved.Inc()
+		case st == sat.Unknown && conf == 0:
+			// Stopped before any search: only the sat.budget fault does
+			// that (a real budget runs out at a conflict). Retry later.
+			interrupted = true
+		default:
+			ct.stats.Failed = true
+			return false, nil
+		}
+	}
+	if interrupted {
+		return false, fmt.Errorf("%w (window certificate interrupted)", ErrBudgetExhausted)
+	}
+	// Certified for good: the encoder scratch and window lists are no longer
+	// needed.
+	ct.enc, ct.windows = nil, nil
+	return true, nil
+}
+
+// Stats returns a snapshot of the certifier's counters.
+func (ct *Certifier) Stats() CertifierStats {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	return ct.stats
+}

@@ -48,7 +48,8 @@ var (
 		ConvertSingle: obs.NewCounter("core", "variant_convert_single"),
 		Reroute:       obs.NewCounter("core", "variant_reroute"),
 	}
-	mSessionFallbacks = obs.NewCounter("core", "verify_oneshot_fallbacks")
+	mOneShotFallbacks = obs.NewCounter("core", "verify_oneshot_fallbacks")
+	mSessionFallbacks = obs.NewCounter("core", "verify_session_fallbacks")
 )
 
 // Lit is a signal reference with polarity: the value fed to a modified gate

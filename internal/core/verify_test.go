@@ -40,7 +40,9 @@ func randomAssignment(rng *rand.Rand, a *Analysis) Assignment {
 // incremental engine: on several benchmarks, session verdicts across ≥100
 // random fingerprint assignments must match a fresh one-shot cec.Check of
 // the materialized instance, and every catalogued assignment must verify
-// equivalent (Requirement 1).
+// equivalent (Requirement 1). The session is built directly, since the
+// verifier now runs on window certificates; the certificate path gets the
+// same asserts through NewVerifier.
 func TestSessionVerdictsMatchCheck(t *testing.T) {
 	benches := []string{"c432", "c499", "c880"}
 	perBench := 40 // 3 × 40 = 120 assignments ≥ 100
@@ -51,14 +53,19 @@ func TestSessionVerdictsMatchCheck(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			a := analyzeBench(t, name)
-			ver := NewVerifier(a)
-			if !ver.Incremental() {
-				t.Fatalf("%s: session construction fell back to one-shot path", name)
+			sess, err := cec.NewSession(a.Circuit, a.Slots(), cec.DefaultOptions())
+			if err != nil {
+				t.Fatalf("%s: session construction failed: %v", name, err)
 			}
+			ver := NewVerifier(a)
 			rng := rand.New(rand.NewSource(int64(len(name)) * 7919))
 			for k := 0; k < perBench; k++ {
 				asg := randomAssignment(rng, a)
-				got, err := ver.Verify(asg)
+				choice, err := a.SlotChoice(asg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sess.Verify(choice)
 				if err != nil {
 					t.Fatalf("assignment %d: %v", k, err)
 				}
@@ -66,8 +73,16 @@ func TestSessionVerdictsMatchCheck(t *testing.T) {
 					t.Fatalf("assignment %d: catalogued modification not equivalent (PO %q, cex %v)",
 						k, got.PO, got.Counterexample)
 				}
+				cert, err := ver.Verify(asg)
+				if err != nil {
+					t.Fatalf("assignment %d: certificate path: %v", k, err)
+				}
+				if cert.Equivalent != got.Equivalent || cert.Proved != got.Proved {
+					t.Fatalf("assignment %d: certificate (%v,%v) vs session (%v,%v)",
+						k, cert.Equivalent, cert.Proved, got.Equivalent, got.Proved)
+				}
 				// Cross-check a subsample against the one-shot path (every
-				// copy would be slow; the subsample keeps both paths honest).
+				// copy would be slow; the subsample keeps all paths honest).
 				if k%8 == 0 {
 					inst, err := Embed(a, asg)
 					if err != nil {
@@ -81,6 +96,9 @@ func TestSessionVerdictsMatchCheck(t *testing.T) {
 						t.Fatalf("assignment %d: session %v vs check %v", k, got.Equivalent, want.Equivalent)
 					}
 				}
+			}
+			if !ver.Certified() {
+				t.Fatalf("%s: verifier fell back from its window certificates", name)
 			}
 		})
 	}
@@ -196,7 +214,9 @@ func TestSharedVerifierConcurrent(t *testing.T) {
 	}
 }
 
-// TestResultVerifyUsesSession checks the pipeline wiring end to end.
+// TestResultVerifyUsesSession checks the pipeline wiring end to end: the
+// pipeline's verify runs on the shared verifier's window certificates, with
+// no session built, and a directly built session agrees on the same copy.
 func TestResultVerifyUsesSession(t *testing.T) {
 	lib := cell.Default()
 	spec, err := bench.ByName("c499")
@@ -215,19 +235,26 @@ func TestResultVerifyUsesSession(t *testing.T) {
 	if err := res.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if !a.SharedVerifier().Incremental() {
-		t.Error("pipeline verify did not run on the incremental session")
+	v := a.SharedVerifier()
+	if !v.Certified() || v.sess != nil {
+		t.Error("pipeline verify did not run on the window certificates")
 	}
-	if st := sessionStatsOf(a); st.Verifies == 0 {
+	if st := v.cert.Stats(); st.Proved == 0 || st.Proved != st.Windows {
+		t.Errorf("certifier proved %d of %d windows", st.Proved, st.Windows)
+	}
+	sess, err := cec.NewSession(a.Circuit, a.Slots(), cec.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	choice, err := a.SlotChoice(res.Assignment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sess.Verify(choice)
+	if err != nil || !got.Equivalent {
+		t.Fatalf("session verdict on the pipeline copy = (%+v, %v), want equivalent", got, err)
+	}
+	if st := sess.Stats(); st.Verifies == 0 {
 		t.Error("session served no verifies")
 	}
-}
-
-// sessionStatsOf peeks at the shared session's counters (test support).
-func sessionStatsOf(a *Analysis) cec.SessionStats {
-	v := a.SharedVerifier()
-	if v.sess == nil {
-		return cec.SessionStats{}
-	}
-	return v.sess.Stats()
 }

@@ -63,10 +63,10 @@ func Render(r *RunReport) string {
 
 	if v := r.Verify; v != nil {
 		fmt.Fprintf(&b, "\n## Verification baseline\n\n")
-		fmt.Fprintf(&b, "| circuit | gates | copies | session (s) | cold (s) | speedup | verdicts match | all equivalent |\n")
-		fmt.Fprintf(&b, "|---|---|---|---|---|---|---|---|\n")
-		fmt.Fprintf(&b, "| %s | %d | %d | %.2f | %.2f | %.1f | %v | %v |\n",
-			v.Circuit, v.Gates, v.Copies, v.SessionSecs, v.ColdSecs, v.Speedup,
+		fmt.Fprintf(&b, "| circuit | gates | copies | windows (s) | session (s) | cold (s) | speedup | verdicts match | all equivalent |\n")
+		fmt.Fprintf(&b, "|---|---|---|---|---|---|---|---|---|\n")
+		fmt.Fprintf(&b, "| %s | %d | %d | %.2f | %.2f | %.2f | %.1f | %v | %v |\n",
+			v.Circuit, v.Gates, v.Copies, v.WindowSecs, v.SessionSecs, v.ColdSecs, v.Speedup,
 			v.VerdictsMatch, v.AllEquivalent)
 	}
 

@@ -96,11 +96,13 @@ type Tables struct {
 }
 
 // VerifySummary is benchverify's outcome: N copies checked through the
-// incremental session and the one-shot baseline, and whether they agreed.
+// window certificates, the incremental session and the one-shot baseline,
+// and whether they agreed.
 type VerifySummary struct {
 	Circuit       string  `json:"circuit"`
 	Gates         int     `json:"gates"`
 	Copies        int     `json:"copies"`
+	WindowSecs    float64 `json:"window_secs"`
 	SessionSecs   float64 `json:"session_secs"`
 	ColdSecs      float64 `json:"cold_secs"`
 	Speedup       float64 `json:"speedup"`
@@ -176,7 +178,7 @@ func (b *Builder) Tables() *Tables {
 // -deterministic.
 func (b *Builder) SetVerify(v VerifySummary) {
 	if b.r.Deterministic {
-		v.SessionSecs, v.ColdSecs, v.Speedup = 0, 0, 0
+		v.WindowSecs, v.SessionSecs, v.ColdSecs, v.Speedup = 0, 0, 0, 0
 	}
 	b.r.Verify = &v
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fault"
@@ -188,7 +189,7 @@ func (s *Solver) AddClause(external ...int) error {
 		lits = append(lits, mkLit(v-1, e < 0))
 	}
 	// Normalise: sort, dedup, drop tautologies, drop false lits @ level 0.
-	sort.Slice(lits, func(i, j int) bool { return lits[i] < lits[j] })
+	slices.Sort(lits)
 	out := lits[:0]
 	var prev lit = ^lit(0)
 	for _, l := range lits {

@@ -225,8 +225,9 @@ func TestServeEndToEnd(t *testing.T) {
 
 // TestServeReuploadKeepsWarmAnalysis: re-uploading the bytes of a design
 // that is already served keeps the cached analysis — and with it the
-// shared CEC session — instead of replacing it with a fresh, cold one, so
-// the next verified issue builds no new session.
+// shared verifier's window certificates — instead of replacing it with a
+// fresh, cold one, so the next verified issue proves no window again and
+// builds no session.
 func TestServeReuploadKeepsWarmAnalysis(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	netlist := benchBytes(t, "c880")
@@ -236,7 +237,11 @@ func TestServeReuploadKeepsWarmAnalysis(t *testing.T) {
 	if first == nil {
 		t.Fatal("uploaded design not in the analysis cache")
 	}
-	sessions := metricsSnapshot(t, ts.URL)["cec.sessions_built"]
+	m := metricsSnapshot(t, ts.URL)
+	sessions, proved := m["cec.sessions_built"], m["cec.windows_proved"]
+	if proved == 0 {
+		t.Fatal("verified issue proved no window certificate")
+	}
 
 	if again, status := uploadDesign(t, ts.URL, netlist); again.Digest != info.Digest || status != http.StatusOK {
 		t.Fatalf("re-upload: digest %s status %d, want %s 200", again.Digest, status, info.Digest)
@@ -245,8 +250,12 @@ func TestServeReuploadKeepsWarmAnalysis(t *testing.T) {
 	if got := s.cache.get(info.Digest); got != first {
 		t.Error("re-upload replaced the cached analysis")
 	}
-	if got := metricsSnapshot(t, ts.URL)["cec.sessions_built"]; got != sessions {
+	m = metricsSnapshot(t, ts.URL)
+	if got := m["cec.sessions_built"]; got != sessions {
 		t.Errorf("cec.sessions_built moved %d → %d across re-upload and verified issue", sessions, got)
+	}
+	if got := m["cec.windows_proved"]; got != proved {
+		t.Errorf("cec.windows_proved moved %d → %d across re-upload and verified issue", proved, got)
 	}
 }
 
