@@ -8,7 +8,8 @@ all: build vet test
 
 # Everything the CI workflow runs: formatting, vet, doc lint, build, the
 # full race-enabled test suite, a short fuzz pass over the three netlist
-# parsers and the red-team spec reader, the fault-injected chaos smoke, the
+# parsers, the red-team spec reader and the hand-written JSON appenders
+# (against encoding/json), the fault-injected chaos smoke, the
 # daemon, cluster and partition process-level smokes, and the red-team
 # attack smoke.
 ci: doccheck
@@ -21,6 +22,7 @@ ci: doccheck
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/benchfmt/
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/verilog/
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=10s ./internal/redteam/
+	$(GO) test -run '^FuzzAppendJSON$$' -fuzz='^FuzzAppendJSON$$' -fuzztime=10s ./internal/serve/
 	$(MAKE) chaos
 	$(MAKE) serve-smoke
 	$(MAKE) cluster-smoke

@@ -12,7 +12,9 @@
 package odcfp_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -31,6 +33,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/registry"
 	"repro/internal/sdc"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/sta"
 	"repro/internal/watermark"
@@ -655,11 +658,9 @@ func BenchmarkVerifyColdCEC(b *testing.B) {
 	b.ReportMetric(64, "copies/op")
 }
 
-// BenchmarkTraceScores is one score-mode trace (§III-E collusion tracing)
-// against a mature registry: c880 with 10 000 buyers preseeded by
-// IssueBatchValues, and one issued copy as the suspect. Every iteration
-// extracts the suspect and scores and sorts all 10 001 buyers.
-func BenchmarkTraceScores(b *testing.B) {
+// matureRegistry is the mature-registry fixture: c880 with 10 000 buyers
+// preseeded by IssueBatchValues, plus one issued copy as the suspect.
+func matureRegistry(b *testing.B) (*core.Analysis, *registry.Registry, *circuit.Circuit) {
 	spec, err := bench.ByName("c880")
 	if err != nil {
 		b.Fatal(err)
@@ -680,6 +681,14 @@ func BenchmarkTraceScores(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return a, reg, suspect
+}
+
+// BenchmarkTraceScores is one score-mode trace (§III-E collusion tracing)
+// against a mature registry (matureRegistry). Every iteration extracts the
+// suspect and scores and sorts all 10 001 buyers.
+func BenchmarkTraceScores(b *testing.B) {
+	a, reg, suspect := matureRegistry(b)
 	// The first score trace builds the registry's resident score table,
 	// once per registry; time the traces after it.
 	if _, err := reg.TraceScores(a, suspect); err != nil {
@@ -692,10 +701,68 @@ func BenchmarkTraceScores(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(scores) != len(buyers)+1 || scores[0].Name != "suspect" {
+		if len(scores) != 10001 || scores[0].Name != "suspect" {
 			b.Fatalf("%d scores, top %q", len(scores), scores[0].Name)
 		}
 	}
+}
+
+// jsonIndent is the encoding/json output the hand-written appenders
+// reproduce byte for byte.
+func jsonIndent(b *testing.B, v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkTraceResponse encodes one 10 001-row score-trace body (the
+// mature registry's ?scores=1 answer) through the /trace handler's
+// encoder, into a reused buffer as the handler does.
+func BenchmarkTraceResponse(b *testing.B) {
+	a, reg, suspect := matureRegistry(b)
+	scores, err := reg.TraceScores(a, suspect)
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp := serve.TraceResponse{Digest: reg.Digest, Exact: "suspect", Threshold: 1, Implicated: []string{"suspect"}}
+	for _, sc := range scores {
+		resp.Scores = append(resp.Scores, serve.TraceScore{
+			Buyer: sc.Name, AgreePresent: sc.AgreePresent, TotalPresent: sc.TotalPresent,
+			Fraction: sc.Fraction(), FractionAll: sc.FractionAll(),
+		})
+	}
+	buf := resp.AppendJSON(nil)
+	if !bytes.Equal(buf, jsonIndent(b, resp)) {
+		b.Fatal("TraceResponse.AppendJSON differs from encoding/json")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = resp.AppendJSON(buf[:0])
+	}
+	b.ReportMetric(float64(len(buf))/1024, "KiB/body")
+}
+
+// BenchmarkRegistrySave encodes the mature registry's 10 001-record
+// snapshot into a reused buffer, as the snapshot store does on every
+// issuance.
+func BenchmarkRegistrySave(b *testing.B) {
+	_, reg, _ := matureRegistry(b)
+	buf := reg.AppendJSON(nil)
+	want := jsonIndent(b, map[string]any{"design": reg.Design, "digest": reg.Digest, "issued": reg.Issued})
+	if !bytes.Equal(buf, want) {
+		b.Fatal("Registry.AppendJSON differs from encoding/json")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = reg.AppendJSON(buf[:0])
+	}
+	b.ReportMetric(float64(len(buf))/1024, "KiB/snapshot")
 }
 
 func BenchmarkSuiteGeneration(b *testing.B) {

@@ -55,7 +55,9 @@ var kindToName = map[logic.Kind]string{
 // from the first comment line of the form "# name" if present, else "bench".
 func Parse(r io.Reader) (*circuit.Circuit, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// Lines may reach 1 MiB; the buffer starts at bufio's 4 KiB and grows
+	// only for long lines, so a small netlist does not zero 1 MiB.
+	sc.Buffer(nil, 1<<20)
 	name := "bench"
 	sawName := false
 

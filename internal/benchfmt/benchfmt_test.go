@@ -1,7 +1,9 @@
 package benchfmt
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -181,5 +183,25 @@ t = BUFF(a)
 	}
 	if out[0] != false {
 		t.Error("q should be NOT(a)")
+	}
+}
+
+// TestLineCap: the scanner's buffer starts small and grows on demand, but
+// the line cap stays 1 MiB — a 200 KiB line parses, and a line past 1 MiB
+// fails with bufio.ErrTooLong.
+func TestLineCap(t *testing.T) {
+	src := func(n int) string {
+		long := "w" + strings.Repeat("x", n)
+		return "INPUT(a)\nINPUT(b)\nOUTPUT(f)\n" + long + " = AND(a, b)\nf = NOT(" + long + ")\n"
+	}
+	c, err := Parse(strings.NewReader(src(200 << 10)))
+	if err != nil {
+		t.Fatalf("200 KiB line: %v", err)
+	}
+	if c.NumGates() != 2 {
+		t.Errorf("200 KiB line: %d gates, want 2", c.NumGates())
+	}
+	if _, err := Parse(strings.NewReader(src(1 << 20))); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("line past 1 MiB: err = %v, want bufio.ErrTooLong", err)
 	}
 }

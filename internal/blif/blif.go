@@ -56,7 +56,9 @@ type Netlist struct {
 // parsed; the combinational subset is enforced.
 func Parse(r io.Reader) (*Netlist, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// Lines may reach 1 MiB; the buffer starts at bufio's 4 KiB and grows
+	// only for long lines, so a small netlist does not zero 1 MiB.
+	sc.Buffer(nil, 1<<20)
 	n := &Netlist{}
 	var cur *Node
 	lineNo := 0

@@ -1,7 +1,9 @@
 package blif
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -179,5 +181,25 @@ func TestMissingEnd(t *testing.T) {
 	}
 	if len(n.Nodes) != 1 {
 		t.Error("node lost")
+	}
+}
+
+// TestLineCap: the scanner's buffer starts small and grows on demand, but
+// the line cap stays 1 MiB — a 200 KiB line parses, and a line past 1 MiB
+// fails with bufio.ErrTooLong.
+func TestLineCap(t *testing.T) {
+	src := func(n int) string {
+		long := "w" + strings.Repeat("x", n)
+		return ".model m\n.inputs a b\n.outputs f\n.names a b " + long + "\n11 1\n.names " + long + " f\n0 1\n.end\n"
+	}
+	n, err := Parse(strings.NewReader(src(200 << 10)))
+	if err != nil {
+		t.Fatalf("200 KiB line: %v", err)
+	}
+	if len(n.Nodes) != 2 {
+		t.Errorf("200 KiB line: %d nodes, want 2", len(n.Nodes))
+	}
+	if _, err := Parse(strings.NewReader(src(1 << 20))); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("line past 1 MiB: err = %v, want bufio.ErrTooLong", err)
 	}
 }

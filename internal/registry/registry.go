@@ -7,11 +7,11 @@
 // registry cannot accidentally be used with the wrong netlist.
 //
 // A Registry is safe for concurrent use: Issue, TraceExact, TraceScores,
-// Buyers and Save may be called from any number of goroutines (the serving
-// daemon in internal/serve does exactly that). The expensive circuit work —
-// embedding a copy, extracting a suspect's assignment — runs outside the
-// internal lock; only the issued-record map and the indexes derived from it
-// are guarded.
+// Buyers, Save and AppendJSON may be called from any number of goroutines
+// (the serving daemon in internal/serve does exactly that). The expensive
+// circuit work — embedding a copy, extracting a suspect's assignment — runs
+// outside the internal lock; only the issued-record map and the indexes
+// derived from it are guarded.
 package registry
 
 import (
@@ -22,13 +22,16 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/attack"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/jsonw"
 )
 
 // Registry records issued fingerprints for one design.
@@ -516,25 +519,48 @@ func (r *Registry) check(a *core.Analysis) error {
 	return nil
 }
 
-// Save writes the registry as JSON. It snapshots the record map under the
-// read lock, so a save racing concurrent Issue calls serialises a
-// consistent (point-in-time) state. Durable callers (internal/serve) must
-// write the output via temp file + fsync + rename, never truncate-in-place.
-func (r *Registry) Save(w io.Writer) error {
-	type wire struct {
-		Design string            `json:"design"`
-		Digest string            `json:"digest"`
-		Issued map[string]string `json:"issued"`
-	}
-	snap := wire{Design: r.Design, Digest: r.Digest, Issued: map[string]string{}}
+// AppendJSON appends the registry snapshot — design, digest and the
+// buyer → value records sorted by buyer — exactly as encoding/json's
+// SetIndent("", "  ") Encoder writes it, trailing newline included. It
+// copies the records under the read lock and sorts and encodes them outside
+// it, so a snapshot racing concurrent Issue calls is a consistent
+// (point-in-time) state and holds issuance up only for the copy. Durable
+// callers (internal/registrystore) must write the output via temp file +
+// fsync + rename, never truncate-in-place.
+func (r *Registry) AppendJSON(dst []byte) []byte {
+	type record struct{ buyer, value string }
 	r.mu.RLock()
+	recs := make([]record, 0, len(r.Issued))
 	for b, v := range r.Issued {
-		snap.Issued[b] = v
+		recs = append(recs, record{b, v})
 	}
 	r.mu.RUnlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
+	// encoding/json orders map keys by their unescaped bytes.
+	slices.SortFunc(recs, func(x, y record) int { return strings.Compare(x.buyer, y.buyer) })
+	dst = append(dst, "{\n  \"design\": "...)
+	dst = jsonw.AppendString(dst, r.Design)
+	dst = append(dst, ",\n  \"digest\": "...)
+	dst = jsonw.AppendString(dst, r.Digest)
+	dst = append(dst, ",\n  \"issued\": {"...)
+	for i, rec := range recs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, "\n    "...)
+		dst = jsonw.AppendString(dst, rec.buyer)
+		dst = append(dst, ": "...)
+		dst = jsonw.AppendString(dst, rec.value)
+	}
+	if len(recs) > 0 {
+		dst = append(dst, "\n  "...)
+	}
+	return append(dst, "}\n}\n"...)
+}
+
+// Save writes the registry snapshot (AppendJSON) to w.
+func (r *Registry) Save(w io.Writer) error {
+	_, err := w.Write(r.AppendJSON(nil))
+	return err
 }
 
 // Load reads a registry and validates it against the analysis.

@@ -52,6 +52,10 @@ func OpenLocal(dir string) (*Local, error) {
 	return &Local{dir: dir, seqs: make(map[string]uint64)}, nil
 }
 
+// snapshotBufs holds the encode buffers of Append: a snapshot is the whole
+// registry, so a fresh buffer per issuance would be Θ(buyers) garbage.
+var snapshotBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 func (l *Local) path(digest string) string {
 	return filepath.Join(l.dir, digest+".registry.json")
 }
@@ -100,11 +104,11 @@ func (l *Local) Append(ctx context.Context, digest string, reg *registry.Registr
 	if !validDigest(digest) {
 		return 0, fmt.Errorf("registrystore: local: invalid digest %q", digest)
 	}
-	var b strings.Builder
-	if err := reg.Save(&b); err != nil {
-		return 0, err
-	}
-	if err := l.atomicWrite(l.path(digest), []byte(b.String())); err != nil {
+	buf := snapshotBufs.Get().(*[]byte)
+	*buf = reg.AppendJSON((*buf)[:0])
+	err := l.atomicWrite(l.path(digest), *buf)
+	snapshotBufs.Put(buf)
+	if err != nil {
 		return 0, fmt.Errorf("registrystore: local: registry %s: %w", digest, err)
 	}
 	mAppends.Inc()

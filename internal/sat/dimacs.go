@@ -15,7 +15,9 @@ import (
 // and are terminated by 0.
 func ParseDIMACS(r io.Reader) (*Solver, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// Lines may reach 1 MiB; the buffer starts at bufio's 4 KiB and grows
+	// only for long lines, so a small input does not zero 1 MiB.
+	sc.Buffer(nil, 1<<20)
 	s := New()
 	declaredVars := -1
 	var clause []int

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 	"net/http"
 	"sort"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/jsonw"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/registry"
@@ -74,6 +76,94 @@ type TraceResponse struct {
 	FullRemoval bool `json:"full_removal,omitempty"`
 }
 
+// AppendJSON appends r exactly as writeJSON's encoding/json path would
+// write it — SetIndent("", "  ") layout, field order, omitempty and the
+// trailing newline — byte for byte. A ?scores=1 answer is Θ(buyers), and
+// reflecting over ten thousand rows cost several times the scoring. The
+// floats must be finite, as encoding/json requires.
+func (r *TraceResponse) AppendJSON(dst []byte) []byte {
+	dst = append(dst, "{\n  \"digest\": "...)
+	dst = jsonw.AppendString(dst, r.Digest)
+	dst = append(dst, ",\n  \"exact\": "...)
+	dst = jsonw.AppendString(dst, r.Exact)
+	if len(r.Scores) > 0 {
+		var frac, fracAll floatRun
+		dst = append(dst, ",\n  \"scores\": ["...)
+		for i := range r.Scores {
+			sc := &r.Scores[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, "\n    {\n      \"buyer\": "...)
+			dst = jsonw.AppendString(dst, sc.Buyer)
+			dst = append(dst, ",\n      \"agree_present\": "...)
+			dst = strconv.AppendInt(dst, int64(sc.AgreePresent), 10)
+			dst = append(dst, ",\n      \"total_present\": "...)
+			dst = strconv.AppendInt(dst, int64(sc.TotalPresent), 10)
+			dst = append(dst, ",\n      \"fraction\": "...)
+			dst = frac.append(dst, sc.Fraction)
+			dst = append(dst, ",\n      \"fraction_all\": "...)
+			dst = fracAll.append(dst, sc.FractionAll)
+			dst = append(dst, "\n    }"...)
+		}
+		dst = append(dst, "\n  ]"...)
+	}
+	if r.Threshold != 0 {
+		dst = append(dst, ",\n  \"threshold\": "...)
+		dst = jsonw.AppendFloat(dst, r.Threshold)
+	}
+	if len(r.Implicated) > 0 {
+		dst = append(dst, ",\n  \"implicated\": ["...)
+		for i, b := range r.Implicated {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, "\n    "...)
+			dst = jsonw.AppendString(dst, b)
+		}
+		dst = append(dst, "\n  ]"...)
+	}
+	if r.FullRemoval {
+		dst = append(dst, ",\n  \"full_removal\": true"...)
+	}
+	return append(dst, "\n}\n"...)
+}
+
+// floatRun appends one column of floats, copying the previous value's
+// digits when a value repeats. Score rows arrive sorted by evidence, so
+// equal fractions come in runs, and shortest-float formatting is otherwise
+// most of a score-trace encode.
+type floatRun struct {
+	bits       uint64
+	start, end int // the previous value's digits in dst; end 0 until one
+}
+
+func (c *floatRun) append(dst []byte, f float64) []byte {
+	// Compare bits, not values: 0 and -0 are equal but print differently.
+	bits := math.Float64bits(f)
+	if c.end > 0 && bits == c.bits {
+		return append(dst, dst[c.start:c.end]...)
+	}
+	c.bits, c.start = bits, len(dst)
+	dst = jsonw.AppendFloat(dst, f)
+	c.end = len(dst)
+	return dst
+}
+
+// sizeHint estimates the length of r's encoding, so that a score-trace
+// body is allocated once instead of grown: each score row takes 125 bytes
+// of layout, its buyer name, and about 45 bytes of counts and fractions.
+func (r *TraceResponse) sizeHint() int {
+	n := 128 + len(r.Digest) + len(r.Exact)
+	for i := range r.Scores {
+		n += 170 + len(r.Scores[i].Buyer)
+	}
+	for _, b := range r.Implicated {
+		n += 8 + len(b)
+	}
+	return n
+}
+
 // TraceScore is one buyer's agreement with the suspect copy.
 type TraceScore struct {
 	// Buyer names the registered buyer.
@@ -115,13 +205,26 @@ func apiErrorf(status int, format string, args ...any) *apiError {
 	return &apiError{status: status, msg: fmt.Sprintf(format, args...)}
 }
 
-// writeJSON emits v with the given status.
+// writeJSON emits v, indented, with the given status. v is encoded before
+// the status is written, so a value that cannot be encoded answers 500
+// (counted in serve.request_errors) rather than a success with an empty
+// body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
+		return
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody emits an encoded JSON body with the given status.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(body)
 }
 
 // writeError emits the standard {"error": ...} body.
@@ -461,8 +564,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	threshold := 1.0
 	if tq := r.URL.Query().Get("threshold"); tq != "" {
 		v, err := strconv.ParseFloat(tq, 64)
-		if err != nil || v < 0 || v > 1 {
-			writeError(w, http.StatusBadRequest, "threshold must be a number in [0, 1]")
+		// The negated range test also refuses NaN, which ParseFloat accepts
+		// and which compares false against both bounds.
+		if err != nil || !(v >= 0 && v <= 1) {
+			writeError(w, http.StatusBadRequest, "threshold must be a finite number in [0, 1]")
 			return
 		}
 		threshold = v
@@ -535,7 +640,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			mTraceMisses.Inc()
 		}
 		mTraces.Inc()
-		writeJSON(w, http.StatusOK, resp)
+		writeBody(w, http.StatusOK, resp.AppendJSON(make([]byte, 0, resp.sizeHint())))
 		return nil
 	})
 }

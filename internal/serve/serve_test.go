@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -503,6 +504,13 @@ func TestServeErrors(t *testing.T) {
 	}
 	if got := post("/designs/"+info.Digest+"/trace", ""); got != http.StatusBadRequest {
 		t.Errorf("trace with empty body = %d, want 400", got)
+	}
+	// ParseFloat accepts NaN and ±Inf; none is a threshold in [0, 1].
+	master := string(benchBytes(t, "c432"))
+	for _, th := range []string{"NaN", "nan", "+Inf", "-1", "1.5", "x"} {
+		if got := post("/designs/"+info.Digest+"/trace?scores=1&threshold="+url.QueryEscape(th), master); got != http.StatusBadRequest {
+			t.Errorf("trace with threshold %s = %d, want 400", th, got)
+		}
 	}
 }
 

@@ -210,7 +210,9 @@ func Parse(r io.Reader) (*circuit.Circuit, error) {
 
 func tokenize(r io.Reader) ([]string, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	// Lines may reach 1 MiB; the buffer starts at bufio's 4 KiB and grows
+	// only for long lines, so a small netlist does not zero 1 MiB.
+	sc.Buffer(nil, 1<<20)
 	var toks []string
 	for sc.Scan() {
 		line := sc.Text()

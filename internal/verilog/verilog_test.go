@@ -1,7 +1,9 @@
 package verilog
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -236,5 +238,25 @@ func TestWideGatesRoundTrip(t *testing.T) {
 	}
 	if !eq {
 		t.Fatalf("wide round trip differs: %v", mm)
+	}
+}
+
+// TestLineCap: the scanner's buffer starts small and grows on demand, but
+// the line cap stays 1 MiB — a 200 KiB line parses, and a line past 1 MiB
+// fails with bufio.ErrTooLong.
+func TestLineCap(t *testing.T) {
+	src := func(n int) string {
+		long := "w" + strings.Repeat("x", n)
+		return "module m (a, b, o);\n input a, b;\n output o;\n wire " + long + ";\n and g1 (" + long + ", a, b);\n not g2 (o, " + long + ");\nendmodule\n"
+	}
+	c, err := Parse(strings.NewReader(src(200 << 10)))
+	if err != nil {
+		t.Fatalf("200 KiB line: %v", err)
+	}
+	if c.NumGates() != 2 {
+		t.Errorf("200 KiB line: %d gates, want 2", c.NumGates())
+	}
+	if _, err := Parse(strings.NewReader(src(1 << 20))); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("line past 1 MiB: err = %v, want bufio.ErrTooLong", err)
 	}
 }
