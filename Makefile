@@ -8,8 +8,9 @@ all: build vet test
 
 # Everything the CI workflow runs: formatting, vet, doc lint, build, the
 # full race-enabled test suite, a short fuzz pass over the three netlist
-# parsers, the red-team spec reader and the hand-written JSON appenders
-# (against encoding/json), the fault-injected chaos smoke, the
+# parsers, the red-team spec reader, the hand-written JSON appenders
+# (against encoding/json) and the SAT solver (against brute force, and
+# Reset against New), the fault-injected chaos smoke, the
 # daemon, cluster and partition process-level smokes, and the red-team
 # attack smoke.
 ci: doccheck
@@ -23,6 +24,7 @@ ci: doccheck
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/verilog/
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=10s ./internal/redteam/
 	$(GO) test -run '^FuzzAppendJSON$$' -fuzz='^FuzzAppendJSON$$' -fuzztime=10s ./internal/serve/
+	$(GO) test -run '^FuzzSolve$$' -fuzz='^FuzzSolve$$' -fuzztime=10s ./internal/sat/
 	$(MAKE) chaos
 	$(MAKE) serve-smoke
 	$(MAKE) cluster-smoke
@@ -149,13 +151,14 @@ bench-analyze-smoke:
 cover:
 	$(GO) test -cover ./...
 
-# Short fuzz session over the three netlist parsers and the red-team
-# campaign-spec reader.
+# Short fuzz session over the three netlist parsers, the red-team
+# campaign-spec reader and the SAT solver.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/blif/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/verilog/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/benchfmt/
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=30s ./internal/redteam/
+	$(GO) test -run '^FuzzSolve$$' -fuzz='^FuzzSolve$$' -fuzztime=30s ./internal/sat/
 
 # Removes only untracked run artifacts. The BENCH_*.json baselines and the
 # seed corpora under internal/*/testdata/fuzz are committed and stay.

@@ -711,15 +711,21 @@ func (sess *Session) VerifyCtx(ctx context.Context, choice []int) (Verdict, erro
 	// closing runs on a throwaway cone-local miter (closeCone) rather than
 	// inside the session formula, so the search never leaves the PO's own
 	// fanin cone; remaining tracks the conflict budget it consumes, and the
-	// shared solver's allowance shrinks to whatever is left.
+	// shared solver's allowance shrinks to whatever is left. The cone
+	// miters of one call share one solver, reset between cones; it is local
+	// to the call, so the session retains none of it.
 	remaining := sess.opts.MaxConflicts
+	var cone *sat.Solver
 	for i, x := range sess.diffPO {
 		if x == 0 || sess.poClosed[i] || sess.poOpen[i] {
 			continue
 		}
 		sess.stats.UniversalSolves++
 		mUniversalSolves.Inc()
-		st, err := sess.closeCone(ctx, i, &remaining)
+		if cone == nil {
+			cone = sat.New()
+		}
+		st, err := sess.closeCone(ctx, cone, i, &remaining)
 		if err != nil {
 			// Cancelled mid-close: leave the PO unresolved so a later call
 			// retries the universal solve.
@@ -775,10 +781,10 @@ func (sess *Session) VerifyCtx(ctx context.Context, choice []int) (Verdict, erro
 }
 
 // closeCone runs one universal closing solve on a throwaway cone-local
-// miter: a fresh solver encodes only the transitive fanin cone of the PO's
-// driver — master side, instrumented instance side, and the activation
-// structure of the slots inside it — instead of assuming the difference
-// variable inside the full session formula. Both formulas encode the same
+// miter: s, reset to a new solver's state, encodes only the transitive
+// fanin cone of the PO's driver — master side, instrumented instance side,
+// and the activation structure of the slots inside it — instead of
+// assuming the difference variable inside the full session formula. Both formulas encode the same
 // Boolean functions over the same cone, so Unsat here proves the PO
 // unreachable under every activation combination exactly as the global
 // solve would, while the search space shrinks from every variable in the
@@ -788,7 +794,7 @@ func (sess *Session) VerifyCtx(ctx context.Context, choice []int) (Verdict, erro
 // conflict budget, the solve is bounded by *remaining and its consumption
 // is deducted. The cone is a region whose cut is the PIs, encoded by the
 // same regionEncoder the window certifier uses.
-func (sess *Session) closeCone(ctx context.Context, po int, remaining *int64) (sat.Status, error) {
+func (sess *Session) closeCone(ctx context.Context, s *sat.Solver, po int, remaining *int64) (sat.Status, error) {
 	c := sess.master
 	d := c.POs[po].Driver
 	// Cone membership over the union graph: master fanin edges plus, for
@@ -828,7 +834,7 @@ func (sess *Session) closeCone(ctx context.Context, po int, remaining *int64) (s
 		}
 	}
 
-	s := sat.New()
+	s.Reset()
 	if sess.opts.MaxConflicts > 0 {
 		if *remaining < 1 {
 			return sat.Unknown, nil

@@ -471,12 +471,15 @@ func (ct *Certifier) Certify(ctx context.Context) (bool, error) {
 	defer sp.End()
 	remaining := ct.opts.MaxConflicts
 	interrupted := false
+	// One solver serves every window of the call, reset between them: each
+	// window starts from New's state, without New's allocations.
+	s := sat.New()
 	for i := range ct.windows {
 		w := &ct.windows[i]
 		if w.proved {
 			continue
 		}
-		s := sat.New()
+		s.Reset()
 		if ct.opts.MaxConflicts > 0 {
 			if remaining < 1 {
 				ct.stats.Failed = true

@@ -10,9 +10,9 @@ import (
 
 // ParseDIMACS reads a CNF formula in DIMACS format into a fresh solver.
 // The header ("p cnf <vars> <clauses>") is honoured for variable
-// allocation; comment lines ("c …") and the optional trailing "%"/"0"
-// markers produced by some generators are skipped. Clauses may span lines
-// and are terminated by 0.
+// allocation; comment lines ("c …") are skipped, and a "%" line (the
+// SATLIB trailer, followed by a lone "0") ends the formula. Clauses may
+// span lines and are terminated by 0.
 func ParseDIMACS(r io.Reader) (*Solver, error) {
 	sc := bufio.NewScanner(r)
 	// Lines may reach 1 MiB; the buffer starts at bufio's 4 KiB and grows
@@ -25,7 +25,10 @@ func ParseDIMACS(r io.Reader) (*Solver, error) {
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "c") || line == "%" {
+		if line == "%" {
+			break
+		}
+		if line == "" || strings.HasPrefix(line, "c") {
 			continue
 		}
 		if strings.HasPrefix(line, "p") {

@@ -58,6 +58,23 @@ func trailUnits(s *Solver) int {
 	return n
 }
 
+// TestParseDIMACSSATLIBTrailer: the "%" line and the lone "0" after it,
+// which SATLIB's uf/uuf files end with, are not an empty clause.
+func TestParseDIMACSSATLIBTrailer(t *testing.T) {
+	for _, src := range []string{
+		"p cnf 2 1\n1 2 0\n%\n0\n",
+		"c uf-style\np cnf 2 2\n 1 -2 0\n 2 0\n%\n0\n\n",
+	} {
+		s, err := ParseDIMACS(strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Solve(); got != Sat {
+			t.Errorf("%q: Solve = %v, want SAT", src, got)
+		}
+	}
+}
+
 func TestParseDIMACSErrors(t *testing.T) {
 	cases := map[string]string{
 		"bad header":  "p cnf x 3\n1 0\n",

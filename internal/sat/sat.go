@@ -83,12 +83,58 @@ type watcher struct {
 	blocker lit
 }
 
+// Slab chunk sizes for problem clauses: AddClause takes literals from
+// litChunk-literal arrays and clause structs from clauseChunk-clause
+// arrays, so a formula costs a few allocations instead of two per clause.
+// A clause longer than litChunk/4 literals gets its own array.
+const (
+	litChunk    = 4096
+	clauseChunk = 512
+)
+
+// slab hands out capacity-capped runs of fixed-size chunks. Its chunks
+// outlive reset, which rewinds it so the next formula reuses them.
+type slab[T any] struct {
+	chunks    [][]T // chunks[cur][:used] is handed out; later chunks are spare
+	cur, used int
+}
+
+// alloc returns n (≤ size) fresh elements from a chunk of size elements.
+func (sl *slab[T]) alloc(n, size int) []T {
+	if len(sl.chunks) == 0 || sl.used+n > size {
+		if len(sl.chunks) > 0 {
+			sl.cur++
+		}
+		if sl.cur == len(sl.chunks) {
+			sl.chunks = append(sl.chunks, make([]T, size))
+		}
+		sl.used = 0
+	}
+	b := sl.chunks[sl.cur][sl.used : sl.used+n : sl.used+n]
+	sl.used += n
+	return b
+}
+
+func (sl *slab[T]) reset() { sl.cur, sl.used = 0, 0 }
+
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
 	nVars   int
 	clauses []*clause
-	learnts []*clause
+	learnts []*clause   // allocated one by one: reduceDB frees them
 	watches [][]watcher // indexed by lit
+
+	// Problem-clause storage (newClause).
+	litSlab    slab[lit]
+	clauseSlab slab[clause]
+
+	// Scratch reused across calls: AddClause's normalised literals,
+	// SolveCtx's packed assumptions, analyze's learnt clause and its
+	// per-variable marks (all false between calls).
+	addBuf    []lit
+	assumeBuf []lit
+	learntBuf []lit
+	seen      []bool
 
 	assign   []uint8 // per var: valUnassigned/valTrue/valFalse
 	level    []int   // decision level per var
@@ -128,6 +174,36 @@ func New() *Solver {
 	return s
 }
 
+// Reset returns the solver to the state New gives — no variables or
+// clauses, zero stats, MaxConflicts 0, empty trail and assumption state —
+// while keeping its allocations: per-variable arrays, watch lists, clause
+// slabs and scratch are truncated and reused by the next formula. A proof
+// pass that solves many small independent formulas resets one solver
+// between them instead of allocating a fresh one each time.
+func (s *Solver) Reset() {
+	s.nVars = 0
+	clear(s.clauses)
+	clear(s.learnts)
+	s.clauses, s.learnts = s.clauses[:0], s.learnts[:0]
+	for i := range s.watches {
+		clear(s.watches[i])
+		s.watches[i] = s.watches[i][:0]
+	}
+	s.watches = s.watches[:0]
+	s.litSlab.reset()
+	s.clauseSlab.reset()
+	clear(s.reason)
+	s.assign, s.level, s.reason = s.assign[:0], s.level[:0], s.reason[:0]
+	s.phase, s.activity, s.seen = s.phase[:0], s.activity[:0], s.seen[:0]
+	s.trail, s.trailLim, s.qhead = s.trail[:0], s.trailLim[:0], 0
+	s.varInc, s.claInc = 1, 1
+	s.order.heap, s.order.pos = s.order.heap[:0], s.order.pos[:0]
+	s.ok = true
+	s.conflicts, s.decisions, s.propagations = 0, 0, 0
+	s.MaxConflicts = 0
+	s.lastAssume, s.assumeIdx = s.lastAssume[:0], s.assumeIdx[:0]
+}
+
 // NewVar allocates a fresh variable and returns its (1-based) index.
 func (s *Solver) NewVar() int {
 	s.nVars++
@@ -136,7 +212,13 @@ func (s *Solver) NewVar() int {
 	s.reason = append(s.reason, nil)
 	s.phase = append(s.phase, false)
 	s.activity = append(s.activity, 0)
-	s.watches = append(s.watches, nil, nil)
+	s.seen = append(s.seen, false)
+	// Watch lists truncated by Reset keep their backing arrays.
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		s.watches = s.watches[:n+2]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.order.push(s.nVars - 1)
 	return s.nVars
 }
@@ -149,8 +231,8 @@ func (s *Solver) NumClauses() int { return len(s.clauses) }
 
 // Stats returns (decisions, propagations, conflicts) counters. They
 // accumulate across every Solve call since construction or the last
-// ResetStats, so incremental users measuring a phase must bracket it with
-// ResetStats (or difference two Stats reads).
+// ResetStats or Reset, so incremental users measuring a phase must bracket
+// it with ResetStats (or difference two Stats reads).
 func (s *Solver) Stats() (int64, int64, int64) {
 	return s.decisions, s.propagations, s.conflicts
 }
@@ -174,7 +256,7 @@ func (s *Solver) AddClause(external ...int) error {
 	if !s.ok {
 		return nil // already UNSAT; further clauses are irrelevant
 	}
-	lits := make([]lit, 0, len(external))
+	lits := s.addBuf[:0]
 	for _, e := range external {
 		if e == 0 {
 			return errors.New("sat: zero literal")
@@ -188,6 +270,7 @@ func (s *Solver) AddClause(external ...int) error {
 		}
 		lits = append(lits, mkLit(v-1, e < 0))
 	}
+	s.addBuf = lits
 	// Normalise: sort, dedup, drop tautologies, drop false lits @ level 0.
 	slices.Sort(lits)
 	out := lits[:0]
@@ -226,10 +309,26 @@ func (s *Solver) AddClause(external ...int) error {
 		}
 		return nil
 	}
-	c := &clause{lits: lits}
+	c := s.newClause(lits)
 	s.clauses = append(s.clauses, c)
 	s.watch(c)
 	return nil
+}
+
+// newClause copies lits into the problem-clause slabs and returns the
+// clause. Learnt clauses are not slab-allocated: reduceDB deletes them, and
+// a slab chunk would keep every dead learnt beside it alive.
+func (s *Solver) newClause(lits []lit) *clause {
+	var cl []lit
+	if len(lits) > litChunk/4 {
+		cl = slices.Clone(lits)
+	} else {
+		cl = s.litSlab.alloc(len(lits), litChunk)
+		copy(cl, lits)
+	}
+	c := &s.clauseSlab.alloc(1, clauseChunk)[0]
+	*c = clause{lits: cl}
+	return c
 }
 
 func (s *Solver) watch(c *clause) {
@@ -324,10 +423,11 @@ func (s *Solver) propagate() *clause {
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt clause
-// (asserting literal first) and the backtrack level.
+// (asserting literal first) and the backtrack level. The clause is scratch
+// owned by the solver, valid until the next call.
 func (s *Solver) analyze(conf *clause) ([]lit, int) {
-	learnt := []lit{0} // placeholder for the asserting literal
-	seen := make(map[int]bool)
+	learnt := append(s.learntBuf[:0], 0) // placeholder for the asserting literal
+	seen := s.seen
 	counter := 0
 	var p lit = ^lit(0)
 	idx := len(s.trail) - 1
@@ -373,11 +473,10 @@ func (s *Solver) analyze(conf *clause) ([]lit, int) {
 	// literal of its reason clause is level-0 or already in the learnt
 	// clause. Membership is checked against the ORIGINAL clause; soundness
 	// follows by induction over trail order (the earliest removed literal is
-	// implied by kept literals alone, then the next, and so on).
-	inClause := make(map[int]bool, len(learnt))
-	for _, l := range learnt[1:] {
-		inClause[l.v()] = true
-	}
+	// implied by kept literals alone, then the next, and so on). Every
+	// current-level mark was cleared as the UIP walk passed it, so seen now
+	// marks exactly the variables of learnt[1:]. Dropped literals are
+	// swapped behind the kept ones so their marks can be cleared below.
 	j := 1
 	for i := 1; i < len(learnt); i++ {
 		v := learnt[i].v()
@@ -389,17 +488,21 @@ func (s *Solver) analyze(conf *clause) ([]lit, int) {
 				if q.v() == v {
 					continue
 				}
-				if s.level[q.v()] != 0 && !inClause[q.v()] {
+				if s.level[q.v()] != 0 && !seen[q.v()] {
 					redundant = false
 					break
 				}
 			}
 		}
 		if !redundant {
-			learnt[j] = learnt[i]
+			learnt[j], learnt[i] = learnt[i], learnt[j]
 			j++
 		}
 	}
+	for _, l := range learnt[1:] {
+		seen[l.v()] = false
+	}
+	s.learntBuf = learnt
 	learnt = learnt[:j]
 
 	// Backtrack level = second-highest level in the clause.
@@ -476,21 +579,20 @@ func (s *Solver) reduceDB() {
 		return
 	}
 	sort.Slice(s.learnts, func(i, j int) bool { return s.learnts[i].act > s.learnts[j].act })
-	locked := make(map[*clause]bool)
-	for _, r := range s.reason {
-		if r != nil {
-			locked[r] = true
-		}
-	}
 	keep := s.learnts[:0]
 	limit := len(s.learnts) / 2
 	for i, c := range s.learnts {
-		if i < limit || locked[c] || len(c.lits) == 2 {
+		// A clause is locked (the reason of an assignment) iff it is the
+		// reason of its first literal: propagate and the learnt enqueue
+		// both imply lits[0], and nothing moves lits[0] while it is true.
+		locked := s.reason[c.lits[0].v()] == c
+		if i < limit || locked || len(c.lits) == 2 {
 			keep = append(keep, c)
 		} else {
 			s.unwatch(c)
 		}
 	}
+	clear(s.learnts[len(keep):])
 	s.learnts = keep
 }
 
@@ -537,7 +639,9 @@ const ctxCheckInterval = 128
 // ctx every ctxCheckInterval iterations and, when ctx is done, undoes every
 // search assignment (the solver stays reusable) and returns Unknown along
 // with ctx.Err(). The error is nil for every other outcome, including a
-// MaxConflicts budget exhaustion, which still reports a bare Unknown.
+// MaxConflicts budget exhaustion, which still reports a bare Unknown. An
+// assumption on an unallocated variable returns Unknown with an error, as
+// AddClause does for such a literal.
 func (s *Solver) SolveCtx(ctx context.Context, assumptions ...int) (Status, error) {
 	if fault.Hit(fault.SATBudget) {
 		// Injected budget exhaustion: indistinguishable from MaxConflicts
@@ -548,18 +652,9 @@ func (s *Solver) SolveCtx(ctx context.Context, assumptions ...int) (Status, erro
 		// Already-dead context: refuse before touching the trail at all.
 		return Unknown, err
 	}
-	d0, p0, c0 := s.decisions, s.propagations, s.conflicts
-	defer func() {
-		mSolves.Inc()
-		mDecisions.Add(s.decisions - d0)
-		mPropagations.Add(s.propagations - p0)
-		mConflicts.Add(s.conflicts - c0)
-	}()
-	if !s.ok {
-		return Unsat, nil
-	}
-	// Assert assumptions as pseudo-decisions.
-	assume := make([]lit, 0, len(assumptions))
+	// Pack the assumptions (asserted below as pseudo-decisions), refusing
+	// an unallocated variable before the trail or the counters move.
+	assume := s.assumeBuf[:0]
 	for _, e := range assumptions {
 		if e == 0 {
 			continue
@@ -569,9 +664,20 @@ func (s *Solver) SolveCtx(ctx context.Context, assumptions ...int) (Status, erro
 			v = -v
 		}
 		if v > s.nVars {
-			return Unsat, nil
+			return Unknown, fmt.Errorf("sat: assumption %d references unallocated variable", e)
 		}
 		assume = append(assume, mkLit(v-1, e < 0))
+	}
+	s.assumeBuf = assume
+	d0, p0, c0 := s.decisions, s.propagations, s.conflicts
+	defer func() {
+		mSolves.Inc()
+		mDecisions.Add(s.decisions - d0)
+		mPropagations.Add(s.propagations - p0)
+		mConflicts.Add(s.conflicts - c0)
+	}()
+	if !s.ok {
+		return Unsat, nil
 	}
 
 	// Assumption-trail reuse: keep every pseudo-decision level whose
@@ -671,7 +777,7 @@ func (s *Solver) SolveCtx(ctx context.Context, assumptions ...int) (Status, erro
 					return Unsat, nil
 				}
 			} else {
-				c := &clause{lits: learnt, learnt: true, act: s.claInc}
+				c := &clause{lits: slices.Clone(learnt), learnt: true, act: s.claInc}
 				s.learnts = append(s.learnts, c)
 				s.watch(c)
 				if !s.enqueue(learnt[0], c) {

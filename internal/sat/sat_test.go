@@ -1,7 +1,10 @@
 package sat
 
 import (
+	"context"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -93,7 +96,12 @@ func TestAddClauseErrors(t *testing.T) {
 // decent stress of clause learning.
 func pigeonhole(t *testing.T, pigeons, holes int) *Solver {
 	t.Helper()
-	s := New()
+	return encodePigeonhole(t, New(), pigeons, holes)
+}
+
+// encodePigeonhole adds the pigeonhole formula to s over fresh variables.
+func encodePigeonhole(t *testing.T, s *Solver, pigeons, holes int) *Solver {
+	t.Helper()
 	vars := make([][]int, pigeons)
 	for p := range vars {
 		vars[p] = make([]int, holes)
@@ -253,6 +261,30 @@ func TestAssumptions(t *testing.T) {
 	}
 	if got := s.Solve(); got != Sat {
 		t.Fatalf("no assumptions: %v, want SAT", got)
+	}
+}
+
+// TestAssumptionUnallocatedVariable: an assumption on a variable the
+// solver never allocated is a caller error, not an UNSAT verdict, and it
+// leaves the solver untouched.
+func TestAssumptionUnallocatedVariable(t *testing.T) {
+	s := New()
+	a := s.NewVar()
+	if err := s.AddClause(a); err != nil {
+		t.Fatal(err)
+	}
+	d0, p0, c0 := s.Stats()
+	for _, bad := range []int{7, -2} {
+		st, err := s.SolveCtx(context.Background(), a, bad)
+		if st != Unknown || err == nil || !strings.Contains(err.Error(), strconv.Itoa(bad)) {
+			t.Fatalf("assumption %d: got %v, %v; want UNKNOWN and an error naming the literal", bad, st, err)
+		}
+		if d, p, c := s.Stats(); d != d0 || p != p0 || c != c0 {
+			t.Fatalf("assumption %d: stats moved to %d/%d/%d", bad, d, p, c)
+		}
+	}
+	if st, err := s.SolveCtx(context.Background(), a); st != Sat || err != nil || !s.Value(a) {
+		t.Fatalf("valid solve after refused assumptions: %v, %v", st, err)
 	}
 }
 
