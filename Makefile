@@ -7,8 +7,9 @@ GO ?= go
 all: build vet test
 
 # Everything the CI workflow runs: formatting, vet, doc lint, build, the
-# full race-enabled test suite, a short fuzz pass over the three netlist
-# parsers, the red-team spec reader, the hand-written JSON appenders
+# full race-enabled test suite, vet and tests of the separate perfbench
+# module (it builds against this module's packages), a short fuzz pass
+# over the three netlist parsers, the red-team spec reader, the hand-written JSON appenders
 # (against encoding/json) and the SAT solver (against brute force, and
 # Reset against New), the fault-injected chaos smoke, the
 # daemon, cluster and partition process-level smokes, and the red-team
@@ -19,6 +20,7 @@ ci: doccheck
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/blif/
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/benchfmt/
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/verilog/

@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("IP %q: %d gates, %d fingerprint locations\n",
 		ip.Name, ip.NumGates(), a.NumLocations())
 
-	tracer := odcfp.NewTracer(a)
+	reg := odcfp.NewRegistry(a)
 	rng := rand.New(rand.NewSource(99))
 	buyers := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}
 	copies := make([]*odcfp.Circuit, len(buyers))
@@ -48,7 +48,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tracer.Register(buyer, asg)
+		v, err := a.IntFromAssignment(asg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := reg.Adopt(buyer, v.String()); err != nil {
+			log.Fatal(err)
+		}
 		copies[i] = cp
 	}
 
@@ -68,7 +74,7 @@ func main() {
 	fmt.Println("forged instance verified functionally correct (the attack preserves the IP)")
 
 	// The vendor traces it.
-	scores, err := tracer.TraceScores(res.Forged)
+	scores, err := reg.TraceScores(a, res.Forged)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,10 +83,7 @@ func main() {
 		fmt.Printf("  %-8s %3d/%3d = %.3f   (all-slot agreement %.3f)\n",
 			s.Name, s.AgreePresent, s.TotalPresent, s.Fraction(), s.FractionAll())
 	}
-	accused, err := tracer.Accuse(res.Forged, 1.0)
-	if err != nil {
-		log.Fatal(err)
-	}
+	accused := odcfp.Implicated(scores, 1.0)
 	fmt.Printf("\naccused (score = 1.0): %v\n", accused)
 	fmt.Println("the coalition cannot remove the modifications all of its members share,")
 	fmt.Println("so every colluder is traced — the paper's §III-E traceability claim")

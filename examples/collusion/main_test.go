@@ -2,6 +2,7 @@ package main
 
 import (
 	"os/exec"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -13,5 +14,16 @@ func TestSmoke(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "fingerprint locations") {
 		t.Fatalf("unexpected output:\n%s", out)
+	}
+	// The accused set is exactly the coalition, in whatever score order.
+	_, line, ok := strings.Cut(string(out), "accused (score = 1.0): [")
+	if !ok {
+		t.Fatalf("no accusation line:\n%s", out)
+	}
+	line, _, _ = strings.Cut(line, "]")
+	accused := strings.Fields(line)
+	sort.Strings(accused)
+	if got := strings.Join(accused, " "); got != "alpha bravo charlie" {
+		t.Fatalf("accused {%s}, want exactly {alpha bravo charlie}:\n%s", got, out)
 	}
 }

@@ -28,8 +28,8 @@ func main() {
 		ip.Name, ip.NumGates(), a.NumLocations(), a.Capacity().Log2Combos)
 
 	// Issue fingerprinted copies to five buyers. Each buyer gets a random
-	// binary fingerprint; the vendor records them in a tracer registry.
-	tracer := odcfp.NewTracer(a)
+	// binary fingerprint; the vendor records them in its registry.
+	reg := odcfp.NewRegistry(a)
 	rng := rand.New(rand.NewSource(2026))
 	buyers := []string{"acme-soc", "borealis", "cygnus", "deltaware", "espresso"}
 	copies := map[string]*odcfp.Circuit{}
@@ -50,7 +50,13 @@ func main() {
 		if err := odcfp.Equivalent(a.Circuit, cp); err != nil {
 			log.Fatalf("shipped copy not equivalent: %v", err)
 		}
-		tracer.Register(buyer, asg)
+		v, err := a.IntFromAssignment(asg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := reg.Adopt(buyer, v.String()); err != nil {
+			log.Fatal(err)
+		}
 		copies[buyer] = cp
 		m, err := odcfp.Measure(cp, lib)
 		if err != nil {
@@ -65,14 +71,15 @@ func main() {
 	// cygnus's instance (heredity: copying preserves the fingerprint).
 	leak := copies["cygnus"].Clone()
 	fmt.Println("\na leaked netlist surfaces; tracing…")
-	exact, err := tracer.TraceExact(leak)
+	// Adopt rejects two buyers on one fingerprint, so an exact match names
+	// exactly one buyer.
+	exact, err := reg.TraceExact(a, leak)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("buyers exactly matching the leak's fingerprint: %v\n", exact)
-	if len(exact) == 1 && exact[0] == "cygnus" {
-		fmt.Println("leak attributed to cygnus ✔")
-	} else {
-		fmt.Println("attribution ambiguous — would need more fingerprint bits")
+	fmt.Printf("buyers exactly matching the leak's fingerprint: [%s]\n", exact)
+	if exact != "cygnus" {
+		log.Fatalf("leak attributed to %s, want cygnus", exact)
 	}
+	fmt.Println("leak attributed to cygnus ✔")
 }

@@ -14,4 +14,7 @@ func TestSmoke(t *testing.T) {
 	if !strings.Contains(string(out), "fingerprint locations") {
 		t.Fatalf("unexpected output:\n%s", out)
 	}
+	if !strings.Contains(string(out), "leak attributed to cygnus") {
+		t.Fatalf("leak not attributed to cygnus:\n%s", out)
+	}
 }

@@ -48,7 +48,7 @@ type SlotRef struct {
 // gate is missing or matches nothing are reported as Tampered instead of
 // failing, alongside the list of tampered slots. A collusion attacker who
 // rewires detected fingerprint sites produces exactly such slots; the
-// tracer in internal/attack treats them as wildcards.
+// registry's score trace (internal/registry) counts them for nobody.
 func ExtractTolerant(a *Analysis, copy *circuit.Circuit) (Assignment, []SlotRef, error) {
 	asg := EmptyAssignment(a)
 	var tampered []SlotRef

@@ -86,9 +86,10 @@ func finish(a *Analysis, asg Assignment, lib *cell.Library) (*Result, error) {
 // Verify proves that the fingerprinted instance is functionally equivalent
 // to the analysed original (Requirement 1). Copies produced by the pipeline
 // are fully determined by their Assignment, so the proof runs on the
-// analysis-wide incremental cec.Session (one encoding amortized over all
-// copies); an assignment the session cannot express falls back to a
-// one-shot cec.Check of the materialized netlist.
+// analysis-wide Verifier (SharedVerifier): window certificates first, the
+// incremental cec.Session if a window fails; an assignment the verifier
+// cannot serve falls back to a one-shot cec.Check of the materialized
+// netlist.
 func (r *Result) Verify() error {
 	v, err := r.Analysis.SharedVerifier().Verify(r.Assignment)
 	if err != nil {

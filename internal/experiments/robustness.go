@@ -5,11 +5,11 @@ import (
 	"math/rand"
 	"strings"
 
-	"repro/internal/attack"
 	"repro/internal/bench"
 	"repro/internal/cell"
 	"repro/internal/core"
 	"repro/internal/par"
+	"repro/internal/registry"
 )
 
 // E14 measures tracing robustness against tampering (extension): an
@@ -52,7 +52,7 @@ func RunE14(circuitName string, nBuyers, trials int, stripLevels []int, lib *cel
 	rng := rand.New(rand.NewSource(seed))
 
 	// Register buyers with random binary fingerprints.
-	tracer := attack.NewTracer(a)
+	reg := registry.New(a)
 	type buyer struct {
 		name string
 		asg  core.Assignment
@@ -67,8 +67,14 @@ func RunE14(circuitName string, nBuyers, trials int, stripLevels []int, lib *cel
 		if err != nil {
 			return nil, err
 		}
+		v, err := a.IntFromAssignment(asg)
+		if err != nil {
+			return nil, err
+		}
 		name := fmt.Sprintf("buyer%02d", i)
-		tracer.Register(name, asg)
+		if err := reg.Adopt(name, v.String()); err != nil {
+			return nil, err
+		}
 		buyers[i] = buyer{name, asg}
 	}
 
@@ -110,7 +116,7 @@ func RunE14(circuitName string, nBuyers, trials int, stripLevels []int, lib *cel
 			if !verdict.Equivalent {
 				return E14Point{}, fmt.Errorf("experiments: stripped copy of %s inequivalent on PO %q", b.name, verdict.PO)
 			}
-			scores, err := tracer.TraceScores(cp)
+			scores, err := reg.TraceScores(a, cp)
 			if err != nil {
 				return E14Point{}, err
 			}

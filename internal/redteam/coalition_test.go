@@ -3,16 +3,16 @@ package redteam
 import (
 	"testing"
 
-	"repro/internal/attack"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/registry"
 	"repro/internal/sim"
 )
 
 // coalitionFixture fingerprints three colluders plus one innocent buyer on
 // c432. All colluders share the bit at location 0; each drops one private
 // bit, so every pairwise diff is non-empty.
-func coalitionFixture(t *testing.T) (*core.Analysis, *attack.Tracer, []*circuit.Circuit) {
+func coalitionFixture(t *testing.T) (*core.Analysis, *registry.Registry, []*circuit.Circuit) {
 	t.Helper()
 	a := testAnalysis(t, "c432")
 	n := a.BitCapacity()
@@ -26,11 +26,11 @@ func coalitionFixture(t *testing.T) (*core.Analysis, *attack.Tracer, []*circuit.
 		}
 		return bits
 	}
-	tr := attack.NewTracer(a)
+	r := registry.New(a)
 	var copies []*circuit.Circuit
 	for i, name := range []string{"colluder1", "colluder2", "colluder3"} {
 		asg := mustAssign(t, a, mk(i+1))
-		tr.Register(name, asg)
+		adopt(t, r, a, name, asg)
 		copies = append(copies, mustEmbed(t, a, asg))
 	}
 	// The innocent buyer carries none of the coalition's bits.
@@ -38,15 +38,27 @@ func coalitionFixture(t *testing.T) (*core.Analysis, *attack.Tracer, []*circuit.
 	if n > 4 {
 		innocent[4] = true
 	}
-	tr.Register("innocent", mustAssign(t, a, innocent))
-	return a, tr, copies
+	adopt(t, r, a, "innocent", mustAssign(t, a, innocent))
+	return a, r, copies
+}
+
+// trace scores the suspect against every recorded buyer and returns the
+// buyers implicated at threshold, and whether the suspect is a full
+// removal.
+func trace(t *testing.T, r *registry.Registry, a *core.Analysis, suspect *circuit.Circuit, threshold float64) (accused []string, fullRemoval bool) {
+	t.Helper()
+	scores, err := r.TraceScores(a, suspect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return registry.Implicated(scores, threshold), registry.FullRemoval(scores)
 }
 
 // TestCoalitionFewestPins: the paper's adversary. Every surviving
 // modification is shared by the whole coalition, so tracing implicates all
 // three colluders and never the innocent buyer.
 func TestCoalitionFewestPins(t *testing.T) {
-	a, tr, copies := coalitionFixture(t)
+	a, r, copies := coalitionFixture(t)
 	res, err := Coalition(copies, StrategyFewestPins)
 	if err != nil {
 		t.Fatal(err)
@@ -54,26 +66,22 @@ func TestCoalitionFewestPins(t *testing.T) {
 	if len(res.DetectedGates) == 0 {
 		t.Fatal("coalition detected nothing")
 	}
-	rep, err := tr.Trace(res.Forged, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FullRemoval {
+	accused, fullRemoval := trace(t, r, a, res.Forged, 1.0)
+	if fullRemoval {
 		t.Fatal("coalition shares location 0's bit; full removal is impossible")
 	}
 	got := map[string]bool{}
-	for _, n := range rep.Accused {
+	for _, n := range accused {
 		got[n] = true
 	}
 	for _, want := range []string{"colluder1", "colluder2", "colluder3"} {
 		if !got[want] {
-			t.Errorf("%s evaded tracing (accused: %v)", want, rep.Accused)
+			t.Errorf("%s evaded tracing (accused: %v)", want, accused)
 		}
 	}
 	if got["innocent"] {
-		t.Errorf("innocent buyer accused (accused: %v)", rep.Accused)
+		t.Errorf("innocent buyer accused (accused: %v)", accused)
 	}
-	_ = a
 }
 
 // TestCoalitionMajority: majority voting keeps any modification two of the
@@ -82,29 +90,26 @@ func TestCoalitionFewestPins(t *testing.T) {
 // while the innocent buyer matches none. A 0.7 threshold implicates exactly
 // the coalition.
 func TestCoalitionMajority(t *testing.T) {
-	_, tr, copies := coalitionFixture(t)
+	a, r, copies := coalitionFixture(t)
 	res, err := Coalition(copies, StrategyMajority)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := tr.Trace(res.Forged, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FullRemoval {
+	accused, fullRemoval := trace(t, r, a, res.Forged, 0.7)
+	if fullRemoval {
 		t.Fatal("majority merge cannot remove a bit shared by the whole coalition")
 	}
 	got := map[string]bool{}
-	for _, n := range rep.Accused {
+	for _, n := range accused {
 		got[n] = true
 	}
 	for _, want := range []string{"colluder1", "colluder2", "colluder3"} {
 		if !got[want] {
-			t.Errorf("%s evaded tracing (accused: %v)", want, rep.Accused)
+			t.Errorf("%s evaded tracing (accused: %v)", want, accused)
 		}
 	}
 	if got["innocent"] {
-		t.Errorf("innocent buyer accused (accused: %v)", rep.Accused)
+		t.Errorf("innocent buyer accused (accused: %v)", accused)
 	}
 }
 
@@ -112,7 +117,7 @@ func TestCoalitionMajority(t *testing.T) {
 // site down to base form, but bits the whole coalition shares are never
 // detected — the colluders all remain implicated.
 func TestCoalitionIntersectSharedBit(t *testing.T) {
-	a, tr, copies := coalitionFixture(t)
+	a, r, copies := coalitionFixture(t)
 	res, err := Coalition(copies, StrategyIntersect)
 	if err != nil {
 		t.Fatal(err)
@@ -124,20 +129,17 @@ func TestCoalitionIntersectSharedBit(t *testing.T) {
 	if mm != nil {
 		t.Fatalf("intersect merge broke the function: %v", mm)
 	}
-	rep, err := tr.Trace(res.Forged, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FullRemoval {
+	accused, fullRemoval := trace(t, r, a, res.Forged, 1.0)
+	if fullRemoval {
 		t.Fatal("shared bit at location 0 must survive an intersect merge")
 	}
 	got := map[string]bool{}
-	for _, n := range rep.Accused {
+	for _, n := range accused {
 		got[n] = true
 	}
 	for _, want := range []string{"colluder1", "colluder2", "colluder3"} {
 		if !got[want] {
-			t.Errorf("%s evaded tracing (accused: %v)", want, rep.Accused)
+			t.Errorf("%s evaded tracing (accused: %v)", want, accused)
 		}
 	}
 }
@@ -151,9 +153,9 @@ func TestCoalitionIntersectFullRemoval(t *testing.T) {
 	bitsA, bitsB := complementBits(a, a.BitCapacity())
 	asgA := mustAssign(t, a, bitsA)
 	asgB := mustAssign(t, a, bitsB)
-	tr := attack.NewTracer(a)
-	tr.Register("buyerA", asgA)
-	tr.Register("buyerB", asgB)
+	r := registry.New(a)
+	adopt(t, r, a, "buyerA", asgA)
+	adopt(t, r, a, "buyerB", asgB)
 	res, err := Coalition([]*circuit.Circuit{mustEmbed(t, a, asgA), mustEmbed(t, a, asgB)}, StrategyIntersect)
 	if err != nil {
 		t.Fatal(err)
@@ -165,15 +167,12 @@ func TestCoalitionIntersectFullRemoval(t *testing.T) {
 	if mm != nil {
 		t.Fatalf("intersect merge broke the function: %v", mm)
 	}
-	rep, err := tr.Trace(res.Forged, 1.0)
-	if err != nil {
-		t.Fatal(err)
+	accused, fullRemoval := trace(t, r, a, res.Forged, 1.0)
+	if !fullRemoval {
+		t.Fatalf("complementary intersect should fully remove the fingerprint (accused: %v)", accused)
 	}
-	if !rep.FullRemoval {
-		t.Fatalf("complementary intersect should fully remove the fingerprint (accused: %v)", rep.Accused)
-	}
-	if len(rep.Accused) != 0 {
-		t.Fatalf("full removal must not accuse anyone, got %v", rep.Accused)
+	if len(accused) != 0 {
+		t.Fatalf("full removal must not accuse anyone, got %v", accused)
 	}
 }
 
@@ -183,8 +182,8 @@ func TestCoalitionSingleCopy(t *testing.T) {
 	bitsA, _ := complementBits(a, 4)
 	asgA := mustAssign(t, a, bitsA)
 	cp := mustEmbed(t, a, asgA)
-	tr := attack.NewTracer(a)
-	tr.Register("buyerA", asgA)
+	r := registry.New(a)
+	adopt(t, r, a, "buyerA", asgA)
 	for _, st := range Strategies() {
 		res, err := Coalition([]*circuit.Circuit{cp}, st)
 		if err != nil {
@@ -193,12 +192,12 @@ func TestCoalitionSingleCopy(t *testing.T) {
 		if len(res.DetectedGates) != 0 {
 			t.Fatalf("%v: single copy detected %v", st, res.DetectedGates)
 		}
-		names, err := tr.TraceExact(res.Forged)
+		name, err := r.TraceExact(a, res.Forged)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(names) != 1 || names[0] != "buyerA" {
-			t.Fatalf("%v: k=1 merge should still trace to buyerA, got %v", st, names)
+		if name != "buyerA" {
+			t.Fatalf("%v: k=1 merge should still trace to buyerA, got %q", st, name)
 		}
 	}
 }

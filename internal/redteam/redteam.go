@@ -2,14 +2,14 @@
 // side of the table and quantifies how much of an embedded fingerprint a
 // realistic adversary recovers.
 //
-// The attacker model extends internal/attack's collusion adversary with a
-// SAT engine. Given k ≥ 1 differently fingerprinted copies of one design,
-// the attack runs three phases:
+// The attacker model extends the paper's §III-E collusion adversary
+// (Coalition) with a SAT engine. Given k ≥ 1 differently fingerprinted
+// copies of one design, the attack runs three phases:
 //
 //  1. Localization. Gates present in every copy whose canonical signature
-//     (attack.Signature) differs across copies are candidate fingerprint
-//     sites; the hypothesized unfingerprinted "base form" of each site is
-//     its fewest-pin configuration, because the paper's modifications only
+//     differs across copies are candidate fingerprint sites; the
+//     hypothesized unfingerprinted "base form" of each site is its
+//     fewest-pin configuration, because the paper's modifications only
 //     ever add pins.
 //  2. Distinguishing-input (DIP) loop. The classic SAT attack on logic
 //     locking, transplanted to fingerprinting: one key input per candidate
@@ -45,7 +45,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/cec"
 	"repro/internal/circuit"
 	"repro/internal/core"
@@ -172,16 +171,16 @@ type site struct {
 // Attack runs the full red-team pipeline against the attacker's own copies.
 // copies[0] is the copy being cleaned; the rest are coalition references.
 // A single copy is legal and degenerates to zero candidates — structure
-// alone reveals nothing, matching internal/attack's k=1 semantics.
+// alone reveals nothing, matching Coalition's k=1 semantics.
 func Attack(copies []*circuit.Circuit, opts AttackOptions) (*AttackReport, error) {
 	start := time.Now()
 	opts = opts.withDefaults()
 	if len(copies) == 0 {
 		return nil, fmt.Errorf("redteam: attack needs at least 1 copy, got 0")
 	}
-	sites, shared, err := localize(copies)
-	if err != nil {
-		return nil, err
+	sites, shared := differing(copies)
+	for i := range sites {
+		sites[i].base = fewestPins(copies, sites[i].ids)
 	}
 	// Process in a seed-driven order: the attacker has no way to tell true
 	// sites from decoys up front, so its budget meets them interleaved.
@@ -205,58 +204,6 @@ func Attack(copies []*circuit.Circuit, opts AttackOptions) (*AttackReport, error
 	return rep, nil
 }
 
-// localize diffs the copies gate by gate and returns the candidate sites
-// plus the set of gate names shared by every copy (the common layout, used
-// to resolve signals during transplants).
-func localize(copies []*circuit.Circuit) ([]site, map[string]bool, error) {
-	base := copies[0]
-	shared := make(map[string]bool)
-	var sites []site
-	for i := range base.Nodes {
-		id0 := circuit.NodeID(i)
-		name := base.Nodes[i].Name
-		ids := make([]circuit.NodeID, len(copies))
-		ids[0] = id0
-		everywhere := true
-		for c := 1; c < len(copies); c++ {
-			id, ok := copies[c].Lookup(name)
-			if !ok {
-				// Private helper logic (fingerprint inverters, decoy parity
-				// trees); its consumers' signatures expose the difference.
-				everywhere = false
-				break
-			}
-			ids[c] = id
-		}
-		if !everywhere {
-			continue
-		}
-		shared[name] = true
-		if base.Nodes[i].IsPI {
-			continue
-		}
-		sig0 := attack.Signature(base, id0)
-		differs := false
-		for c := 1; c < len(copies); c++ {
-			if attack.Signature(copies[c], ids[c]) != sig0 {
-				differs = true
-				break
-			}
-		}
-		if !differs {
-			continue
-		}
-		best, bestPins := 0, len(copies[0].Nodes[ids[0]].Fanin)
-		for c := 1; c < len(copies); c++ {
-			if n := len(copies[c].Nodes[ids[c]].Fanin); n < bestPins {
-				best, bestPins = c, n
-			}
-		}
-		sites = append(sites, site{name: name, ids: ids, base: best})
-	}
-	return sites, shared, nil
-}
-
 // runStrips executes phase 3: per-site budgeted strip proofs building the
 // forged copy incrementally.
 func runStrips(copies []*circuit.Circuit, sites []site, shared map[string]bool, opts AttackOptions, rep *AttackReport) error {
@@ -267,7 +214,7 @@ func runStrips(copies []*circuit.Circuit, sites []site, shared map[string]bool, 
 		res := SiteResult{Gate: st.name}
 		from := copies[st.base]
 		res.ExtraPins = len(copies[0].Nodes[st.ids[0]].Fanin) - len(from.Nodes[st.ids[st.base]].Fanin)
-		if attack.Signature(copies[0], st.ids[0]) == attack.Signature(from, st.ids[st.base]) {
+		if signature(copies[0], st.ids[0]) == signature(from, st.ids[st.base]) {
 			// The attacked copy already carries the fewest-pin form; other
 			// copies hold the modifications here.
 			rep.Sites = append(rep.Sites, res)

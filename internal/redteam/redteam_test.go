@@ -3,11 +3,11 @@ package redteam
 import (
 	"testing"
 
-	"repro/internal/attack"
 	"repro/internal/bench"
 	"repro/internal/cell"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/registry"
 	"repro/internal/sim"
 )
 
@@ -101,14 +101,10 @@ func TestAttackSubsetProperty(t *testing.T) {
 	}
 	// ...and carries no fingerprint at all: the designer sees a full
 	// removal, the outcome the tracing argument concedes for this attacker.
-	tr := attack.NewTracer(a)
-	tr.Register("buyerA", asgA)
-	tr.Register("buyerB", asgB)
-	trep, err := tr.Trace(rep.Forged, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !trep.FullRemoval {
+	r := registry.New(a)
+	adopt(t, r, a, "buyerA", asgA)
+	adopt(t, r, a, "buyerB", asgB)
+	if _, fullRemoval := trace(t, r, a, rep.Forged, 1.0); !fullRemoval {
 		t.Fatal("complete strip of a complementary pair should read as full removal")
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/attack"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/jsonw"
@@ -65,7 +64,7 @@ type Registry struct {
 	// TraceScores and nil until then, so issuance into a registry nobody
 	// score-traces pays nothing. Invariant: whenever mu is released, a
 	// built table's rows are exactly the records of Issued.
-	table *attack.Table
+	table *table
 	rowOf map[string]int
 
 	// checked is the core.Analysis.ID of the last analysis that passed
@@ -92,17 +91,17 @@ func (r *Registry) buildTable(a *core.Analysis) error {
 	if r.table != nil {
 		return nil
 	}
-	t := attack.NewTable(a)
+	t := newTable(a)
 	rowOf := make(map[string]int, len(r.Issued))
 	for buyer, val := range r.Issued {
 		v, ok := new(big.Int).SetString(val, 10)
 		if !ok {
 			return fmt.Errorf("registry: corrupt record for %q", buyer)
 		}
-		if err := t.AddValue(buyer, v); err != nil {
+		if err := t.addValue(buyer, v); err != nil {
 			return err
 		}
-		rowOf[buyer] = t.Len() - 1
+		rowOf[buyer] = t.len() - 1
 	}
 	r.table, r.rowOf = t, rowOf
 	return nil
@@ -116,11 +115,11 @@ func (r *Registry) addRow(buyer string, value *big.Int) {
 	if r.table == nil {
 		return
 	}
-	if err := r.table.AddValue(buyer, value); err != nil {
+	if err := r.table.addValue(buyer, value); err != nil {
 		r.table, r.rowOf = nil, nil
 		return
 	}
-	r.rowOf[buyer] = r.table.Len() - 1
+	r.rowOf[buyer] = r.table.len() - 1
 }
 
 // DesignDigest hashes the structural identity of the analysed design: the
@@ -237,9 +236,9 @@ func (r *Registry) deleteRecord(buyer string) {
 		delete(r.byValue, val)
 	}
 	if row, ok := r.rowOf[buyer]; ok {
-		r.table.Delete(row)
-		if row < r.table.Len() {
-			r.rowOf[r.table.Name(row)] = row
+		r.table.delete(row)
+		if row < r.table.len() {
+			r.rowOf[r.table.name(row)] = row
 		}
 		delete(r.rowOf, buyer)
 	}
@@ -477,10 +476,10 @@ func (r *Registry) TraceExact(a *core.Analysis, suspect *circuit.Circuit) (strin
 }
 
 // TraceScores scores every registered buyer against a possibly tampered
-// suspect with the marking-assumption scoring of internal/attack, best
-// first and ties by buyer name. It scores against the resident table
-// (built on the first call), so a trace decodes no record.
-func (r *Registry) TraceScores(a *core.Analysis, suspect *circuit.Circuit) ([]attack.Score, error) {
+// suspect with the marking-assumption scoring (Score), best first and ties
+// by buyer name. It scores against the resident table (built on the first
+// call), so a trace decodes no record.
+func (r *Registry) TraceScores(a *core.Analysis, suspect *circuit.Circuit) ([]Score, error) {
 	if err := r.check(a); err != nil {
 		return nil, err
 	}
@@ -501,9 +500,9 @@ func (r *Registry) TraceScores(a *core.Analysis, suspect *circuit.Circuit) ([]at
 		}
 		r.mu.RLock()
 	}
-	scores := r.table.Scores(got)
+	scores := r.table.scores(got)
 	r.mu.RUnlock()
-	attack.SortScores(scores)
+	sortScores(scores)
 	return scores, nil
 }
 

@@ -13,13 +13,13 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/attack"
 	"repro/internal/bench"
 	"repro/internal/benchfmt"
 	"repro/internal/cell"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/logic"
+	"repro/internal/redteam"
 )
 
 func analyzed(t testing.TB, name string) *core.Analysis {
@@ -361,14 +361,14 @@ func TestReleaseItems(t *testing.T) {
 // resident table, kept as the test oracle: every record decoded with
 // AssignmentFromInt into a per-buyer assignment, buyers in Buyers() (name)
 // order, scored slot by slot and stable-sorted by the float fractions.
-func oracleScores(t *testing.T, r *Registry, a *core.Analysis, suspect *circuit.Circuit) []attack.Score {
+func oracleScores(t *testing.T, r *Registry, a *core.Analysis, suspect *circuit.Circuit) []Score {
 	t.Helper()
 	got, _, err := core.ExtractTolerant(a, suspect)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buyers := r.Buyers()
-	scores := make([]attack.Score, 0, len(buyers))
+	scores := make([]Score, 0, len(buyers))
 	for _, buyer := range buyers {
 		rec, _ := r.Value(buyer)
 		v, ok := new(big.Int).SetString(rec, 10)
@@ -379,7 +379,7 @@ func oracleScores(t *testing.T, r *Registry, a *core.Analysis, suspect *circuit.
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := attack.Score{Name: buyer}
+		s := Score{Name: buyer}
 		for i := range got {
 			for j, obs := range got[i] {
 				if obs == core.Tampered {
@@ -436,7 +436,7 @@ func tamper(t *testing.T, a *core.Analysis, c *circuit.Circuit, n int) {
 // fully stripped copy (the unfingerprinted design).
 func suspects(t *testing.T, a *core.Analysis, copies []*circuit.Circuit) map[string]*circuit.Circuit {
 	t.Helper()
-	res, err := attack.Collude(copies[:3])
+	res, err := redteam.Coalition(copies[:3], redteam.StrategyFewestPins)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,9 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/attack"
 	"repro/internal/benchfmt"
 	"repro/internal/circuit"
+	"repro/internal/redteam"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden /trace bodies under testdata/trace")
@@ -43,9 +43,9 @@ func TestTraceGolden(t *testing.T) {
 	for _, b := range goldenBuyers {
 		copies[b], _ = issueCopy(t, ts.URL, info.Digest, url.QueryEscape(b), "")
 	}
-	coll, err := attack.Collude([]*circuit.Circuit{
+	coll, err := redteam.Coalition([]*circuit.Circuit{
 		parseBench(t, copies["alice"]), parseBench(t, copies["bob"]),
-	})
+	}, redteam.StrategyFewestPins)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strconv"
 
-	"repro/internal/attack"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/jsonw"
@@ -64,7 +63,7 @@ type TraceResponse struct {
 	Threshold float64 `json:"threshold,omitempty"`
 	// Implicated lists buyers whose agreement over surviving modifications
 	// reaches Threshold (?scores=1 only). At the default threshold of 1.0
-	// this is attack.Accuse's exact marking-assumption rule; a lower
+	// this is registry.Implicated's exact marking-assumption rule; a lower
 	// threshold also catches coalitions whose forged copy retained another
 	// colluder's variant at the sites the attack detected.
 	Implicated []string `json:"implicated,omitempty"`
@@ -611,7 +610,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 				return apiErrorf(http.StatusUnprocessableEntity, "trace: %v", err)
 			}
 			resp.Threshold = threshold
-			resp.FullRemoval = attack.FullRemoval(scores)
+			resp.FullRemoval = registry.FullRemoval(scores)
 			resp.Scores = make([]TraceScore, 0, len(scores))
 			for _, sc := range scores {
 				resp.Scores = append(resp.Scores, TraceScore{
@@ -621,10 +620,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 					Fraction:     sc.Fraction(),
 					FractionAll:  sc.FractionAll(),
 				})
-				if !resp.FullRemoval && sc.TotalPresent > 0 && sc.Fraction() >= threshold {
-					resp.Implicated = append(resp.Implicated, sc.Name)
-				}
 			}
+			resp.Implicated = registry.Implicated(scores, threshold)
 		}
 		// The accusation count rides in a header so load balancers and
 		// alerting probes can watch trace outcomes without parsing bodies;

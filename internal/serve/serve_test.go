@@ -15,10 +15,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/bench"
 	"repro/internal/benchfmt"
 	"repro/internal/circuit"
+	"repro/internal/redteam"
 )
 
 // benchBytes renders a suite circuit as .bench text — the client-side view
@@ -150,7 +150,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// A verbatim pirated copy traces exactly to its buyer, and at the
 	// default threshold 1.0 the score-based accusation implicates exactly
-	// that buyer (attack.Accuse's marking-assumption rule).
+	// that buyer (registry.Implicated's marking-assumption rule).
 	tr := traceSuspect(t, ts.URL, info.Digest, aliceBody, "")
 	if tr.Exact != "alice" {
 		t.Errorf("exact trace = %q, want alice", tr.Exact)
@@ -167,9 +167,9 @@ func TestServeEndToEnd(t *testing.T) {
 	// whole pipeline is deterministic (hash-derived fingerprints), so 0.4
 	// separates cleanly for this design: colluders score ≥ 0.5, innocents
 	// ≤ 0.31.
-	coll, err := attack.Collude([]*circuit.Circuit{
+	coll, err := redteam.Coalition([]*circuit.Circuit{
 		parseBench(t, aliceBody), parseBench(t, bobBody),
-	})
+	}, redteam.StrategyFewestPins)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@
 //
 // Because every copy shares the watermark, a §III-E collusion attacker —
 // who can only detect sites where copies differ — can never locate it, let
-// alone strip it (property-tested in internal/attack interplay tests).
+// alone strip it (property-tested against internal/redteam's coalition).
 package watermark
 
 import (
@@ -189,7 +189,7 @@ type Evidence struct {
 	// Equivalent attests Requirement 1 for the recovered assignment: a copy
 	// carrying exactly the extracted catalogue modifications (tampered
 	// slots treated as unmodified) is functionally equivalent to the
-	// master. Proved on the analysis-wide incremental cec.Session.
+	// master. Proved by the analysis-wide verifier (SharedVerifier).
 	Equivalent bool
 }
 

@@ -4,12 +4,12 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/attack"
 	"repro/internal/bench"
 	"repro/internal/cec"
 	"repro/internal/cell"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/redteam"
 )
 
 func analyzed(t testing.TB, name string) *core.Analysis {
@@ -255,7 +255,7 @@ func TestWatermarkSurvivesCollusion(t *testing.T) {
 		}
 		copies[i] = cp
 	}
-	res, err := attack.Collude(copies)
+	res, err := redteam.Coalition(copies, redteam.StrategyFewestPins)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,8 @@
 //
 // Delay-constrained fingerprinting (the paper's §III-D/§IV-B heuristics)
 // lives behind ConstrainReactive and ConstrainProactive; the collusion
-// attack and buyer tracing of §III-E behind Collude and NewTracer.
+// attack and buyer tracing of §III-E behind Collude, NewRegistry and
+// Implicated.
 package odcfp
 
 import (
@@ -27,7 +28,6 @@ import (
 	"math/big"
 
 	"repro/internal/aig"
-	"repro/internal/attack"
 	"repro/internal/bench"
 	"repro/internal/benchfmt"
 	"repro/internal/blif"
@@ -38,6 +38,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/fpcode"
 	"repro/internal/fuse"
+	"repro/internal/redteam"
+	"repro/internal/registry"
 	"repro/internal/sdc"
 	"repro/internal/techmap"
 	"repro/internal/verilog"
@@ -74,15 +76,19 @@ type (
 	ConstrainResult = constrain.Result
 
 	// CollusionResult reports a collusion attack's outcome.
-	CollusionResult = attack.CollusionResult
-	// Tracer is the designer-side registry used to trace pirated copies.
-	Tracer = attack.Tracer
+	CollusionResult = redteam.CollusionResult
+	// Registry is the designer-side record of issued fingerprints, used to
+	// trace pirated copies back to buyers.
+	Registry = registry.Registry
+	// Score is one buyer's agreement with a traced suspect copy.
+	Score = registry.Score
 
-	// Verifier proves fingerprint copies equivalent to the master over a
-	// persistent incremental cec.Session, falling back to one-shot miters
-	// when the catalogue cannot be instrumented. Obtain one with
-	// NewVerifier or share the analysis-wide instance via
-	// (*Analysis).SharedVerifier.
+	// Verifier proves fingerprint copies equivalent to the master. It
+	// first proves each fingerprint location's ODC window once (window
+	// certificates); if a window fails it falls back to a persistent
+	// incremental cec.Session, and to a one-shot cec.Check when the
+	// session cannot express the catalogue. Obtain one with NewVerifier
+	// or share the analysis-wide instance via (*Analysis).SharedVerifier.
 	Verifier = core.Verifier
 	// Verdict is an equivalence-check outcome (cec package).
 	Verdict = cec.Verdict
@@ -186,11 +192,23 @@ func FullAssignment(a *Analysis) Assignment { return core.FullAssignment(a) }
 func EmptyAssignment(a *Analysis) Assignment { return core.EmptyAssignment(a) }
 
 // Collude simulates the §III-E collusion attack over k fingerprinted
-// instances of one design.
-func Collude(copies []*Circuit) (*CollusionResult, error) { return attack.Collude(copies) }
+// instances of one design: every gate whose form differs across the copies
+// takes its fewest-pin form.
+func Collude(copies []*Circuit) (*CollusionResult, error) {
+	return redteam.Coalition(copies, redteam.StrategyFewestPins)
+}
 
-// NewTracer creates the designer-side fingerprint registry for tracing.
-func NewTracer(a *Analysis) *Tracer { return attack.NewTracer(a) }
+// NewRegistry creates the designer-side fingerprint registry for tracing.
+// Record each buyer's fingerprint with Issue, or with Adopt for a value of
+// the caller's choosing (a.IntFromAssignment(asg).String()).
+func NewRegistry(a *Analysis) *Registry { return registry.New(a) }
+
+// Implicated returns the buyers whose marking-assumption score on a traced
+// suspect (Registry.TraceScores) reaches threshold; a fully stripped
+// suspect implicates nobody.
+func Implicated(scores []Score, threshold float64) []string {
+	return registry.Implicated(scores, threshold)
+}
 
 // --- extensions beyond the core pipeline ---------------------------------
 

@@ -121,7 +121,7 @@ func TestFacadeCollusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := odcfp.NewTracer(a)
+	reg := odcfp.NewRegistry(a)
 	n := a.BitCapacity()
 	if n < 4 {
 		t.Skip("adder too small")
@@ -139,7 +139,13 @@ func TestFacadeCollusion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.Register("b"+string(rune('0'+pattern%10)), asg)
+		v, err := a.IntFromAssignment(asg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Adopt("b"+string(rune('0'+pattern%10)), v.String()); err != nil {
+			t.Fatal(err)
+		}
 		return cp
 	}
 	copies := []*odcfp.Circuit{mk(0xA5), mk(0x3C)}
@@ -149,6 +155,15 @@ func TestFacadeCollusion(t *testing.T) {
 	}
 	if err := odcfp.Equivalent(a.Circuit, res.Forged); err != nil {
 		t.Fatal(err)
+	}
+	// The two patterns share bits 2 and 5 of every byte, which the
+	// coalition cannot see, so both colluders stay implicated.
+	scores, err := reg.TraceScores(a, res.Forged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := odcfp.Implicated(scores, 1.0); len(got) != 2 {
+		t.Errorf("implicated %v, want both colluders b0 and b5", got)
 	}
 }
 
