@@ -2,13 +2,15 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-analyze bench-analyze-smoke bench-attack bench-verify bench-serve bench-serve-cluster serve-smoke cluster-smoke partition-smoke chaos-cluster attack-smoke chaos experiments reproduce doccheck fuzz cover ci clean
+.PHONY: all build test vet bench bench-smoke bench-analyze bench-analyze-smoke bench-attack bench-verify bench-serve bench-serve-cluster serve-smoke cluster-smoke partition-smoke chaos-cluster attack-smoke chaos experiments reproduce doccheck fuzz cover ci clean
 
 all: build vet test
 
 # Everything the CI workflow runs: formatting, vet, doc lint, build, the
 # full race-enabled test suite, vet and tests of the separate perfbench
-# module (it builds against this module's packages), a short fuzz pass
+# module (it builds against this module's packages), one iteration of the
+# root verification, simulation, tracing and analysis benchmarks, a short
+# fuzz pass
 # over the three netlist parsers, the red-team spec reader, the hand-written JSON appenders
 # (against encoding/json) and the SAT solver (against brute force, and
 # Reset against New), the fault-injected chaos smoke, the
@@ -21,6 +23,7 @@ ci: doccheck
 	$(GO) build ./...
 	$(GO) test -race ./...
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	$(MAKE) bench-smoke
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/blif/
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/benchfmt/
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/verilog/
@@ -132,23 +135,28 @@ reproduce:
 bench:
 	$(GO) test -bench=. -benchmem .
 
+# One iteration of each root benchmark CI exercises: the verification
+# engines, the simulation kernels, registry tracing and snapshot writes, and
+# the analysis scan. Catches a benchmark that no longer builds or runs.
+bench-smoke:
+	$(GO) test -run xxx -bench 'BenchmarkVerifyWindows|BenchmarkVerifySession|BenchmarkVerifyColdCEC|BenchmarkPackedSim|BenchmarkSimRun|BenchmarkExhaustive|BenchmarkTraceScores|BenchmarkTraceResponse|BenchmarkRegistrySave|BenchmarkAnalyze' -benchtime 1x -benchmem .
+
 # Incremental-verification baseline: 64 fingerprint copies through the
 # persistent cec.Session vs 64 cold cec.Check miters; writes BENCH_verify.json
 # and fails below a 3× speedup or on any verdict mismatch.
 bench-verify:
 	$(GO) run ./cmd/benchverify
 
-# Analysis-core baseline: packed Analyze vs the reference baseline scan, plus
-# post-Embed incremental re-analysis vs a full re-analysis; writes
-# BENCH_analyze.json and fails below 10× cold / 5× incremental on c7552.
+# Analysis-core baseline: packed Analyze vs the reference baseline scan;
+# writes BENCH_analyze.json and fails below a 10× cold speedup on c7552.
 bench-analyze:
-	$(GO) run ./cmd/benchanalyze -min-cold 10 -min-incr 5
+	$(GO) run ./cmd/benchanalyze -min-cold 10
 
 # CI smoke variant: the two smaller circuits only, with the cold gate relaxed
-# to 3× (and a 2× incremental floor) so shared CI runners don't flake; the
-# full gates above run on dedicated hardware.
+# to 3× so shared CI runners don't flake; the full gate above runs on
+# dedicated hardware.
 bench-analyze-smoke:
-	$(GO) run ./cmd/benchanalyze -circuits c880,c5315 -min-cold 3 -min-incr 2
+	$(GO) run ./cmd/benchanalyze -circuits c880,c5315 -min-cold 3
 
 cover:
 	$(GO) test -cover ./...

@@ -1,13 +1,10 @@
 // Command benchanalyze times the packed-array analysis core against the
 // reference baseline scan and records the result as a JSON baseline
-// artefact: one cold fingerprint analysis per circuit (packed Analyze vs
-// AnalyzeBaseline), plus incremental re-analysis after a single embedded
-// modification (Working.Reanalyze vs a full re-Analyze of the modified
-// netlist). Both sides of each comparison must report identical location
-// sets.
+// artefact: one cold fingerprint analysis per circuit, packed Analyze vs
+// AnalyzeBaseline. Both scans must report identical location sets.
 //
 //	benchanalyze                                  c880,c5315,c7552 → BENCH_analyze.json
-//	benchanalyze -circuits c880,c5315 -min-cold 3 -min-incr 3
+//	benchanalyze -circuits c880,c5315 -min-cold 3
 //	benchanalyze -reps 10 -o /tmp/b.json
 //
 // Timing protocol: each circuit is built and validated once, untimed —
@@ -15,12 +12,11 @@
 // analysis it retains. Each timed measurement is the minimum over -reps
 // repetitions with a garbage-collection quiesce before each one, so the
 // number reported is the latency of one analysis, not of the benchmark
-// loop's own discarded garbage. The -min-cold/-min-incr acceptance gates
-// apply to the last circuit listed (the largest in the default set).
+// loop's own discarded garbage. The -min-cold acceptance gate applies to
+// the last circuit listed (the largest in the default set).
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -42,9 +38,8 @@ type Baseline struct {
 	Circuits []CircuitResult `json:"circuits"`
 }
 
-// CircuitResult is one circuit's measurements: cold analysis (packed vs
-// baseline scan) and incremental re-analysis after one embedded
-// modification (vs a full re-analysis of the same netlist).
+// CircuitResult is one circuit's measurements: cold analysis, packed vs
+// baseline scan.
 type CircuitResult struct {
 	Circuit      string  `json:"circuit"`
 	Gates        int     `json:"gates"`
@@ -52,9 +47,6 @@ type CircuitResult struct {
 	ColdSecs     float64 `json:"cold_secs"`
 	BaselineSecs float64 `json:"baseline_secs"`
 	ColdSpeedup  float64 `json:"cold_speedup"`
-	IncrSecs     float64 `json:"incr_secs"`
-	FullSecs     float64 `json:"full_secs"`
-	IncrSpeedup  float64 `json:"incr_speedup"`
 }
 
 func main() {
@@ -62,7 +54,6 @@ func main() {
 	reps := flag.Int("reps", 25, "repetitions per measurement (minimum is reported)")
 	out := flag.String("o", "BENCH_analyze.json", "output JSON path")
 	minCold := flag.Float64("min-cold", 0, "fail below this cold speedup on the last circuit (0 = report only)")
-	minIncr := flag.Float64("min-incr", 0, "fail below this incremental speedup on the last circuit (0 = report only)")
 	flag.Parse()
 
 	names := strings.Split(*circuits, ",")
@@ -71,9 +62,8 @@ func main() {
 		res, err := measure(strings.TrimSpace(name), *reps)
 		fail(err)
 		b.Circuits = append(b.Circuits, res)
-		fmt.Printf("%s: cold %.0fµs vs baseline %.0fµs — %.1f×; incr %.0fµs vs full %.0fµs — %.1f× (%d locations)\n",
-			res.Circuit, res.ColdSecs*1e6, res.BaselineSecs*1e6, res.ColdSpeedup,
-			res.IncrSecs*1e6, res.FullSecs*1e6, res.IncrSpeedup, res.Locations)
+		fmt.Printf("%s: cold %.0fµs vs baseline %.0fµs — %.1f× (%d locations)\n",
+			res.Circuit, res.ColdSecs*1e6, res.BaselineSecs*1e6, res.ColdSpeedup, res.Locations)
 	}
 	data, err := json.MarshalIndent(b, "", "  ")
 	fail(err)
@@ -82,9 +72,6 @@ func main() {
 	last := b.Circuits[len(b.Circuits)-1]
 	if *minCold > 0 && last.ColdSpeedup < *minCold {
 		fail(fmt.Errorf("%s: cold speedup %.2f× below the %.1f× acceptance bar", last.Circuit, last.ColdSpeedup, *minCold))
-	}
-	if *minIncr > 0 && last.IncrSpeedup < *minIncr {
-		fail(fmt.Errorf("%s: incremental speedup %.2f× below the %.1f× acceptance bar", last.Circuit, last.IncrSpeedup, *minIncr))
 	}
 }
 
@@ -124,38 +111,6 @@ func measure(name string, reps int) (CircuitResult, error) {
 		return err
 	})
 	res.ColdSpeedup = res.BaselineSecs / res.ColdSecs
-
-	// Incremental: embed one modification through a working netlist, then
-	// compare re-deriving only the dirtied cones against a full re-analysis
-	// of the modified circuit.
-	asg := core.EmptyAssignment(fast)
-	asg[0][0] = 0
-	w, err := core.NewWorking(fast, asg)
-	if err != nil {
-		return CircuitResult{}, err
-	}
-	ctx := context.Background()
-	incr, err := w.Reanalyze(ctx)
-	if err != nil {
-		return CircuitResult{}, err
-	}
-	full, err := core.Analyze(w.C, opts)
-	if err != nil {
-		return CircuitResult{}, err
-	}
-	if !reflect.DeepEqual(incr.Locations, full.Locations) {
-		return CircuitResult{}, fmt.Errorf("%s: incremental and full re-analysis disagree (%d vs %d locations)",
-			name, incr.NumLocations(), full.NumLocations())
-	}
-	res.IncrSecs = minTime(reps, func() error {
-		_, err := w.Reanalyze(ctx)
-		return err
-	})
-	res.FullSecs = minTime(reps, func() error {
-		_, err := core.Analyze(w.C, opts)
-		return err
-	})
-	res.IncrSpeedup = res.FullSecs / res.IncrSecs
 	return res, nil
 }
 

@@ -10,21 +10,18 @@ import "sync"
 // IsPODriver scan the PO list per call, FFC builds a map per call — dominate
 // the profile.
 //
-// A view is valid for the Version() at which it was built; mutating the
-// circuit invalidates it silently, so callers must rebuild after edits
+// A view is valid for the circuit Version() at which it was built; mutating
+// the circuit invalidates it silently, so callers must rebuild after edits
 // (construction is a single O(nodes+POs) pass). A view is not safe for
 // concurrent use: the MFFC scratch is shared across calls.
 type ScanView struct {
-	c       *Circuit
-	version uint64
+	c *Circuit
 
 	sinkCount []int32 // per node: len(fanout) + number of POs driven
 	poDriver  []bool  // per node: drives at least one PO
 
-	// Epoch-marked MFFC scratch: mark[i] == epoch means "in the cone",
-	// seen[i] == epoch means "examined during this traversal".
+	// Epoch-marked MFFC scratch: mark[i] == epoch means "in the cone".
 	mark  []uint32
-	seen  []uint32
 	epoch uint32
 }
 
@@ -49,73 +46,51 @@ func NewScanView(c *Circuit) *ScanView {
 	}
 	return &ScanView{
 		c:         c,
-		version:   c.version,
 		sinkCount: c.sinks,
 		poDriver:  c.poDrv,
 	}
 }
 
-// Circuit returns the circuit this view was built over.
-func (v *ScanView) Circuit() *Circuit { return v.c }
-
-// Version returns the circuit version the view reflects.
-func (v *ScanView) Version() uint64 { return v.version }
-
 // SinkCount is the packed equivalent of Circuit.FanoutCount.
 func (v *ScanView) SinkCount(id NodeID) int32 { return v.sinkCount[id] }
 
-// SinkCounts exposes the whole packed sink-count array, indexed by NodeID.
-func (v *ScanView) SinkCounts() []int32 { return v.sinkCount }
-
-// PODriver is the packed equivalent of Circuit.IsPODriver.
-func (v *ScanView) PODriver(id NodeID) bool { return v.poDriver[id] }
-
-// PODrivers exposes the whole packed PO-driver mask, indexed by NodeID.
-func (v *ScanView) PODrivers() []bool { return v.poDriver }
-
-// scanScratch is a pooled mark/seen pair. The epoch travels with the arrays:
-// a reused pair continues counting from where it left off, so stale marks
+// scanScratch is a pooled mark array. The epoch travels with the array: a
+// reused array continues counting from where it left off, so stale marks
 // from an earlier traversal can never collide with a fresh epoch.
 type scanScratch struct {
-	mark, seen []uint32
-	epoch      uint32
+	mark  []uint32
+	epoch uint32
 }
 
 var scanScratchPool sync.Pool
 
 // nextEpoch advances the scratch epoch, clearing marks on wraparound. The
-// scratch arrays are acquired lazily (from a package pool when one fits):
-// incremental re-analysis often replays every cone without traversing any,
-// and then never pays for them.
+// mark array is acquired lazily, from a package pool when one fits, so a
+// view that never traverses a cone never pays for it.
 func (v *ScanView) nextEpoch() uint32 {
 	if v.mark == nil {
 		n := len(v.sinkCount)
 		if s, _ := scanScratchPool.Get().(*scanScratch); s != nil && cap(s.mark) >= n {
-			v.mark, v.seen, v.epoch = s.mark[:n], s.seen[:n], s.epoch
+			v.mark, v.epoch = s.mark[:n], s.epoch
 		} else {
 			v.mark = make([]uint32, n)
-			v.seen = make([]uint32, n)
 		}
 	}
 	v.epoch++
 	if v.epoch == 0 {
-		for i := range v.mark {
-			v.mark[i] = 0
-			v.seen[i] = 0
-		}
+		clear(v.mark)
 		v.epoch = 1
 	}
 	return v.epoch
 }
 
 // Release returns the view's traversal scratch to the package pool. Call it
-// when the view is no longer needed; the packed sink-count and PO-driver
-// arrays stay valid (analysis results retain them), but the view must not be
-// used for further MFFC traversals afterwards.
+// when the view is no longer needed; the view must not be used for further
+// MFFC traversals afterwards.
 func (v *ScanView) Release() {
 	if v.mark != nil {
-		scanScratchPool.Put(&scanScratch{mark: v.mark, seen: v.seen, epoch: v.epoch})
-		v.mark, v.seen = nil, nil
+		scanScratchPool.Put(&scanScratch{mark: v.mark, epoch: v.epoch})
+		v.mark = nil
 	}
 }
 
@@ -123,25 +98,14 @@ func (v *ScanView) Release() {
 // in the same root-first breadth-first discovery order, as Circuit.FFC —
 // appending it to cone and returning the extended slice. It allocates
 // nothing when the caller reuses the backing array across calls.
-//
-// When examined is non-nil, every distinct node inspected during the
-// traversal (the cone itself plus every rejected fanin candidate) is
-// appended to *examined: this is exactly the set of nodes whose structure
-// (fanin/fanout lists, PI flag, PO-driver flag) the cone's membership
-// depends on, which incremental re-analysis uses as the cone's dependency
-// footprint.
-func (v *ScanView) AppendMFFC(root NodeID, cone []NodeID, examined *[]NodeID) []NodeID {
+func (v *ScanView) AppendMFFC(root NodeID, cone []NodeID) []NodeID {
 	c := v.c
 	if c.Nodes[root].IsPI {
 		return cone
 	}
 	e := v.nextEpoch()
-	mark, seen := v.mark, v.seen
+	mark := v.mark
 	mark[root] = e
-	seen[root] = e
-	if examined != nil {
-		*examined = append(*examined, root)
-	}
 	start := len(cone)
 	cone = append(cone, root)
 	// Breadth-first growth, treating cone[start:] as the queue: a candidate
@@ -152,10 +116,6 @@ func (v *ScanView) AppendMFFC(root NodeID, cone []NodeID, examined *[]NodeID) []
 		for _, f := range c.Nodes[g].Fanin {
 			if mark[f] == e {
 				continue
-			}
-			if examined != nil && seen[f] != e {
-				seen[f] = e
-				*examined = append(*examined, f)
 			}
 			if c.Nodes[f].IsPI || v.poDriver[f] {
 				continue

@@ -19,8 +19,8 @@ import (
 
 // AnalyzeBaseline runs the retained pre-packing implementation of Analyze.
 // Results are equal to Analyze (same locations, targets, variants, in the
-// same order), but the Analysis carries no incremental state: a subsequent
-// AnalyzeIncremental falls back to a full scan.
+// same order). It is kept only as the measurement baseline and test oracle
+// described above.
 func AnalyzeBaseline(c *circuit.Circuit, opts Options) (*Analysis, error) {
 	if opts.Library == nil {
 		return nil, fmt.Errorf("core: Options.Library is required")

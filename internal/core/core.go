@@ -185,35 +185,17 @@ type Analysis struct {
 	Locations []Location
 	// levels caches the logic level of every node of Circuit.
 	levels []int
-	// verifier lazily holds the shared incremental verifier (verify.go).
+	// verifier lazily holds the circuit's verifier (verify.go): window
+	// certificates first, a shared whole-circuit session as the fallback.
 	verifyMu sync.Mutex
 	verifier *Verifier
 
-	// Incremental re-analysis state (incremental.go): the circuit version the
-	// scan ran at, packed per-node observations, and per-primary outcomes with
-	// their dependency footprints. AnalyzeBaseline leaves these nil.
-	version    uint64
-	sinkCount  []int32          // per node: fanout gates + POs driven
-	poDriver   []bool           // per node: drives a PO
-	claimOwner []int32          // per node: claiming location index, or -1
-	prim       []primScan       // per node: scan outcome at this primary
-	coneBuf    []circuit.NodeID // MFFC cone scratch, reused across primaries
-	footBuf    []circuit.NodeID // MFFC examined-set scratch
-	// foots records, per primary, the MFFC dependency footprint of its scan:
-	// cone nodes plus every rejected cone-candidate examined. Only full scans
-	// populate it (incremental results leave it nil and fall back to a full
-	// scan when used as the base of a further incremental pass); dropping it
-	// from incremental results roughly halves their allocation footprint.
-	foots [][]circuit.NodeID
+	// Scan state: target gates already claimed by an earlier location, and
+	// the MFFC cone scratch reused across primaries.
+	claimed []bool
+	coneBuf []circuit.NodeID
 	// hasCell densely caches Options.Library.Has per (kind, fanin).
 	hasCell [logic.NumKinds][]bool
-
-	// footMu guards the lazily built reverse dependency index (footIndex):
-	// for every node, the primaries whose scan outcome depends on it. Built on
-	// the first incremental re-analysis from this result and reused after.
-	footMu     sync.Mutex
-	footStarts []int32
-	footPrims  []int32
 
 	// Chunked arenas and scratch buffers for the scan's result slices. The
 	// hot loop produces tens of thousands of tiny Lit/Variant/Target slices;
@@ -247,29 +229,20 @@ func (a *Analysis) ID() uint64 {
 	return a.id.Load()
 }
 
+// arenaChunk is the element capacity of one arena chunk.
+const arenaChunk = 4096
+
 // arena hands out capacity-clamped sub-slices of large shared chunks. A
 // chunk is abandoned (still referenced by its sub-slices, never reused) once
-// the next request no longer fits. Chunks grow geometrically from 64 to 4096
-// elements: a full scan quickly reaches large chunks, while an incremental
-// re-analysis that recomputes a single cone allocates only a small one.
+// the next request no longer fits; a request larger than arenaChunk gets a
+// chunk of its own size.
 type arena[T any] struct {
-	cur  []T
-	next int // capacity of the next chunk
+	cur []T
 }
 
 func (ar *arena[T]) alloc(n int) []T {
 	if n > cap(ar.cur)-len(ar.cur) {
-		sz := ar.next
-		if sz < 64 {
-			sz = 64
-		}
-		if sz < n {
-			sz = n
-		}
-		ar.cur = make([]T, 0, sz)
-		if sz < 4096 {
-			ar.next = sz * 2
-		}
+		ar.cur = make([]T, 0, max(arenaChunk, n))
 	}
 	lo := len(ar.cur)
 	ar.cur = ar.cur[:lo+n]
@@ -296,23 +269,6 @@ func (a *Analysis) lit2(l0, l1 Lit) []Lit {
 	return s
 }
 
-// Outcome of scanning one primary-gate candidate.
-const (
-	primSkip    uint8 = iota // not a candidate at scan time (PI / no local ODC)
-	primNoLoc                // candidate, but no location was produced
-	primLocated              // produced Locations[loc]
-)
-
-// primScan records what the primary-gate scan decided at one node, so
-// incremental re-analysis can replay the decision without recomputing it when
-// none of its dependencies (Analysis.foots) changed. Kept pointer-free and
-// small: one is allocated per node on every analysis.
-type primScan struct {
-	outcome uint8
-	locAt   int32 // len(Locations) when this primary was scanned
-	loc     int32 // location index when outcome == primLocated
-}
-
 // Analyze scans the circuit and returns all fingerprint locations with their
 // modification catalogues. It follows the Fig. 6 pseudo-code: every gate is
 // examined as a potential primary gate; its deepest fanout-free fanin
@@ -326,10 +282,9 @@ func Analyze(c *circuit.Circuit, opts Options) (*Analysis, error) {
 // daemon deadline interrupts even very large netlists promptly.
 //
 // The scan runs on a packed circuit.ScanView (flat sink counts, PO-driver
-// mask, allocation-free MFFC) and records per-primary outcomes with their
-// dependency footprints, enabling AnalyzeIncremental after small edits. The
-// produced locations are bit-for-bit identical to AnalyzeBaseline, the
-// retained pre-packing implementation (TestAnalyzeMatchesBaseline).
+// mask, allocation-free MFFC). The produced locations are bit-for-bit
+// identical to AnalyzeBaseline, the retained pre-packing implementation
+// (TestAnalyzeMatchesBaseline).
 func AnalyzeCtx(ctx context.Context, c *circuit.Circuit, opts Options) (*Analysis, error) {
 	if opts.Library == nil {
 		return nil, fmt.Errorf("core: Options.Library is required")
@@ -342,16 +297,23 @@ func AnalyzeCtx(ctx context.Context, c *circuit.Circuit, opts Options) (*Analysi
 	mAnalyses.Inc()
 	view := circuit.NewScanView(c)
 	defer view.Release()
-	a := newAnalysis(c, opts, view)
-	a.foots = make([][]circuit.NodeID, len(c.Nodes))
-	// A full scan fills large arenas and finds locations at a few percent of
-	// the gate count; sizing up front avoids append-growth garbage (the
-	// incremental path keeps the small geometric chunks instead).
-	a.Locations = make([]Location, 0, len(c.Nodes)/16+8)
-	a.litArena.next = 4096
-	a.varArena.next = 4096
-	a.tgtArena.next = 4096
-	a.nodeArena.next = 4096
+	a := &Analysis{
+		Circuit: c,
+		Options: opts,
+		levels:  c.Levels(),
+		claimed: make([]bool, len(c.Nodes)),
+		// Locations come to a few percent of the gate count; sizing up
+		// front avoids append-growth garbage.
+		Locations: make([]Location, 0, len(c.Nodes)/16+8),
+	}
+	for k := range a.hasCell {
+		kind := logic.Kind(k)
+		t := make([]bool, opts.Library.MaxFanin(kind)+1)
+		for w := range t {
+			t[w] = opts.Library.Has(kind, w)
+		}
+		a.hasCell[k] = t
+	}
 
 	// Scan primary-gate candidates in topological order for determinism.
 	// Counters are batched locally: one atomic per gate is measurable at
@@ -375,7 +337,14 @@ func AnalyzeCtx(ctx context.Context, c *circuit.Circuit, opts Options) (*Analysi
 		if !odc.HasLocalODC(nd.Kind, len(nd.Fanin)) {
 			continue
 		}
-		a.recordPrimary(view, p)
+		loc, ok := a.locationAt(view, p)
+		if !ok {
+			continue
+		}
+		for _, t := range loc.Targets {
+			a.claimed[t.Gate] = true
+		}
+		a.Locations = append(a.Locations, loc)
 	}
 	mODCChecks.Add(checks)
 	mLocationsFound.Add(int64(a.NumLocations()))
@@ -386,59 +355,8 @@ func AnalyzeCtx(ctx context.Context, c *circuit.Circuit, opts Options) (*Analysi
 	return a, nil
 }
 
-// newAnalysis prepares an empty analysis with the packed per-node state the
-// scan and later incremental re-analyses need.
-func newAnalysis(c *circuit.Circuit, opts Options, view *circuit.ScanView) *Analysis {
-	n := len(c.Nodes)
-	a := &Analysis{
-		Circuit:    c,
-		Options:    opts,
-		levels:     c.Levels(),
-		version:    c.Version(),
-		sinkCount:  view.SinkCounts(),
-		poDriver:   view.PODrivers(),
-		claimOwner: make([]int32, n),
-		prim:       make([]primScan, n),
-	}
-	for i := range a.claimOwner {
-		a.claimOwner[i] = -1
-	}
-	for k := range a.hasCell {
-		kind := logic.Kind(k)
-		t := make([]bool, opts.Library.MaxFanin(kind)+1)
-		for w := range t {
-			t[w] = opts.Library.Has(kind, w)
-		}
-		a.hasCell[k] = t
-	}
-	return a
-}
-
-// recordPrimary runs locationAt for an established candidate primary p and
-// records the outcome, its footprint, and any claimed targets.
-func (a *Analysis) recordPrimary(view *circuit.ScanView, p circuit.NodeID) {
-	ps := &a.prim[p]
-	ps.locAt = int32(len(a.Locations))
-	a.footBuf = a.footBuf[:0]
-	loc, ok := a.locationAt(view, p)
-	if a.foots != nil {
-		a.foots[p] = a.nodeArena.clone(a.footBuf)
-	}
-	if !ok {
-		ps.outcome = primNoLoc
-		return
-	}
-	ps.outcome = primLocated
-	ps.loc = int32(len(a.Locations))
-	for _, t := range loc.Targets {
-		a.claimOwner[t.Gate] = ps.loc
-	}
-	a.Locations = append(a.Locations, loc)
-}
-
-// locationAt attempts to build a location with primary gate p. The MFFC walk
-// appends the examined nodes to the a.footBuf scratch as a side effect (the
-// caller snapshots them into a.prim[p].foot).
+// locationAt attempts to build a location with primary gate p. Cone gates
+// already claimed by an earlier location are not offered as targets.
 func (a *Analysis) locationAt(view *circuit.ScanView, p circuit.NodeID) (Location, bool) {
 	c := a.Circuit
 	nd := &c.Nodes[p]
@@ -496,7 +414,7 @@ func (a *Analysis) locationAt(view *circuit.ScanView, p circuit.NodeID) (Locatio
 	}
 	x := nd.Fanin[xPin]
 
-	a.coneBuf = view.AppendMFFC(y, a.coneBuf[:0], &a.footBuf)
+	a.coneBuf = view.AppendMFFC(y, a.coneBuf[:0])
 	cone := a.nodeArena.clone(a.coneBuf)
 	loc := Location{
 		Primary:      p,
@@ -511,7 +429,7 @@ func (a *Analysis) locationAt(view *circuit.ScanView, p circuit.NodeID) (Locatio
 	// Criterion 3: enumerate modifiable cone gates.
 	targets := a.tgtBuf[:0]
 	for _, g := range cone {
-		if a.claimOwner[g] >= 0 {
+		if a.claimed[g] {
 			continue
 		}
 		gd := &c.Nodes[g]

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -28,25 +27,73 @@ func optionSets() map[string]Options {
 	}
 }
 
+// embeddedSpecs names the suite circuits whose fingerprinted netlists join
+// the scan-equivalence inputs.
+var embeddedSpecs = map[string]bool{"c432": true, "c880": true, "c1355": true, "c5315": true, "des": true}
+
+// embeddedNetlists returns post-Embed netlists of c: one canonical
+// modification, the full assignment, and the full assignment with every
+// other modification disabled (parked inverters, appended helper nodes).
+func embeddedNetlists(t *testing.T, name string, c *circuit.Circuit) map[string]*circuit.Circuit {
+	t.Helper()
+	a, err := Analyze(c, DefaultOptions(cell.Default()))
+	if err != nil {
+		t.Fatalf("%s: Analyze: %v", name, err)
+	}
+	if len(a.Locations) == 0 {
+		t.Fatalf("%s: no locations to embed", name)
+	}
+	single := EmptyAssignment(a)
+	single[0][0] = 0
+	ws, err := NewWorking(a, single)
+	if err != nil {
+		t.Fatalf("%s: NewWorking(single): %v", name, err)
+	}
+	wf, err := NewWorking(a, FullAssignment(a))
+	if err != nil {
+		t.Fatalf("%s: NewWorking(full): %v", name, err)
+	}
+	wt, err := NewWorking(a, FullAssignment(a))
+	if err != nil {
+		t.Fatalf("%s: NewWorking(toggled): %v", name, err)
+	}
+	for m := 0; m < len(wt.Mods); m += 2 {
+		if err := wt.Disable(m); err != nil {
+			t.Fatalf("%s: Disable(%d): %v", name, m, err)
+		}
+	}
+	return map[string]*circuit.Circuit{"single": ws.C, "full": wf.C, "toggled": wt.C}
+}
+
 // TestAnalyzeMatchesBaseline proves the packed-view scan reproduces the
 // retained pre-packing implementation bit for bit — same locations, cones,
-// targets and variants in the same order — on every committed benchmark and
-// across every option combination.
+// targets and variants in the same order — on every committed benchmark,
+// on fingerprinted netlists of a few of them, and across every option
+// combination.
 func TestAnalyzeMatchesBaseline(t *testing.T) {
+	inputs := map[string]*circuit.Circuit{}
 	for _, spec := range allSpecs() {
 		c := spec.Build()
+		inputs[spec.Name] = c
+		if embeddedSpecs[spec.Name] {
+			for label, ec := range embeddedNetlists(t, spec.Name, c) {
+				inputs[spec.Name+"+"+label] = ec
+			}
+		}
+	}
+	for cname, c := range inputs {
 		for name, opts := range optionSets() {
 			fast, err := Analyze(c, opts)
 			if err != nil {
-				t.Fatalf("%s/%s: Analyze: %v", spec.Name, name, err)
+				t.Fatalf("%s/%s: Analyze: %v", cname, name, err)
 			}
 			base, err := AnalyzeBaseline(c, opts)
 			if err != nil {
-				t.Fatalf("%s/%s: AnalyzeBaseline: %v", spec.Name, name, err)
+				t.Fatalf("%s/%s: AnalyzeBaseline: %v", cname, name, err)
 			}
 			if !reflect.DeepEqual(fast.Locations, base.Locations) {
 				t.Errorf("%s/%s: packed scan diverges from baseline (%d vs %d locations)",
-					spec.Name, name, len(fast.Locations), len(base.Locations))
+					cname, name, len(fast.Locations), len(base.Locations))
 			}
 		}
 	}
@@ -95,97 +142,5 @@ func TestAnalyzeGoldenLocations(t *testing.T) {
 		if len(primaries) < len(want.first) || !reflect.DeepEqual(primaries[:len(want.first)], want.first) {
 			t.Errorf("%s: first primaries %v, want %v", name, primaries[:min(len(primaries), 4)], want.first)
 		}
-	}
-}
-
-// TestIncrementalMatchesFull embeds fingerprints into every benchmark and
-// checks AnalyzeIncremental on the working netlist equals a from-scratch
-// Analyze of the same netlist — for a single modification, the full
-// assignment, and after toggling mods (chained reuse through a second
-// incremental pass).
-func TestIncrementalMatchesFull(t *testing.T) {
-	ctx := context.Background()
-	opts := DefaultOptions(cell.Default())
-	for _, spec := range allSpecs() {
-		if testing.Short() && spec.Name != "c432" && spec.Name != "c880" {
-			continue
-		}
-		c := spec.Build()
-		a, err := Analyze(c, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
-		if len(a.Locations) == 0 {
-			continue
-		}
-
-		check := func(label string, w *Working) {
-			t.Helper()
-			inc, err := w.Reanalyze(ctx)
-			if err != nil {
-				t.Fatalf("%s/%s: Reanalyze: %v", spec.Name, label, err)
-			}
-			full, err := Analyze(w.C, opts)
-			if err != nil {
-				t.Fatalf("%s/%s: full Analyze: %v", spec.Name, label, err)
-			}
-			if !reflect.DeepEqual(inc.Locations, full.Locations) {
-				t.Errorf("%s/%s: incremental analysis diverges from full (%d vs %d locations)",
-					spec.Name, label, len(inc.Locations), len(full.Locations))
-			}
-		}
-
-		// Single modification: the canonical variant at the first location.
-		single := EmptyAssignment(a)
-		single[0][0] = 0
-		w, err := NewWorking(a, single)
-		if err != nil {
-			t.Fatalf("%s: NewWorking(single): %v", spec.Name, err)
-		}
-		check("single", w)
-
-		// Full assignment: one modification per location.
-		w, err = NewWorking(a, FullAssignment(a))
-		if err != nil {
-			t.Fatalf("%s: NewWorking(full): %v", spec.Name, err)
-		}
-		check("full", w)
-
-		// Toggling: disable half the mods (parks inverters, reverts gates).
-		for m := 0; m < len(w.Mods); m += 2 {
-			if err := w.Disable(m); err != nil {
-				t.Fatalf("%s: Disable(%d): %v", spec.Name, m, err)
-			}
-		}
-		check("toggled", w)
-
-		// No modifications at all: everything must be reused verbatim.
-		w, err = NewWorking(a, EmptyAssignment(a))
-		if err != nil {
-			t.Fatalf("%s: NewWorking(empty): %v", spec.Name, err)
-		}
-		check("empty", w)
-	}
-}
-
-// TestIncrementalBaselineFallback checks that a baseline analysis (no
-// incremental state) silently falls back to a full scan.
-func TestIncrementalBaselineFallback(t *testing.T) {
-	spec, err := bench.ByName("c432")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := spec.Build()
-	opts := DefaultOptions(cell.Default())
-	base, err := AnalyzeBaseline(c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := AnalyzeIncremental(context.Background(), base, c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(inc.Locations, base.Locations) {
-		t.Error("fallback incremental analysis diverges from baseline")
 	}
 }

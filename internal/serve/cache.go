@@ -84,8 +84,8 @@ func (c *analysisCache) get(digest string) *core.Analysis {
 // capacity, and returns the analysis the cache now serves for it. A digest
 // already present keeps its resident analysis and is only marked most
 // recently used: equal digests mean equal analyses, and the resident one
-// carries the warm state (its shared CEC session) a replacement would
-// throw away.
+// carries the warm state (its shared verifier: proved window certificates
+// or the fallback CEC session) a replacement would throw away.
 func (c *analysisCache) add(digest string, a *core.Analysis) *core.Analysis {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -460,7 +460,13 @@ func (s *Server) handleIssue(w http.ResponseWriter, r *http.Request) {
 	buyer := r.URL.Query().Get("buyer")
 	if buyer == "" {
 		data, err := s.readBody(w, r)
-		if err == nil && len(bytes.TrimSpace(data)) > 0 {
+		if err != nil {
+			var ae *apiError
+			errors.As(err, &ae)
+			writeError(w, ae.status, ae.msg)
+			return
+		}
+		if len(bytes.TrimSpace(data)) > 0 {
 			var req IssueRequest
 			if jerr := json.Unmarshal(data, &req); jerr != nil {
 				writeError(w, http.StatusBadRequest, "issue request body must be JSON {\"buyer\": ...}")

@@ -1,8 +1,9 @@
 package serve
 
 // This file is the fleet-scale issuance path: POST /issue/batch mints k
-// copies in one request — one cached analysis, one shared cec.Session for
-// every verify, one registry fsync per chunk instead of per copy — and its
+// copies in one request — one cached analysis, one shared verifier for
+// every copy (window certificates, with the cec.Session as the fallback),
+// one registry fsync per chunk instead of per copy — and its
 // async mode turns the same work into a durable job (202 + /jobs/{id}
 // polling) that survives daemon restarts. The durability contract mirrors
 // the registry store's: a copy counts as acknowledged only once the
@@ -185,12 +186,17 @@ func (s *Server) wakeRunner() {
 	}
 }
 
-// batchBuyers expands and validates the request's recipient list.
-func batchBuyers(req *BatchIssueRequest) ([]string, error) {
+// batchBuyers expands and validates the request's recipient list. A
+// generated list may not exceed maxCount names, so a few-byte body cannot
+// make the server allocate more than an explicit list could.
+func batchBuyers(req *BatchIssueRequest, maxCount int) ([]string, error) {
 	buyers := req.Buyers
 	if len(buyers) == 0 {
 		if req.Count <= 0 {
 			return nil, fmt.Errorf("batch needs a non-empty buyers list or a positive count")
+		}
+		if req.Count > maxCount {
+			return nil, fmt.Errorf("batch count %d exceeds %d, the most names a request body can list", req.Count, maxCount)
 		}
 		prefix := req.Prefix
 		if prefix == "" {
@@ -222,8 +228,9 @@ type issuedCopy struct {
 }
 
 // issueChunk mints one chunk of buyers: a single batch reservation under
-// the design lock, optional per-copy verification on the shared
-// incremental session, then one durable registry save. On any failure —
+// the design lock, optional per-copy verification through the analysis's
+// shared verifier (window certificates first, the session as the
+// fallback), then one durable registry save. On any failure —
 // embed, verify, cancellation, or the store giving out — the reservations
 // this chunk created are released, so nothing half-minted survives; the
 // caller sees either a fully durable chunk or an error.
@@ -297,23 +304,30 @@ func (s *Server) handleBatchIssue(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch request body must be JSON {\"buyers\": [...]} or {\"count\": N}")
 		return
 	}
-	buyers, err := batchBuyers(&req)
+	q := r.URL.Query()
+	verify := s.cfg.VerifyIssues || req.Verify || q.Get("verify") == "1"
+	async := req.Async || q.Get("async") == "1"
+	// The synchronous cap is checked before a generated list is expanded.
+	n := len(req.Buyers)
+	if n == 0 {
+		n = req.Count
+	}
+	if !async && n > s.cfg.MaxBatchBuyers {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf(
+			"synchronous batch capped at %d buyers (got %d); use ?async=1", s.cfg.MaxBatchBuyers, n))
+		return
+	}
+	// A listed name costs at least 4 body bytes ("x",), which bounds how
+	// many names a generated list may hold.
+	buyers, err := batchBuyers(&req, int(s.cfg.MaxRequestBytes/4))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	q := r.URL.Query()
-	verify := s.cfg.VerifyIssues || req.Verify || q.Get("verify") == "1"
-	async := req.Async || q.Get("async") == "1"
 	mBatchRequests.Inc()
 
 	if async {
 		s.submitJob(w, r, d, buyers, verify)
-		return
-	}
-	if len(buyers) > s.cfg.MaxBatchBuyers {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf(
-			"synchronous batch capped at %d buyers (got %d); use ?async=1", s.cfg.MaxBatchBuyers, len(buyers)))
 		return
 	}
 	format := outputFormat(q.Get("format"), d.meta.Format)

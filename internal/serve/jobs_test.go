@@ -130,6 +130,24 @@ func TestServeBatchIssueValidation(t *testing.T) {
 	}
 }
 
+// TestServeBatchCountBound: a generated buyer list may not exceed the names
+// an explicit list could carry within MaxRequestBytes (4 bytes per name), so
+// a tiny {"count": N} body cannot make the server allocate N names.
+func TestServeBatchCountBound(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxRequestBytes: 256})
+	tiny := []byte("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n")
+	info, _ := uploadDesign(t, ts.URL, tiny)
+
+	status, _, body := postBatch(t, ts.URL, info.Digest, "?async=1", BatchIssueRequest{Count: 1000})
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "exceeds") {
+		t.Errorf("async count 1000 under a 256-byte limit: status %d: %s", status, body)
+	}
+	status, _, body = postBatch(t, ts.URL, info.Digest, "", BatchIssueRequest{Count: 1000})
+	if status != http.StatusBadRequest || !strings.Contains(string(body), "async") {
+		t.Errorf("sync count 1000: status %d: %s", status, body)
+	}
+}
+
 // TestServeBatchIssueAsync: ?async=1 answers 202 with a durable job that
 // the runner drives to done; every acknowledged copy is re-fetchable
 // byte-identically through the idempotent /issue path.

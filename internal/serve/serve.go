@@ -25,8 +25,9 @@
 //	POST /designs/{digest}/issue/batch
 //	                              mint copies for many buyers in one call,
 //	                              synchronously or (?async=1) as a durable
-//	                              202+job, amortizing one analysis, one CEC
-//	                              session and chunked registry fsyncs
+//	                              202+job, amortizing one analysis, one
+//	                              verifier (window certificates, session
+//	                              fallback) and chunked registry fsyncs
 //	POST /designs/{digest}/trace  score a suspect copy against the registry
 //	GET  /jobs                    list async issuance jobs
 //	GET  /jobs/{id}               one job's progress (acknowledged buyers)
@@ -103,8 +104,9 @@ type Config struct {
 	// (default 60s).
 	RequestTimeout time.Duration
 	// VerifyIssues proves every issued copy functionally equivalent to the
-	// master (shared incremental CEC session) before returning it. Clients
-	// can also request this per call with ?verify=1.
+	// master before returning it, through the analysis's shared verifier:
+	// window certificates first, the whole-circuit CEC session as the
+	// fallback. Clients can also request this per call with ?verify=1.
 	VerifyIssues bool
 	// RetryAttempts bounds tries for transient store errors (default 3).
 	RetryAttempts int

@@ -445,6 +445,18 @@ func TestServeRequestLimits(t *testing.T) {
 	tiny := []byte("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n")
 	info, _ := uploadDesign(t, ts.URL, tiny)
 
+	// An oversized JSON issue body (no ?buyer=) is 413 like every upload.
+	bigIssue := `{"buyer": "` + strings.Repeat("x", 300) + `"}`
+	resp, err = http.Post(ts.URL+"/designs/"+info.Digest+"/issue", "application/json", strings.NewReader(bigIssue))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized issue body = %d, want 413", resp.StatusCode)
+	}
+
 	release := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	s.testHook = func(kind string) {

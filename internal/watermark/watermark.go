@@ -216,8 +216,9 @@ func Verify(a *core.Analysis, p Params, suspect *circuit.Circuit) (*Evidence, er
 		return nil, err
 	}
 	// Functional-equivalence attestation: sanitize tampered slots to
-	// "unmodified" (a session only expresses catalogued modifications) and
-	// prove the recovered assignment on the shared incremental session.
+	// "unmodified" (the verifier only expresses catalogued modifications)
+	// and prove the recovered assignment through the analysis's shared
+	// verifier: window certificates first, the session as the fallback.
 	clean := got.Clone()
 	for i := range clean {
 		for j, v := range clean[i] {
