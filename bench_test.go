@@ -677,11 +677,11 @@ func matureRegistry(b *testing.B) (*core.Analysis, *registry.Registry, *circuit.
 	if _, err := reg.IssueBatchValues(context.Background(), a, buyers); err != nil {
 		b.Fatal(err)
 	}
-	suspect, _, err := reg.Issue(a, "suspect")
+	items, err := reg.IssueBatch(context.Background(), a, []string{"suspect"})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return a, reg, suspect
+	return a, reg, items[0].Circuit
 }
 
 // BenchmarkTraceScores is one score-mode trace (§III-E collusion tracing)

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/big"
@@ -348,10 +349,11 @@ func cmdIssue(args []string) error {
 	} else {
 		reg = registry.New(a)
 	}
-	cp, value, err := reg.Issue(a, *buyer)
+	items, err := reg.IssueBatch(context.Background(), a, []string{*buyer})
 	if err != nil {
 		return err
 	}
+	cp, value := items[0].Circuit, items[0].Value
 	if err := odcfp.Equivalent(a.Circuit, cp); err != nil {
 		return fmt.Errorf("issued copy failed verification: %w", err)
 	}

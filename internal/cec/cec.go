@@ -66,10 +66,13 @@ type Verdict struct {
 	Conflicts int64
 }
 
-// tseitin encodes circuit c into solver s, mapping every node to a solver
-// variable. piVars supplies pre-allocated variables for the PIs (shared
-// between the two sides of a miter); it is keyed by PI name.
-func tseitin(s *sat.Solver, c *circuit.Circuit, piVars map[string]int) ([]int, error) {
+// EncodeNodes Tseitin-encodes circuit c into solver s and returns the
+// solver variable of every node, indexed by NodeID. piVars supplies
+// pre-allocated variables for the PIs (shared between the two sides of a
+// miter); it is keyed by PI name and must hold every PI of c. Callers that
+// constrain internal signals — the SDC prover asking whether a gate's fanin
+// pair can take a value (internal/sdc) — use it directly.
+func EncodeNodes(s *sat.Solver, c *circuit.Circuit, piVars map[string]int) ([]int, error) {
 	nodeVar := make([]int, len(c.Nodes))
 	order, err := c.TopoOrder()
 	if err != nil {
@@ -106,7 +109,7 @@ func tseitin(s *sat.Solver, c *circuit.Circuit, piVars map[string]int) ([]int, e
 // the copies with a key-inequality clause (internal/redteam). Check and
 // Session remain the one-stop equivalence checkers.
 func Encode(s *sat.Solver, c *circuit.Circuit, piVars map[string]int) ([]int, error) {
-	nodeVar, err := tseitin(s, c, piVars)
+	nodeVar, err := EncodeNodes(s, c, piVars)
 	if err != nil {
 		return nil, err
 	}

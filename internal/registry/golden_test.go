@@ -31,7 +31,7 @@ func TestSnapshotGolden(t *testing.T) {
 	a := analyzed(t, "c880")
 	r := New(a)
 	for _, b := range goldenBuyers {
-		if _, _, err := r.Issue(a, b); err != nil {
+		if _, _, err := issue(r, a, b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -6,7 +6,7 @@
 // slots) and serialises to JSON, keyed by a digest of the design so a
 // registry cannot accidentally be used with the wrong netlist.
 //
-// A Registry is safe for concurrent use: Issue, TraceExact, TraceScores,
+// A Registry is safe for concurrent use: IssueBatch, TraceExact, TraceScores,
 // Buyers, Save and AppendJSON may be called from any number of goroutines
 // (the serving daemon in internal/serve does exactly that). The expensive
 // circuit work — embedding a copy, extracting a suspect's assignment — runs
@@ -147,86 +147,12 @@ func New(a *core.Analysis) *Registry {
 	}
 }
 
-// Issue assigns the buyer a fresh fingerprint value derived
-// deterministically from the buyer name (keyed hash reduced modulo the
-// design's combination count), embeds it, and records it. Issuing the same
-// buyer twice returns the same instance; two buyers colliding on a value is
-// rejected (retry with a different name — astronomically unlikely beyond
-// toy designs). Concurrent Issue calls for distinct buyers are safe and
-// embed their copies in parallel; the record map alone is serialised.
-func (r *Registry) Issue(a *core.Analysis, buyer string) (*circuit.Circuit, *big.Int, error) {
-	if err := r.check(a); err != nil {
-		return nil, nil, err
-	}
-	if buyer == "" {
-		return nil, nil, fmt.Errorf("registry: empty buyer name")
-	}
-	combos := a.Combinations()
-	if combos.Sign() <= 0 || combos.Cmp(big.NewInt(1)) == 0 {
-		return nil, nil, fmt.Errorf("registry: design has no fingerprint capacity")
-	}
-	value, fresh, err := r.reserve(buyer, combos)
-	if err != nil {
-		return nil, nil, err
-	}
-	asg, err := a.AssignmentFromInt(value)
-	if err != nil {
-		r.release(buyer, fresh)
-		return nil, nil, err
-	}
-	cp, err := core.Embed(a, asg)
-	if err != nil {
-		r.release(buyer, fresh)
-		return nil, nil, err
-	}
-	return cp, value, nil
-}
-
-// reserve returns the buyer's recorded fingerprint value, deriving and
-// recording a fresh one (fresh=true) when the buyer is new. It holds the
-// write lock only around the map access, so the expensive embed that
-// follows runs unlocked.
-func (r *Registry) reserve(buyer string, combos *big.Int) (value *big.Int, fresh bool, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if prev, ok := r.Issued[buyer]; ok {
-		v, ok2 := new(big.Int).SetString(prev, 10)
-		if !ok2 {
-			return nil, false, fmt.Errorf("registry: corrupt record for %q", buyer)
-		}
-		return v, false, nil
-	}
-	value = r.deriveValue(buyer, combos)
-	// Collision check against existing records.
-	dec := value.String()
-	idx := r.valueIndex()
-	if other, ok := idx[dec]; ok {
-		return nil, false, fmt.Errorf("registry: fingerprint collision between %q and %q", buyer, other)
-	}
-	r.Issued[buyer] = dec
-	idx[dec] = buyer
-	r.addRow(buyer, value)
-	return value, true, nil
-}
-
 // deriveValue is the deterministic buyer→fingerprint derivation: a keyed
 // hash of the buyer name reduced modulo the design's combination count.
 func (r *Registry) deriveValue(buyer string, combos *big.Int) *big.Int {
 	sum := sha256.Sum256([]byte("odcfp-issue:" + r.Digest + ":" + buyer))
 	value := new(big.Int).SetBytes(sum[:])
 	return value.Mod(value, combos)
-}
-
-// release drops a reservation made by reserve when the embed that followed
-// it failed, so a failed Issue leaves no record behind. Pre-existing
-// records (fresh=false) are kept.
-func (r *Registry) release(buyer string, fresh bool) {
-	if !fresh {
-		return
-	}
-	r.mu.Lock()
-	r.deleteRecord(buyer)
-	r.mu.Unlock()
 }
 
 // deleteRecord drops a buyer's record, its reverse-index entry and its
@@ -258,18 +184,23 @@ type BatchItem struct {
 	Fresh bool
 }
 
-// IssueBatch mints copies for every buyer in one reservation: all values
-// are reserved up front — collision-checked against existing records and
-// against each other — before any embedding starts, then each copy is
-// embedded with a cancellation check per copy. On any failure (an embed
-// error, a duplicate buyer in the batch, or ctx dying between copies)
-// every reservation the batch created is released, so a partial failure
-// leaves the registry exactly as it was. Buyers already issued keep their
-// recorded value, making a retried batch idempotent copy-for-copy.
+// IssueBatch mints copies for every buyer — a single copy is a batch of
+// one. Each new buyer is assigned a fingerprint value derived
+// deterministically from its name (a keyed hash reduced modulo the design's
+// combination count), so issuing a buyer again re-mints the same copy. All
+// values are reserved up front — collision-checked against existing records
+// and against each other (a collision is rejected; retry with another name,
+// which is astronomically unlikely to be needed beyond toy designs) — before
+// any embedding starts, then each copy is embedded with a cancellation
+// check per copy. On any failure (an embed error, a duplicate buyer in the
+// batch, or ctx dying between copies) every reservation the batch created
+// is released, so a partial failure leaves the registry exactly as it was.
+// Buyers already issued keep their recorded value, making a retried batch
+// idempotent copy-for-copy.
 //
-// The expensive per-copy embeds run outside the registry lock, so batches
-// for distinct designs — and interactive Issue calls — proceed
-// concurrently.
+// The expensive per-copy embeds run outside the registry lock, so
+// concurrent batches embed their copies in parallel; the record map alone
+// is serialised.
 func (r *Registry) IssueBatch(ctx context.Context, a *core.Analysis, buyers []string) ([]BatchItem, error) {
 	items, err := r.IssueBatchValues(ctx, a, buyers)
 	if err != nil {
@@ -302,7 +233,7 @@ func (r *Registry) IssueBatch(ctx context.Context, a *core.Analysis, buyers []st
 // atomically, but no copy is embedded — Circuit is nil on every item.
 // Because issuance is deterministic per buyer, a recorded value alone is a
 // complete acknowledgement: the copy it names can be materialized later,
-// byte-identically, by Issue. Fleet-scale async jobs run on this path,
+// byte-identically, by IssueBatch. Fleet-scale async jobs run on this path,
 // paying the per-copy embed only when a buyer actually fetches.
 func (r *Registry) IssueBatchValues(ctx context.Context, a *core.Analysis, buyers []string) ([]BatchItem, error) {
 	if err := r.check(a); err != nil {
@@ -522,7 +453,7 @@ func (r *Registry) check(a *core.Analysis) error {
 // buyer → value records sorted by buyer — exactly as encoding/json's
 // SetIndent("", "  ") Encoder writes it, trailing newline included. It
 // copies the records under the read lock and sorts and encodes them outside
-// it, so a snapshot racing concurrent Issue calls is a consistent
+// it, so a snapshot racing concurrent IssueBatch calls is a consistent
 // (point-in-time) state and holds issuance up only for the copy. Durable
 // callers (internal/registrystore) must write the output via temp file +
 // fsync + rename, never truncate-in-place.

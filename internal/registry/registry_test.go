@@ -35,12 +35,21 @@ func analyzed(t testing.TB, name string) *core.Analysis {
 	return a
 }
 
+// issue mints one buyer's copy as a batch of one.
+func issue(r *Registry, a *core.Analysis, buyer string) (*circuit.Circuit, *big.Int, error) {
+	items, err := r.IssueBatch(context.Background(), a, []string{buyer})
+	if err != nil {
+		return nil, nil, err
+	}
+	return items[0].Circuit, items[0].Value, nil
+}
+
 func TestIssueAndTraceExact(t *testing.T) {
 	a := analyzed(t, "c880")
 	r := New(a)
 	copies := map[string]*circuit.Circuit{}
 	for _, buyer := range []string{"alpha", "beta", "gamma"} {
-		cp, v, err := r.Issue(a, buyer)
+		cp, v, err := issue(r, a, buyer)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +72,7 @@ func TestIssueAndTraceExact(t *testing.T) {
 		}
 	}
 	// Re-issuing is idempotent: same fingerprint, traces to same buyer.
-	cp2, _, err := r.Issue(a, "alpha")
+	cp2, _, err := issue(r, a, "alpha")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +85,7 @@ func TestIssueAndTraceExact(t *testing.T) {
 		t.Error("clean copy traced to a buyer")
 	}
 	// Empty buyer name rejected.
-	if _, _, err := r.Issue(a, ""); err == nil {
+	if _, _, err := issue(r, a, ""); err == nil {
 		t.Error("empty buyer accepted")
 	}
 }
@@ -84,7 +93,7 @@ func TestIssueAndTraceExact(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	a := analyzed(t, "c432")
 	r := New(a)
-	cp, _, err := r.Issue(a, "zeta")
+	cp, _, err := issue(r, a, "zeta")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +118,7 @@ func TestDigestMismatchRejected(t *testing.T) {
 	a1 := analyzed(t, "c432")
 	a2 := analyzed(t, "c880")
 	r := New(a1)
-	if _, _, err := r.Issue(a2, "x"); err == nil {
+	if _, _, err := issue(r, a2, "x"); err == nil {
 		t.Error("issue against wrong design accepted")
 	}
 	var buf bytes.Buffer
@@ -134,7 +143,7 @@ func TestTraceScoresAfterCollusion(t *testing.T) {
 	var copies []*circuit.Circuit
 	buyers := []string{"p1", "p2", "p3", "p4", "p5"}
 	for _, b := range buyers {
-		cp, _, err := r.Issue(a, b)
+		cp, _, err := issue(r, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +210,7 @@ func TestConcurrentIssueRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cp, _, err := r.Issue(a, fmt.Sprintf("buyer-%02d", i))
+			cp, _, err := issue(r, a, fmt.Sprintf("buyer-%02d", i))
 			copies[i], errs[i] = cp, err
 		}(i)
 	}
@@ -240,12 +249,12 @@ func TestConcurrentIssueRace(t *testing.T) {
 	}
 }
 
-// TestIssueBatch: one call mints every buyer, agrees with the serial Issue
-// path, and re-batching is idempotent (recorded values, Fresh=false).
+// TestIssueBatch: one call mints every buyer, agrees with single-copy
+// issuance, and re-batching is idempotent (recorded values, Fresh=false).
 func TestIssueBatch(t *testing.T) {
 	a := analyzed(t, "c880")
 	r := New(a)
-	serial, sv, err := r.Issue(a, "pre")
+	serial, sv, err := issue(r, a, "pre")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +335,7 @@ func TestIssueBatchValidation(t *testing.T) {
 func TestIssueBatchCancellation(t *testing.T) {
 	a := analyzed(t, "c880")
 	r := New(a)
-	if _, _, err := r.Issue(a, "keep"); err != nil {
+	if _, _, err := issue(r, a, "keep"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -344,7 +353,7 @@ func TestIssueBatchCancellation(t *testing.T) {
 func TestReleaseItems(t *testing.T) {
 	a := analyzed(t, "c880")
 	r := New(a)
-	if _, _, err := r.Issue(a, "old"); err != nil {
+	if _, _, err := issue(r, a, "old"); err != nil {
 		t.Fatal(err)
 	}
 	items, err := r.IssueBatch(context.Background(), a, []string{"old", "new"})
@@ -452,8 +461,9 @@ func suspects(t *testing.T, a *core.Analysis, copies []*circuit.Circuit) map[str
 }
 
 // TestTraceScoresMatchesOracle runs seeded random interleavings of every
-// record mutation — Issue, IssueBatch (and its duplicate-buyer rollback),
-// failed-embed releases, ReleaseItems, Adopt and a save/Load round trip —
+// record mutation — single-copy and multi-copy IssueBatch (and its
+// duplicate-buyer rollback), released reservations of one and of two
+// buyers, Adopt and a save/Load round trip —
 // and after each step requires the resident-table TraceScores to equal the
 // oracle exactly, on every suspect.
 func TestTraceScoresMatchesOracle(t *testing.T) {
@@ -465,14 +475,13 @@ func TestTraceScoresMatchesOracle(t *testing.T) {
 			r := New(a)
 			var copies []*circuit.Circuit
 			for i := 0; i < 4; i++ {
-				cp, _, err := r.Issue(a, fmt.Sprintf("base-%d", i))
+				cp, _, err := issue(r, a, fmt.Sprintf("base-%d", i))
 				if err != nil {
 					t.Fatal(err)
 				}
 				copies = append(copies, cp)
 			}
 			sus := suspects(t, a, copies)
-			combos := a.Combinations()
 			name := func() string { return fmt.Sprintf("b%02d", rng.Intn(60)) }
 			// c432's fingerprint space is small enough for buyers to
 			// collide; a rejected collision must leave the registry as it
@@ -487,7 +496,7 @@ func TestTraceScoresMatchesOracle(t *testing.T) {
 				op := rng.Intn(6)
 				switch op {
 				case 0:
-					_, _, err := r.Issue(a, name())
+					_, _, err := issue(r, a, name())
 					check(err)
 				case 1:
 					buyers := []string{name(), name(), name()}
@@ -496,12 +505,9 @@ func TestTraceScoresMatchesOracle(t *testing.T) {
 					}
 					_, _ = r.IssueBatch(ctx, a, buyers)
 				case 2:
-					b := name()
-					_, fresh, err := r.reserve(b, combos)
+					items, err := r.IssueBatchValues(ctx, a, []string{name()})
 					check(err)
-					if err == nil {
-						r.release(b, fresh)
-					}
+					r.ReleaseItems(items)
 				case 3:
 					items, err := r.IssueBatchValues(ctx, a, []string{name(), name() + "x"})
 					check(err)
@@ -525,7 +531,7 @@ func TestTraceScoresMatchesOracle(t *testing.T) {
 					}
 					r = loaded
 					// Mutate the fresh registry before its table is built.
-					_, _, err = r.Issue(a, name())
+					_, _, err = issue(r, a, name())
 					check(err)
 				}
 				for label, suspect := range sus {
@@ -550,7 +556,7 @@ func TestTraceScoresMatchesOracle(t *testing.T) {
 func TestTraceScoresConcurrent(t *testing.T) {
 	a := analyzed(t, "c880")
 	r := New(a)
-	cp, _, err := r.Issue(a, "seed")
+	cp, _, err := issue(r, a, "seed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +566,7 @@ func TestTraceScoresConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				if _, _, err := r.Issue(a, fmt.Sprintf("w%d-%d", w, i)); err != nil {
+				if _, _, err := issue(r, a, fmt.Sprintf("w%d-%d", w, i)); err != nil {
 					t.Error(err)
 				}
 			}
@@ -611,13 +617,13 @@ func TestTraceScoresConcurrent(t *testing.T) {
 }
 
 // TestTraceExactAfterMutations: the reverse index behind TraceExact keeps
-// naming the right buyer across a failed-embed release, a released batch,
+// naming the right buyer across a rolled-back batch, a released batch,
 // an Adopt and a save/Load round trip.
 func TestTraceExactAfterMutations(t *testing.T) {
 	a := analyzed(t, "c432")
 	ctx := context.Background()
 	r := New(a)
-	cp, _, err := r.Issue(a, "alice")
+	cp, _, err := issue(r, a, "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,12 +635,10 @@ func TestTraceExactAfterMutations(t *testing.T) {
 	}
 	traces("issue", r, cp, "alice")
 
-	_, fresh, err := r.reserve("bob", a.Combinations())
-	if err != nil {
-		t.Fatal(err)
+	if _, err := r.IssueBatch(ctx, a, []string{"bob", "bob"}); err == nil {
+		t.Fatal("batch naming bob twice was accepted")
 	}
-	r.release("bob", fresh)
-	traces("release", r, cp, "alice")
+	traces("rollback", r, cp, "alice")
 
 	items, err := r.IssueBatchValues(ctx, a, []string{"alice", "carol"})
 	if err != nil {
@@ -645,7 +649,7 @@ func TestTraceExactAfterMutations(t *testing.T) {
 	// Issuance is deterministic per design and buyer, so another registry
 	// mints the copies of the released buyers; neither may trace.
 	for _, gone := range []string{"bob", "carol"} {
-		gcp, _, err := New(a).Issue(a, gone)
+		gcp, _, err := issue(New(a), a, gone)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -655,7 +659,7 @@ func TestTraceExactAfterMutations(t *testing.T) {
 	}
 
 	other := New(a)
-	dcp, dv, err := other.Issue(a, "dave")
+	dcp, dv, err := issue(other, a, "dave")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,14 +690,14 @@ func TestCheckMemoStillRejects(t *testing.T) {
 	good := analyzed(t, "c432")
 	other := analyzed(t, "c880")
 	r := New(good)
-	cp, _, err := r.Issue(good, "x")
+	cp, _, err := issue(r, good, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.TraceExact(good, cp); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.Issue(other, "y"); err == nil {
+	if _, _, err := issue(r, other, "y"); err == nil {
 		t.Error("issue against another design accepted after a good check")
 	}
 	if _, err := r.TraceExact(other, other.Circuit); err == nil {
@@ -721,7 +725,7 @@ func TestCheckMemoStillRejects(t *testing.T) {
 func TestTraceScoresUnholdableAdopt(t *testing.T) {
 	a := analyzed(t, "c432")
 	r := New(a)
-	cp, _, err := r.Issue(a, "alice")
+	cp, _, err := issue(r, a, "alice")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,18 @@ type Local struct {
 	seqs map[string]uint64
 }
 
+// Open opens the single-node registry store rooted at dir, creating it if
+// necessary. Today that is a Local snapshot store; callers that need only
+// the Store interface open it here, so the single-node format can change
+// behind this seam.
+func Open(dir string) (Store, error) {
+	ls, err := OpenLocal(dir)
+	if err != nil {
+		return nil, err
+	}
+	return ls, nil
+}
+
 // OpenLocal opens (creating if necessary) a local registry store rooted at
 // dir and sweeps temp files left behind by a crash mid-write.
 func OpenLocal(dir string) (*Local, error) {

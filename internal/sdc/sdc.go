@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/cec"
 	"repro/internal/cell"
 	"repro/internal/circuit"
 	"repro/internal/logic"
@@ -116,11 +117,11 @@ type Options struct {
 	SimWords int
 	// Seed for the simulation pre-pass.
 	Seed int64
-	// MaxConflicts bounds each SAT proof; ≤0 = unlimited.
-	MaxConflicts int64
 }
 
-// DefaultOptions uses 1024 random patterns and unlimited SAT.
+// DefaultOptions uses 1024 random patterns. Every SAT proof runs to a
+// verdict, so the locations found do not depend on how the circuit is
+// encoded.
 func DefaultOptions(lib *cell.Library) Options {
 	return Options{Library: lib, SimWords: 16, Seed: 1}
 }
@@ -202,7 +203,7 @@ func Analyze(c *circuit.Circuit, opts Options) (*Analysis, error) {
 	// Phase 2: SAT proof per candidate.
 	a := &Analysis{Circuit: c}
 	for _, cd := range cands {
-		unreachable, err := proveUnreachable(c, cd.gate, cd.minterm, opts)
+		unreachable, err := proveUnreachable(c, cd.gate, cd.minterm)
 		if err != nil {
 			return nil, err
 		}
@@ -219,12 +220,15 @@ func feasible(lib *cell.Library, r Replacement) bool {
 
 // proveUnreachable encodes the circuit and asks SAT for an input assignment
 // driving the gate's fanin pair to the given minterm; UNSAT proves the SDC.
-func proveUnreachable(c *circuit.Circuit, g circuit.NodeID, minterm int, opts Options) (bool, error) {
+func proveUnreachable(c *circuit.Circuit, g circuit.NodeID, minterm int) (bool, error) {
 	s := sat.New()
-	s.MaxConflicts = opts.MaxConflicts
-	vars, err := encode(s, c)
+	piVars := make(map[string]int, len(c.PIs))
+	for _, pi := range c.PIs {
+		piVars[c.Nodes[pi].Name] = s.NewVar()
+	}
+	vars, err := cec.EncodeNodes(s, c, piVars)
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("sdc: %w", err)
 	}
 	nd := &c.Nodes[g]
 	la := vars[nd.Fanin[0]]
@@ -241,105 +245,8 @@ func proveUnreachable(c *circuit.Circuit, g circuit.NodeID, minterm int, opts Op
 	case sat.Sat:
 		return false, nil
 	default:
-		return false, fmt.Errorf("sdc: SAT budget exhausted proving gate %q minterm %d", nd.Name, minterm)
+		return false, fmt.Errorf("sdc: no SAT verdict proving gate %q minterm %d", nd.Name, minterm)
 	}
-}
-
-// encode is a minimal Tseitin encoding of the whole circuit (shared with
-// cec conceptually; duplicated here to keep the packages decoupled and the
-// encoding tailored — no miter needed).
-func encode(s *sat.Solver, c *circuit.Circuit) ([]int, error) {
-	vars := make([]int, len(c.Nodes))
-	order, err := c.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range order {
-		vars[id] = s.NewVar()
-	}
-	for _, id := range order {
-		nd := &c.Nodes[id]
-		if nd.IsPI {
-			continue
-		}
-		out := vars[id]
-		in := make([]int, len(nd.Fanin))
-		for i, f := range nd.Fanin {
-			in[i] = vars[f]
-		}
-		if err := encodeGate(s, nd.Kind, out, in); err != nil {
-			return nil, fmt.Errorf("sdc: node %q: %w", nd.Name, err)
-		}
-	}
-	return vars, nil
-}
-
-func encodeGate(s *sat.Solver, kind logic.Kind, out int, in []int) error {
-	add := func(lits ...int) error { return s.AddClause(lits...) }
-	switch kind {
-	case logic.Const0:
-		return add(-out)
-	case logic.Const1:
-		return add(out)
-	case logic.Buf:
-		if err := add(-in[0], out); err != nil {
-			return err
-		}
-		return add(in[0], -out)
-	case logic.Inv:
-		if err := add(in[0], out); err != nil {
-			return err
-		}
-		return add(-in[0], -out)
-	case logic.And, logic.Nand:
-		o := out
-		if kind == logic.Nand {
-			o = -out
-		}
-		long := make([]int, 0, len(in)+1)
-		for _, x := range in {
-			if err := add(-o, x); err != nil {
-				return err
-			}
-			long = append(long, -x)
-		}
-		return add(append(long, o)...)
-	case logic.Or, logic.Nor:
-		o := out
-		if kind == logic.Nor {
-			o = -out
-		}
-		long := make([]int, 0, len(in)+1)
-		for _, x := range in {
-			if err := add(o, -x); err != nil {
-				return err
-			}
-			long = append(long, x)
-		}
-		return add(append(long, -o)...)
-	case logic.Xor, logic.Xnor:
-		acc := in[0]
-		for i := 1; i < len(in); i++ {
-			t := out
-			if i != len(in)-1 || kind == logic.Xnor {
-				t = s.NewVar()
-			}
-			for _, cl := range [][]int{{-t, acc, in[i]}, {-t, -acc, -in[i]}, {t, -acc, in[i]}, {t, acc, -in[i]}} {
-				if err := add(cl...); err != nil {
-					return err
-				}
-			}
-			acc = t
-		}
-		if kind == logic.Xnor {
-			if err := add(acc, out); err != nil {
-				return err
-			}
-			return add(-acc, -out)
-		}
-		return nil
-	}
-	return fmt.Errorf("unsupported kind %v", kind)
 }
 
 // NumLocations returns the number of SDC fingerprint locations.

@@ -548,3 +548,117 @@ func pollJobOnce(t testing.TB, base, id string) jobStatus {
 	}
 	return st
 }
+
+// recordedIn reports whether the design's in-memory registry holds buyer.
+// It takes the design lock, so it sees a record only once the minting
+// routine that reserved it has left its locked section.
+func recordedIn(d *design, buyer string) bool {
+	d.mu.Lock()
+	reg := d.reg
+	d.mu.Unlock()
+	if reg == nil {
+		return false
+	}
+	_, ok := reg.Value(buyer)
+	return ok
+}
+
+// assertTracesTo requires the copy to trace exactly to buyer on the live
+// daemon and on a fresh daemon over the same store.
+func assertTracesTo(t *testing.T, base, dir, digest string, netlist []byte, buyer string) {
+	t.Helper()
+	if got := traceSuspect(t, base, digest, netlist, "").Exact; got != buyer {
+		t.Errorf("acknowledged copy of %s traces to %q", buyer, got)
+	}
+	_, ts2 := newTestServer(t, Config{StoreDir: dir})
+	if got := traceSuspect(t, ts2.URL, digest, netlist, "").Exact; got != buyer {
+		t.Errorf("after restart, acknowledged copy of %s traces to %q", buyer, got)
+	}
+}
+
+// TestChaosIssueDuringBatchVerify: a plain /issue for a buyer whose
+// verified sync batch is still proving its copy is acknowledged from the
+// record the batch made. When the batch then dies at its deadline, that
+// acknowledged copy must still trace to the buyer, before and after a
+// restart: a batch may not drop a record another request acknowledged.
+func TestChaosIssueDuringBatchVerify(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{
+		StoreDir:         dir,
+		Workers:          2,
+		RequestTimeout:   1500 * time.Millisecond,
+		BreakerThreshold: 100, // keep SAT verification armed throughout
+	})
+	info, _ := uploadDesign(t, ts.URL, benchBytes(t, "c880"))
+	d := s.lookupDesign(info.Digest)
+
+	chaosFaults(t, "sat.slow:delay=20ms")
+	batch := make(chan string, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/designs/"+info.Digest+"/issue/batch?verify=1", "application/json", strings.NewReader(`{"buyers": ["x"]}`))
+		if err != nil {
+			batch <- err.Error()
+			return
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		batch <- fmt.Sprintf("%d %s", resp.StatusCode, b)
+	}()
+	waitFor(t, "batch verifying", func() bool { return recordedIn(d, "x") })
+
+	status, _, netlist := rawIssue(t, ts.URL, info.Digest, "x", "")
+	if status != http.StatusOK {
+		t.Fatalf("issue during batch verify: status %d: %s", status, netlist)
+	}
+	select {
+	case out := <-batch:
+		if strings.HasPrefix(out, "200 ") {
+			t.Fatalf("batch verified before its deadline; the probe needs it to fail: %.80s", out)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("batch never answered")
+	}
+	fault.Disable()
+	assertTracesTo(t, ts.URL, dir, info.Digest, []byte(netlist), "x")
+}
+
+// TestChaosIssueDuringJobVerify is the async-job form of the same race: a
+// plain /issue is acknowledged while a verified job's chunk proves the
+// buyer's copy, and the store then fails every write. The job may fail, but
+// the acknowledged copy must still trace to the buyer, before and after a
+// restart.
+func TestChaosIssueDuringJobVerify(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{
+		StoreDir:         dir,
+		Workers:          2,
+		RequestTimeout:   1500 * time.Millisecond,
+		RetryBase:        time.Millisecond,
+		BreakerThreshold: 100,
+	})
+	info, _ := uploadDesign(t, ts.URL, benchBytes(t, "c880"))
+	d := s.lookupDesign(info.Digest)
+
+	chaosFaults(t, "sat.slow:delay=20ms")
+	code, _, sub := postBatch(t, ts.URL, info.Digest, "?async=1&verify=1", BatchIssueRequest{Buyers: []string{"x"}})
+	if code != http.StatusAccepted {
+		t.Fatalf("async submit: status %d: %s", code, sub)
+	}
+	var job jobStatus
+	if err := json.Unmarshal(sub, &job); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "job verifying", func() bool { return recordedIn(d, "x") })
+
+	status, _, netlist := rawIssue(t, ts.URL, info.Digest, "x", "")
+	if status != http.StatusOK {
+		t.Fatalf("issue during job verify: status %d: %s", status, netlist)
+	}
+	// From here on every store write fails: the job's progress commits,
+	// and any append of the chunk that has not happened yet.
+	chaosFaults(t, "store.write:every=1")
+	final := pollJob(t, ts.URL, job.ID)
+	fault.Disable()
+	t.Logf("job ended %s (%s)", final.State, final.Error)
+	assertTracesTo(t, ts.URL, dir, info.Digest, []byte(netlist), "x")
+}

@@ -124,11 +124,11 @@ func (cs *clusterState) breakerFor(node string) *breaker {
 func (s *Server) openRegistryStore() error {
 	cc := s.cfg.Cluster
 	if cc == nil {
-		ls, err := registrystore.OpenLocal(s.cfg.StoreDir)
+		rs, err := registrystore.Open(s.cfg.StoreDir)
 		if err != nil {
 			return err
 		}
-		s.regstore = ls
+		s.regstore = rs
 		return nil
 	}
 	if err := validateClusterConfig(cc); err != nil {

@@ -8,12 +8,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/big"
 	"net/http"
 	"sort"
 	"strconv"
 
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/jsonw"
 	"repro/internal/obs"
@@ -479,7 +477,11 @@ func (s *Server) handleIssue(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "buyer name required (?buyer= or JSON body)")
 		return
 	}
-	format := outputFormat(r.URL.Query().Get("format"), d.meta.Format)
+	format, err := outputFormat(r.URL.Query().Get("format"), d.meta.Format)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	verify := s.cfg.VerifyIssues || r.URL.Query().Get("verify") == "1"
 
 	s.withWorker(w, r, "issue", func(ctx context.Context) error {
@@ -487,53 +489,21 @@ func (s *Server) handleIssue(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
-		d.mu.Lock()
-		reg, err := s.ensureRegistryLocked(d, a)
-		var cp *circuitAndValue
-		if err == nil {
-			// Durability before acknowledgement: the fresh record must be
-			// appended through the registry store (transient failures —
-			// flaky disk, injected faults, a lost replication quorum — are
-			// retried with backoff) before the copy is returned. A failed
-			// append releases the reservation, so nothing half-issued
-			// survives in memory; re-appending after a retry is idempotent.
-			cp, err = s.issueOne(ctx, d, reg, a, buyer)
-		}
-		d.mu.Unlock()
+		items, labels, err := s.mint(ctx, d, a, []string{buyer}, verify, true)
 		if err != nil {
-			var ae *apiError
-			if errors.As(err, &ae) {
-				return ae
-			}
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if isTransient(err) {
-				// The durable store gave out even after retries: nothing was
-				// acknowledged; the client should retry later.
-				return apiErrorf(http.StatusServiceUnavailable, "store unavailable: %v", err)
-			}
-			return apiErrorf(http.StatusConflict, "issue: %v", err)
-		}
-		verifyLabel := ""
-		if verify {
-			verifyLabel, err = s.verifyIssued(ctx, a, cp)
-			if err != nil {
-				return err
-			}
+			return issueError(ctx, "issue", err)
 		}
 		var buf bytes.Buffer
-		if err := writeNetlist(&buf, format, cp.ckt); err != nil {
+		if err := writeNetlist(&buf, format, items[0].Circuit); err != nil {
 			return err
 		}
-		mIssues.Inc()
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Header().Set("X-Odcfp-Digest", d.digest)
 		w.Header().Set("X-Odcfp-Buyer", buyer)
-		w.Header().Set("X-Odcfp-Fingerprint", cp.value.String())
+		w.Header().Set("X-Odcfp-Fingerprint", items[0].Value.String())
 		w.Header().Set("X-Odcfp-Format", format)
-		if verifyLabel != "" {
-			w.Header().Set("X-Odcfp-Verified", verifyLabel)
+		if labels[0] != "" {
+			w.Header().Set("X-Odcfp-Verified", labels[0])
 		}
 		w.WriteHeader(http.StatusOK)
 		w.Write(buf.Bytes())
@@ -670,26 +640,78 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, obs.Snapshot(false))
 }
 
-// circuitAndValue pairs an issued copy with its fingerprint value.
-type circuitAndValue struct {
-	ckt   *circuit.Circuit
-	value *big.Int
+// mint is the one issuance path: /issue, each chunk of a synchronous batch
+// and each chunk of an async job mint through it. Under the design lock it
+// reserves every buyer's value (embedding the copies when materialize or
+// verify is set) and appends the fresh records through the registry store
+// in one append — one fsynced WAL write or registry snapshot for the whole
+// batch, the amortization that makes batch minting fast — retrying
+// transient failures with backoff. A failed append releases the
+// reservations before the lock is dropped, so the in-memory registry never
+// holds a record the store lacks. Only then, outside the lock, is each copy
+// verified; labels[i] is copy i's X-Odcfp-Verified label, "" with verify
+// off.
+//
+// Appending before verifying is what lets a concurrent request trust the
+// registry: whoever finds a buyer already recorded — another /issue, or a
+// batch re-minting it — finds a durable record, never a reservation that a
+// failing verification might still take back. A copy that fails
+// verification therefore stays recorded but is not acknowledged; a retry
+// re-mints the same copy.
+//
+// With materialize and verify both off no netlist is embedded at all: the
+// recorded values are themselves complete acknowledgements, and each copy
+// is materialized deterministically when its buyer fetches it. Async jobs
+// without verification run this way, which is what makes fleet-scale
+// minting an order of magnitude faster than embedding every copy.
+func (s *Server) mint(ctx context.Context, d *design, a *core.Analysis, buyers []string, verify, materialize bool) ([]registry.BatchItem, []string, error) {
+	d.mu.Lock()
+	reg, err := s.ensureRegistryLocked(d, a)
+	var items []registry.BatchItem
+	if err == nil {
+		if materialize || verify {
+			items, err = reg.IssueBatch(ctx, a, buyers)
+		} else {
+			items, err = reg.IssueBatchValues(ctx, a, buyers)
+		}
+	}
+	if err == nil {
+		if err = s.appendRecords(ctx, d, reg, items); err != nil {
+			reg.ReleaseItems(items)
+		}
+	}
+	d.mu.Unlock()
+	if err != nil {
+		return nil, nil, err
+	}
+	labels := make([]string, len(items))
+	if verify {
+		for i := range items {
+			if labels[i], err = s.verifyIssued(ctx, a, items[i]); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	mIssues.Add(int64(len(items)))
+	return items, labels, nil
 }
 
-// issueOne mints (or re-mints, idempotently) one buyer's copy and appends
-// any fresh record through the registry store; the caller holds d.mu. A
-// failed append releases the reservation so the registry matches the
-// durable record set exactly.
-func (s *Server) issueOne(ctx context.Context, d *design, reg *registry.Registry, a *core.Analysis, buyer string) (*circuitAndValue, error) {
-	items, err := reg.IssueBatch(ctx, a, []string{buyer})
-	if err != nil {
-		return nil, err
+// issueError maps a mint failure onto an HTTP status; op prefixes the
+// message of a rejected issuance ("issue", "batch issue").
+func issueError(ctx context.Context, op string, err error) error {
+	var ae *apiError
+	if errors.As(err, &ae) {
+		return ae
 	}
-	if err := s.appendRecords(ctx, d, reg, items); err != nil {
-		reg.ReleaseItems(items)
-		return nil, err
+	if ctx.Err() != nil {
+		return ctx.Err()
 	}
-	return &circuitAndValue{ckt: items[0].Circuit, value: items[0].Value}, nil
+	if isTransient(err) {
+		// The durable store gave out even after retries: nothing was
+		// acknowledged; the client should retry later.
+		return apiErrorf(http.StatusServiceUnavailable, "store unavailable: %v", err)
+	}
+	return apiErrorf(http.StatusConflict, "%s: %v", op, err)
 }
 
 // appendRecords persists the fresh records among items through the registry

@@ -5,14 +5,19 @@ package serve
 // every copy (window certificates, with the cec.Session as the fallback),
 // one registry fsync per chunk instead of per copy — and its
 // async mode turns the same work into a durable job (202 + /jobs/{id}
-// polling) that survives daemon restarts. The durability contract mirrors
-// the registry store's: a copy counts as acknowledged only once the
-// registry holding its fingerprint AND the job record listing it as done
-// have both been written with the temp-file+fsync+rename discipline, in
-// that order. A crash between the two writes re-runs the chunk on resume;
-// because issuance is deterministic per buyer (registry.IssueBatch reuses
-// recorded values), the re-run mints byte-identical copies — an
-// acknowledged copy is never lost and never duplicated.
+// polling) that survives daemon restarts. Every chunk, synchronous or
+// async, mints through mint, the reserve→append→verify routine /issue
+// uses: the chunk's records are durable before any of its copies is
+// verified, so a verification failure or an expired deadline never takes
+// back a record that a concurrent /issue of the same buyer has already
+// acknowledged. The durability contract mirrors the registry store's: a
+// copy counts as acknowledged only once the registry holding its
+// fingerprint AND the job record listing it as done have both been written
+// with the temp-file+fsync+rename discipline, in that order. A crash
+// between the two writes re-runs the chunk on resume; because issuance is
+// deterministic per buyer (registry.IssueBatch reuses recorded values), the
+// re-run mints byte-identical copies — an acknowledged copy is never lost
+// and never duplicated.
 
 import (
 	"bytes"
@@ -27,9 +32,7 @@ import (
 	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/registry"
 )
 
 // Batch/job metrics. Submission and copy counts are workload-determined;
@@ -221,69 +224,6 @@ func batchBuyers(req *BatchIssueRequest, maxCount int) ([]string, error) {
 	return buyers, nil
 }
 
-// issuedCopy pairs a minted batch item with its verification label.
-type issuedCopy struct {
-	item     registry.BatchItem
-	verified string
-}
-
-// issueChunk mints one chunk of buyers: a single batch reservation under
-// the design lock, optional per-copy verification through the analysis's
-// shared verifier (window certificates first, the session as the
-// fallback), then one durable registry save. On any failure —
-// embed, verify, cancellation, or the store giving out — the reservations
-// this chunk created are released, so nothing half-minted survives; the
-// caller sees either a fully durable chunk or an error.
-//
-// With materialize false (and verify off) no netlist is embedded at all:
-// the reserved values are themselves complete acknowledgements, and each
-// copy is materialized deterministically when its buyer fetches it. Async
-// jobs run this way — it is what makes fleet-scale minting an order of
-// magnitude faster than the per-copy serial path.
-func (s *Server) issueChunk(ctx context.Context, d *design, a *core.Analysis, buyers []string, verify, materialize bool) ([]issuedCopy, error) {
-	materialize = materialize || verify
-	d.mu.Lock()
-	reg, err := s.ensureRegistryLocked(d, a)
-	var items []registry.BatchItem
-	if err == nil {
-		if materialize {
-			items, err = reg.IssueBatch(ctx, a, buyers)
-		} else {
-			items, err = reg.IssueBatchValues(ctx, a, buyers)
-		}
-	}
-	d.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]issuedCopy, len(items))
-	for i := range items {
-		out[i].item = items[i]
-		if !verify {
-			continue
-		}
-		label, verr := s.verifyIssued(ctx, a, &circuitAndValue{ckt: items[i].Circuit, value: items[i].Value})
-		if verr != nil {
-			reg.ReleaseItems(items)
-			return nil, verr
-		}
-		out[i].verified = label
-	}
-	// Durability before acknowledgement: one append — one fsynced WAL write
-	// or registry snapshot — covers the whole chunk, the amortization that
-	// makes batch minting fast.
-	d.mu.Lock()
-	err = s.appendRecords(ctx, d, reg, items)
-	d.mu.Unlock()
-	if err != nil {
-		reg.ReleaseItems(items)
-		return nil, err
-	}
-	mBatchCopies.Add(int64(len(items)))
-	mIssues.Add(int64(len(items)))
-	return out, nil
-}
-
 // handleBatchIssue implements POST /designs/{digest}/issue/batch. The
 // synchronous form (≤ MaxBatchBuyers copies) returns every netlist inline;
 // ?async=1 (any size) durably enqueues a job and returns 202 + its status.
@@ -305,6 +245,15 @@ func (s *Server) handleBatchIssue(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
+	format := q.Get("format")
+	if req.Format != "" {
+		format = req.Format
+	}
+	format, err = outputFormat(format, d.meta.Format)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	verify := s.cfg.VerifyIssues || req.Verify || q.Get("verify") == "1"
 	async := req.Async || q.Get("async") == "1"
 	// The synchronous cap is checked before a generated list is expanded.
@@ -330,10 +279,6 @@ func (s *Server) handleBatchIssue(w http.ResponseWriter, r *http.Request) {
 		s.submitJob(w, r, d, buyers, verify)
 		return
 	}
-	format := outputFormat(q.Get("format"), d.meta.Format)
-	if req.Format != "" {
-		format = req.Format
-	}
 	s.withWorker(w, r, "batch", func(ctx context.Context) error {
 		a, err := s.analysis(ctx, d)
 		if err != nil {
@@ -346,19 +291,20 @@ func (s *Server) handleBatchIssue(w http.ResponseWriter, r *http.Request) {
 		// per buyer), never duplicates.
 		for len(buyers) > 0 {
 			n := min(s.cfg.BatchChunk, len(buyers))
-			copies, err := s.issueChunk(ctx, d, a, buyers[:n], verify, true)
+			items, labels, err := s.mint(ctx, d, a, buyers[:n], verify, true)
 			if err != nil {
-				return batchIssueError(ctx, err)
+				return issueError(ctx, "batch issue", err)
 			}
-			for i := range copies {
-				enc, err := encodeNetlist(format, copies[i].item.Circuit)
+			mBatchCopies.Add(int64(len(items)))
+			for i := range items {
+				enc, err := encodeNetlist(format, items[i].Circuit)
 				if err != nil {
 					return err
 				}
 				resp.Copies = append(resp.Copies, BatchCopy{
-					Buyer:       copies[i].item.Buyer,
-					Fingerprint: copies[i].item.Value.String(),
-					Verified:    copies[i].verified,
+					Buyer:       items[i].Buyer,
+					Fingerprint: items[i].Value.String(),
+					Verified:    labels[i],
 					Netlist:     enc,
 				})
 			}
@@ -368,22 +314,6 @@ func (s *Server) handleBatchIssue(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return nil
 	})
-}
-
-// batchIssueError maps an issueChunk failure onto the HTTP statuses the
-// single-issue path uses.
-func batchIssueError(ctx context.Context, err error) error {
-	var ae *apiError
-	if errors.As(err, &ae) {
-		return ae
-	}
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	if isTransient(err) {
-		return apiErrorf(http.StatusServiceUnavailable, "store unavailable: %v", err)
-	}
-	return apiErrorf(http.StatusConflict, "batch issue: %v", err)
 }
 
 // encodeNetlist renders c in format as a string.
@@ -539,8 +469,8 @@ func (s *Server) failJob(ctx context.Context, rec *JobRecord, err error) {
 }
 
 // processJob runs one job to a terminal state or until ctx dies. Chunks
-// follow the acknowledged order: issue + verify + durable registry save
-// (issueChunk), then the job record's done list is extended and persisted.
+// follow the acknowledged order: reserve + durable registry append + verify
+// (mint), then the job record's done list is extended and persisted.
 // A crash between those two writes re-runs the chunk deterministically on
 // resume, so acknowledged copies are never lost or duplicated.
 func (s *Server) processJob(ctx context.Context, rec *JobRecord) {
@@ -567,7 +497,7 @@ func (s *Server) processJob(ctx context.Context, rec *JobRecord) {
 			if err != nil {
 				return err
 			}
-			_, err = s.issueChunk(ctx, d, a, chunk, verify, false)
+			_, _, err = s.mint(ctx, d, a, chunk, verify, false)
 			return err
 		})
 		cancel()
@@ -586,6 +516,7 @@ func (s *Server) processJob(ctx context.Context, rec *JobRecord) {
 			s.failJob(ctx, rec, fmt.Errorf("chunk at copy %d: %w", done, err))
 			return
 		}
+		mBatchCopies.Add(int64(n))
 		s.jobMu.Lock()
 		rec.Done = append(rec.Done, chunk...)
 		s.jobMu.Unlock()

@@ -10,15 +10,16 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"sync"
 	"time"
 
 	"repro/internal/cec"
+	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/registry"
 	"repro/internal/sim"
 )
 
@@ -152,13 +153,13 @@ func (b *breaker) isOpen() bool {
 // exhaustion — including the sat.budget fault point — counts a failure and
 // degrades inline. Once the breaker is open, SAT is skipped outright and
 // every verification degrades until a cooldown probe succeeds.
-func (s *Server) verifyIssued(ctx context.Context, a *core.Analysis, cp *circuitAndValue) (string, error) {
-	asg, err := a.AssignmentFromInt(cp.value)
+func (s *Server) verifyIssued(ctx context.Context, a *core.Analysis, it registry.BatchItem) (string, error) {
+	asg, err := a.AssignmentFromInt(it.Value)
 	if err != nil {
 		return "", err
 	}
 	if !s.breaker.allow() {
-		return s.degradedVerify(a, cp)
+		return s.degradedVerify(a, it.Circuit)
 	}
 	verdict, err := a.SharedVerifier().VerifyCtx(ctx, asg)
 	switch {
@@ -174,9 +175,9 @@ func (s *Server) verifyIssued(ctx context.Context, a *core.Analysis, cp *circuit
 		return "", err
 	case errors.Is(err, cec.ErrBudgetExhausted):
 		s.breaker.failure()
-		return s.degradedVerify(a, cp)
+		return s.degradedVerify(a, it.Circuit)
 	default:
-		return "", fmt.Errorf("verifying issued copy: %w", err)
+		return "", apiErrorf(http.StatusInternalServerError, "verifying issued copy: %v", err)
 	}
 }
 
@@ -186,11 +187,11 @@ func (s *Server) verifyIssued(ctx context.Context, a *core.Analysis, cp *circuit
 // response. It runs on the gate-level reference simulator (internal/sim)
 // on purpose: the check must stay independent of the cec/AIG stack whose
 // failure tripped the breaker in the first place.
-func (s *Server) degradedVerify(a *core.Analysis, cp *circuitAndValue) (string, error) {
+func (s *Server) degradedVerify(a *core.Analysis, cp *circuit.Circuit) (string, error) {
 	mVerifyDegraded.Inc()
-	eq, mm, err := sim.EquivalentRandom(a.Circuit, cp.ckt, degradedSimWords, 1)
+	eq, mm, err := sim.EquivalentRandom(a.Circuit, cp, degradedSimWords, 1)
 	if err != nil {
-		return "", fmt.Errorf("degraded verification: %w", err)
+		return "", apiErrorf(http.StatusInternalServerError, "degraded verification: %v", err)
 	}
 	if !eq {
 		return "", apiErrorf(http.StatusInternalServerError,

@@ -503,15 +503,20 @@ func detectFormat(data []byte) string {
 
 // outputFormat picks the issue-response encoding: an explicit query wins,
 // then the design's own upload format when it round-trips ("bench", "v"),
-// else structural Verilog.
-func outputFormat(query, designFormat string) string {
+// else structural Verilog. An explicit format writeNetlist cannot encode is
+// an error, so a request naming one is refused before anything is minted.
+func outputFormat(query, designFormat string) (string, error) {
 	if query != "" {
-		return query
+		switch strings.ToLower(query) {
+		case "bench", "v", "verilog":
+			return query, nil
+		}
+		return "", fmt.Errorf("unknown output format %q (want bench or v)", query)
 	}
 	switch designFormat {
 	case "bench", "v", "verilog":
-		return designFormat
+		return designFormat, nil
 	default:
-		return "v"
+		return "v", nil
 	}
 }

@@ -47,6 +47,12 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
+	// Stop the job runner before the store directory is removed, so no job
+	// commit lands in a directory being deleted.
+	t.Cleanup(func() {
+		s.runnerCancel()
+		<-s.runnerDone
+	})
 	return s, ts
 }
 
@@ -516,6 +522,28 @@ func TestServeErrors(t *testing.T) {
 	}
 	if got := post("/designs/"+info.Digest+"/trace", ""); got != http.StatusBadRequest {
 		t.Errorf("trace with empty body = %d, want 400", got)
+	}
+	// An unknown output format is refused before any buyer is recorded.
+	if got := post("/designs/"+info.Digest+"/issue?buyer=y&format=blif", ""); got != http.StatusBadRequest {
+		t.Errorf("issue with format=blif = %d, want 400", got)
+	}
+	if got := post("/designs/"+info.Digest+"/issue/batch?format=edif", `{"buyers": ["z"]}`); got != http.StatusBadRequest {
+		t.Errorf("batch with format=edif = %d, want 400", got)
+	}
+	resp, err := http.Get(ts.URL + "/designs/" + info.Digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Buyers []string `json:"buyers"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Buyers) != 0 {
+		t.Errorf("refused issues recorded buyers %v", got.Buyers)
 	}
 	// ParseFloat accepts NaN and ±Inf; none is a threshold in [0, 1].
 	master := string(benchBytes(t, "c432"))

@@ -137,12 +137,12 @@ func TestStoreTornWriteRecovery(t *testing.T) {
 }
 
 // TestStoreRegistryRoundTrip: an issued fingerprint persists through the
-// local registry store (registrystore.Local shares the design store's
-// directory and snapshot format), and a design with no records yields a
-// fresh empty registry rather than an error.
+// single-node registry store (registrystore.Open; it shares the design
+// store's directory and snapshot format), and a design with no records
+// yields a fresh empty registry rather than an error.
 func TestStoreRegistryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	st, err := registrystore.OpenLocal(dir)
+	st, err := registrystore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestStoreRegistryRoundTrip(t *testing.T) {
 	}
 
 	r := registry.New(a)
-	if _, _, err := r.Issue(a, "alice"); err != nil {
+	if _, err := r.IssueBatch(context.Background(), a, []string{"alice"}); err != nil {
 		t.Fatal(err)
 	}
 	val, _ := r.Value("alice")

@@ -199,8 +199,9 @@ func Collude(copies []*Circuit) (*CollusionResult, error) {
 }
 
 // NewRegistry creates the designer-side fingerprint registry for tracing.
-// Record each buyer's fingerprint with Issue, or with Adopt for a value of
-// the caller's choosing (a.IntFromAssignment(asg).String()).
+// Record buyers' fingerprints with IssueBatch (a single buyer is a batch of
+// one), or with Adopt for a value of the caller's choosing
+// (a.IntFromAssignment(asg).String()).
 func NewRegistry(a *Analysis) *Registry { return registry.New(a) }
 
 // Implicated returns the buyers whose marking-assumption score on a traced
