@@ -12,7 +12,7 @@ all: build vet test
 # root verification, simulation, tracing and analysis benchmarks, a short
 # fuzz pass
 # over the three netlist parsers, the red-team spec reader, the hand-written JSON appenders
-# (against encoding/json) and the SAT solver (against brute force, and
+# and registry snapshots (against encoding/json) and the SAT solver (against brute force, and
 # Reset against New), the fault-injected chaos smoke, the
 # daemon, cluster and partition process-level smokes, and the red-team
 # attack smoke.
@@ -29,6 +29,7 @@ ci: doccheck
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/verilog/
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=10s ./internal/redteam/
 	$(GO) test -run '^FuzzAppendJSON$$' -fuzz='^FuzzAppendJSON$$' -fuzztime=10s ./internal/serve/
+	$(GO) test -run '^FuzzSnapshotJSON$$' -fuzz='^FuzzSnapshotJSON$$' -fuzztime=10s ./internal/registry/
 	$(GO) test -run '^FuzzSolve$$' -fuzz='^FuzzSolve$$' -fuzztime=10s ./internal/sat/
 	$(MAKE) chaos
 	$(MAKE) serve-smoke
@@ -136,10 +137,10 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # One iteration of each root benchmark CI exercises: the verification
-# engines, the simulation kernels, registry tracing and snapshot writes, and
-# the analysis scan. Catches a benchmark that no longer builds or runs.
+# engines, the simulation kernels, registry tracing, snapshot writes and
+# replay, and the ODC and SDC analysis scans. Catches a benchmark that no longer builds or runs.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkVerifyWindows|BenchmarkVerifySession|BenchmarkVerifyColdCEC|BenchmarkPackedSim|BenchmarkSimRun|BenchmarkExhaustive|BenchmarkTraceScores|BenchmarkTraceResponse|BenchmarkRegistrySave|BenchmarkAnalyze' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkVerifyWindows|BenchmarkVerifySession|BenchmarkVerifyColdCEC|BenchmarkPackedSim|BenchmarkSimRun|BenchmarkExhaustive|BenchmarkTraceScores|BenchmarkTraceResponse|BenchmarkRegistrySave|BenchmarkRegistryAdopt|BenchmarkAnalyze|BenchmarkSDCAnalyze' -benchtime 1x -benchmem .
 
 # Incremental-verification baseline: 64 fingerprint copies through the
 # persistent cec.Session vs 64 cold cec.Check miters; writes BENCH_verify.json
@@ -162,12 +163,13 @@ cover:
 	$(GO) test -cover ./...
 
 # Short fuzz session over the three netlist parsers, the red-team
-# campaign-spec reader and the SAT solver.
+# campaign-spec reader, the registry snapshot encoder and the SAT solver.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/blif/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/verilog/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/benchfmt/
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=30s ./internal/redteam/
+	$(GO) test -run '^FuzzSnapshotJSON$$' -fuzz='^FuzzSnapshotJSON$$' -fuzztime=30s ./internal/registry/
 	$(GO) test -run '^FuzzSolve$$' -fuzz='^FuzzSolve$$' -fuzztime=30s ./internal/sat/
 
 # Removes only untracked run artifacts. The BENCH_*.json baselines and the

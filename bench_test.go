@@ -753,7 +753,11 @@ func BenchmarkTraceResponse(b *testing.B) {
 func BenchmarkRegistrySave(b *testing.B) {
 	_, reg, _ := matureRegistry(b)
 	buf := reg.AppendJSON(nil)
-	want := jsonIndent(b, map[string]any{"design": reg.Design, "digest": reg.Digest, "issued": reg.Issued})
+	issued := map[string]string{}
+	for _, rec := range reg.Records() {
+		issued[rec.Buyer] = rec.Value
+	}
+	want := jsonIndent(b, map[string]any{"design": reg.Design, "digest": reg.Digest, "issued": issued})
 	if !bytes.Equal(buf, want) {
 		b.Fatal("Registry.AppendJSON differs from encoding/json")
 	}
@@ -763,6 +767,38 @@ func BenchmarkRegistrySave(b *testing.B) {
 		buf = reg.AppendJSON(buf[:0])
 	}
 	b.ReportMetric(float64(len(buf))/1024, "KiB/snapshot")
+}
+
+// BenchmarkRegistryAdopt installs 20 000 c880 records, shuffled as a
+// WAL's arrival order leaves them, into an empty registry in one AdoptAll —
+// the replay behind registrystore's Replicated.Load.
+func BenchmarkRegistryAdopt(b *testing.B) {
+	spec, err := bench.ByName("c880")
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := core.Analyze(spec.Build(), core.DefaultOptions(cell.Default()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	buyers := make([]string, 20000)
+	for i := range buyers {
+		buyers[i] = fmt.Sprintf("buyer-%05d", i)
+	}
+	minted := registry.New(a)
+	if _, err := minted.IssueBatchValues(context.Background(), a, buyers); err != nil {
+		b.Fatal(err)
+	}
+	recs := minted.Records()
+	rand.New(rand.NewSource(1)).Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reg := registry.New(a)
+		if err := reg.AdoptAll(recs); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func BenchmarkSuiteGeneration(b *testing.B) {

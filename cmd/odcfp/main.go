@@ -11,14 +11,16 @@
 //	odcfp verify      -in design.v -copy fp.v
 //	odcfp constrain   -in design.v -out fp.v -budget 0.05 [-method reactive|proactive]
 //
-// Netlist format is inferred from the file extension (.blif or .v). BLIF
-// input is technology-mapped onto the default library first.
+// Netlist format is inferred from the file extension: .blif, .v or .bench
+// on input, .v or .bench on output. BLIF input is technology-mapped onto
+// the default library first.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math/big"
 	"os"
 	"path/filepath"
@@ -91,6 +93,9 @@ commands:
   issue       -in F -registry R.json -buyer NAME -out G
   trace       -in F -registry R.json -copy G [-scores]
   catalogue                                print the modification lookup table
+
+Netlists are read as .blif, .v or .bench and written as .v or .bench, by
+file extension.
 `)
 }
 
@@ -123,13 +128,27 @@ func readCircuit(path string) (*odcfp.Circuit, error) {
 	return c, nil
 }
 
+// writeCircuit writes c in the format path's extension names, as
+// readCircuit reads it back.
 func writeCircuit(path string, c *odcfp.Circuit) error {
+	var write func(io.Writer, *odcfp.Circuit) error
+	switch strings.ToLower(filepath.Ext(path)) {
+	case ".v", ".verilog":
+		write = odcfp.WriteVerilog
+	case ".bench":
+		write = odcfp.WriteBench
+	default:
+		return fmt.Errorf("cannot infer output format of %q (want .v or .bench)", path)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return odcfp.WriteVerilog(f, c)
+	if err := write(f, c); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func cmdStats(args []string) error {
@@ -193,7 +212,7 @@ func cmdAnalyze(args []string) error {
 func cmdFingerprint(args []string) error {
 	fs := flag.NewFlagSet("fingerprint", flag.ExitOnError)
 	in := fs.String("in", "", "input netlist")
-	out := fs.String("out", "", "output Verilog netlist")
+	out := fs.String("out", "", "output netlist (.v or .bench)")
 	value := fs.String("value", "", "fingerprint value (decimal)")
 	bits := fs.String("bits", "", "binary fingerprint string, MSB first")
 	all := fs.Bool("all", false, "modify every location")
@@ -540,7 +559,7 @@ func cmdSDC(args []string) error {
 func cmdConstrain(args []string) error {
 	fs := flag.NewFlagSet("constrain", flag.ExitOnError)
 	in := fs.String("in", "", "input netlist")
-	out := fs.String("out", "", "output Verilog netlist")
+	out := fs.String("out", "", "output netlist (.v or .bench)")
 	budget := fs.Float64("budget", 0.05, "fractional delay budget (0.05 = +5%)")
 	method := fs.String("method", "reactive", "reactive or proactive")
 	seed := fs.Int64("seed", 1, "random seed for the reactive kicks")

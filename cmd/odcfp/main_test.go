@@ -1,10 +1,13 @@
 package main
 
 import (
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 func runCLI(t *testing.T, args ...string) string {
@@ -20,8 +23,8 @@ func runCLI(t *testing.T, args ...string) string {
 }
 
 // TestSmoke drives the CLI end to end on the tiny committed netlists:
-// stats/analyze, a fingerprint embed + extract round trip, and the
-// parallel constrain path.
+// stats/analyze, a fingerprint embed + extract round trip, an issue +
+// trace round trip through a .bench copy, and the parallel constrain path.
 func TestSmoke(t *testing.T) {
 	in := filepath.Join("..", "..", "testdata", "c17.bench")
 
@@ -41,9 +44,40 @@ func TestSmoke(t *testing.T) {
 		t.Errorf("extract output malformed:\n%s", out)
 	}
 
+	// Issue writes the format -out names, so a .bench copy traces back.
+	reg := filepath.Join(dir, "reg.json")
+	cp := filepath.Join(dir, "copy.bench")
+	if out := runCLI(t, "issue", "-in", in, "-registry", reg, "-buyer", "alice", "-out", cp); !strings.Contains(out, "copy verified") {
+		t.Errorf("issue output malformed:\n%s", out)
+	}
+	if out := runCLI(t, "trace", "-in", in, "-registry", reg, "-copy", cp); !strings.Contains(out, `traces to buyer "alice"`) {
+		t.Errorf("trace output malformed:\n%s", out)
+	}
+
 	con := filepath.Join(dir, "con.v")
 	out := runCLI(t, "constrain", "-in", in, "-out", con, "-budget", "0.10", "-j", "4")
 	if !strings.Contains(out, "reactive heuristic") {
 		t.Errorf("constrain output malformed:\n%s", out)
+	}
+}
+
+// TestWriteCircuitRejectsUnknownExtension: an output extension with no
+// writer is an error naming the supported ones, and no file is created.
+func TestWriteCircuitRejectsUnknownExtension(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "..", "testdata", "c17.bench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c, err := odcfp.ReadBench(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "copy.blif")
+	if err := writeCircuit(path, c); err == nil || !strings.Contains(err.Error(), ".v or .bench") {
+		t.Fatalf("writeCircuit(%s) = %v, want an error naming .v and .bench", path, err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("rejected write left %s behind (%v)", path, err)
 	}
 }

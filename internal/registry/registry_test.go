@@ -368,8 +368,9 @@ func TestReleaseItems(t *testing.T) {
 
 // oracleScores is the score trace as the registry computed it before the
 // resident table, kept as the test oracle: every record decoded with
-// AssignmentFromInt into a per-buyer assignment, buyers in Buyers() (name)
-// order, scored slot by slot and stable-sorted by the float fractions.
+// AssignmentFromInt into a per-buyer assignment, buyers in name order by
+// their own sort (not the registry's kept order, which is under test),
+// scored slot by slot and stable-sorted by the float fractions.
 func oracleScores(t *testing.T, r *Registry, a *core.Analysis, suspect *circuit.Circuit) []Score {
 	t.Helper()
 	got, _, err := core.ExtractTolerant(a, suspect)
@@ -377,6 +378,7 @@ func oracleScores(t *testing.T, r *Registry, a *core.Analysis, suspect *circuit.
 		t.Fatal(err)
 	}
 	buyers := r.Buyers()
+	sort.Strings(buyers)
 	scores := make([]Score, 0, len(buyers))
 	for _, buyer := range buyers {
 		rec, _ := r.Value(buyer)
@@ -741,4 +743,72 @@ func TestTraceScoresUnholdableAdopt(t *testing.T) {
 	if got, err := r.TraceExact(a, cp); err != nil || got != "alice" {
 		t.Fatalf("exact trace after the bad adopt: %q (%v)", got, err)
 	}
+}
+
+// TestOrderSurvivesFailedMutations: a batch rolled back on a duplicate
+// buyer or on a fingerprint collision leaves the snapshot byte-identical,
+// and releasing a fresh batch interleaved with the existing names (after
+// the score table is built, so rows move) restores it too. Score traces
+// keep matching the oracle throughout.
+func TestOrderSurvivesFailedMutations(t *testing.T) {
+	a := analyzed(t, "c880")
+	ctx := context.Background()
+	r := New(a)
+	rng := rand.New(rand.NewSource(5))
+	var buyers []string
+	for _, i := range rng.Perm(200) {
+		buyers = append(buyers, fmt.Sprintf("b%03d", 2*i))
+	}
+	items, err := r.IssueBatch(ctx, a, buyers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suspect := items[0].Circuit
+	// "squatter" holds the value "victim" would derive, so a batch naming
+	// victim collides.
+	victim, err := New(a).IssueBatchValues(ctx, a, []string{"victim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Adopt("squatter", victim[0].Value.String()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.TraceScores(a, suspect); err != nil {
+		t.Fatal(err)
+	}
+	before := r.AppendJSON(nil)
+	intact := func(stage string) {
+		t.Helper()
+		if got := r.AppendJSON(nil); !bytes.Equal(got, before) {
+			t.Fatalf("after %s the snapshot changed", stage)
+		}
+		got, err := r.TraceScores(a, suspect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracleScores(t, r, a, suspect); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %s TraceScores differs from the oracle", stage)
+		}
+	}
+	if _, err := r.IssueBatch(ctx, a, []string{"b001", "b003", "b001"}); err == nil {
+		t.Fatal("batch naming b001 twice was accepted")
+	}
+	intact("a duplicate rollback")
+	if _, err := r.IssueBatch(ctx, a, []string{"b001", "victim", "b003"}); err == nil || !strings.Contains(err.Error(), "collision") {
+		t.Fatalf("colliding batch: %v", err)
+	}
+	intact("a collision rollback")
+	var odd []string
+	for _, i := range rng.Perm(60) {
+		odd = append(odd, fmt.Sprintf("b%03d", 2*i+1))
+	}
+	fresh, err := r.IssueBatchValues(ctx, a, append(odd, buyers[:5]...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.NumIssued(); got != 261 {
+		t.Fatalf("NumIssued = %d after the odd batch, want 261", got)
+	}
+	r.ReleaseItems(fresh)
+	intact("ReleaseItems")
 }

@@ -1,12 +1,9 @@
 package registry
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/big"
-	"slices"
-	"strings"
 
 	"repro/internal/core"
 )
@@ -80,7 +77,9 @@ func Implicated(scores []Score, threshold float64) []string {
 // table is a flat, row-major table of issued fingerprints: one row per
 // buyer, one narrow digit per modification slot in the positional order of
 // core.Analysis.Radices (−1 unmodified, d ≥ 0 variant d: the flat form of a
-// core.Assignment). It is the registry's resident score table. A table is
+// core.Assignment). It is the registry's resident score table. Rows keep
+// no meaningful order (delete moves the last row); each registry record
+// names its row, and scores ranks by the records' name order. A table is
 // not safe for concurrent mutation; the Registry guards it with its lock.
 type table struct {
 	radices []int    // per slot: 1 + variant count
@@ -134,11 +133,21 @@ func (t *table) delete(row int) {
 }
 
 // scores scores every row against a suspect's tolerant extraction
-// (core.ExtractTolerant), one Score per row in row order. Tampered slots
-// count for nobody. TotalPresent and TotalAll depend on the suspect alone,
-// so they are counted once; per row only the agreements are, in one
-// sequential pass over the row.
-func (t *table) scores(got core.Assignment) []Score {
+// (core.ExtractTolerant) and ranks the buyers best first: higher Fraction,
+// then higher FractionAll, then buyer name. recs are the registry's
+// records in name order, each naming its row. Tampered slots count for
+// nobody. TotalPresent and TotalAll depend on the suspect alone, so they
+// are counted once; per row only the agreements are, in one sequential
+// pass over the table.
+//
+// Every score of one suspect shares its totals, so the agreement counts
+// are exact keys for the two fractions, and each lies in [0, TotalAll].
+// The ranking is therefore a stable counting sort of the name-ordered
+// records — one pass on AgreeAll, then one on AgreePresent — in
+// Θ(rows + slots) with no comparison at all. A single combined key would
+// need Θ(slots²) buckets. All scratch is per call, so traces holding the
+// registry's read lock run concurrently.
+func (t *table) scores(got core.Assignment, recs []entry) []Score {
 	// want is the suspect as a row. A tampered slot, or a digit no row can
 	// hold (addValue), becomes core.Tampered, which no row holds either,
 	// so it matches nobody.
@@ -160,8 +169,9 @@ func (t *table) scores(got core.Assignment) []Score {
 		}
 	}
 	n := len(t.radices)
-	scores := make([]Score, len(t.names))
-	for r := range scores {
+	type agreement struct{ present, all int32 }
+	agree := make([]agreement, len(t.names))
+	for r := range agree {
 		row := t.digits[r*n : (r+1)*n]
 		agreePresent, agreeAll := 0, 0
 		for k, d := range row[:len(want)] {
@@ -174,30 +184,44 @@ func (t *table) scores(got core.Assignment) []Score {
 			agreeAll += eq
 			agreePresent += eq &^ int(uint8(d)>>7) // d ≥ 0: sign bit clear
 		}
-		scores[r] = Score{
-			Name:         t.names[r],
-			AgreePresent: agreePresent,
+		agree[r] = agreement{int32(agreePresent), int32(agreeAll)}
+	}
+
+	// Pass 1: rows in name order, stably bucketed by missed slots
+	// (TotalAll − AgreeAll), so the best AgreeAll comes first.
+	start := make([]int, totalAll+2)
+	for _, e := range recs {
+		start[totalAll-int(agree[e.row].all)+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	byAll := make([]int32, len(recs))
+	for _, e := range recs {
+		k := totalAll - int(agree[e.row].all)
+		byAll[start[k]] = int32(e.row)
+		start[k]++
+	}
+	// Pass 2: the same on AgreePresent, emitting the scores.
+	start = start[:totalPresent+2]
+	clear(start)
+	for _, row := range byAll {
+		start[totalPresent-int(agree[row].present)+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	scores := make([]Score, len(recs))
+	for _, row := range byAll {
+		k := totalPresent - int(agree[row].present)
+		scores[start[k]] = Score{
+			Name:         t.names[row],
+			AgreePresent: int(agree[row].present),
 			TotalPresent: totalPresent,
-			AgreeAll:     agreeAll,
+			AgreeAll:     int(agree[row].all),
 			TotalAll:     totalAll,
 		}
+		start[k]++
 	}
 	return scores
-}
-
-// sortScores orders one suspect's scores best first — higher Fraction,
-// then higher FractionAll — and breaks ties by buyer name, since the
-// table's row order carries no meaning (delete moves rows). Every score of
-// one suspect shares TotalPresent and TotalAll, so the agreement counts are
-// exact sort keys for the two fractions and no comparison divides.
-func sortScores(scores []Score) {
-	slices.SortFunc(scores, func(x, y Score) int {
-		if c := cmp.Compare(y.AgreePresent, x.AgreePresent); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(y.AgreeAll, x.AgreeAll); c != 0 {
-			return c
-		}
-		return strings.Compare(x.Name, y.Name)
-	})
 }

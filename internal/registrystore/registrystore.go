@@ -88,17 +88,11 @@ func peerErrCounter(node string) *obs.Counter {
 	return c
 }
 
-// Record is one acknowledged issuance: the buyer a fingerprinted copy was
-// minted for and the decimal fingerprint value recorded for them. Records
-// are immutable and self-contained — the value re-derives the copy
-// byte-identically (registry issuance is deterministic per buyer), so a
-// record alone is a complete acknowledgement.
-type Record struct {
-	// Buyer names the recipient.
-	Buyer string `json:"buyer"`
-	// Value is the fingerprint as a decimal mixed-radix integer.
-	Value string `json:"value"`
-}
+// Record is one acknowledged issuance (registry.Record): the buyer a
+// fingerprinted copy was minted for and the decimal fingerprint value
+// recorded for them. Records are immutable and self-contained, so a record
+// alone is a complete acknowledgement.
+type Record = registry.Record
 
 // Store persists issuance registries, one per design digest. The serving
 // layer mutates an in-memory registry.Registry first (reserving values

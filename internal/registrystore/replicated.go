@@ -261,10 +261,9 @@ func (r *Replicated) Load(digest string, a *core.Analysis) (*registry.Registry, 
 	}
 	reg := registry.New(a)
 	recs := r.wal.Records(digest)
-	for _, rec := range recs {
-		if err := reg.Adopt(rec.Buyer, rec.Value); err != nil {
-			return nil, 0, fmt.Errorf("registrystore: replicated: replaying %s: %w", digest, err)
-		}
+	// The WAL holds records in arrival order; one AdoptAll sorts them once.
+	if err := reg.AdoptAll(recs); err != nil {
+		return nil, 0, fmt.Errorf("registrystore: replicated: replaying %s: %w", digest, err)
 	}
 	mLoads.Inc()
 	// The sequence is the replayed snapshot's length, not a second read of

@@ -1,12 +1,22 @@
 package registrystore
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
+	"repro/internal/cell"
+	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/registry"
 )
 
@@ -123,7 +133,7 @@ func TestReplicatedQuorumAck(t *testing.T) {
 // keeps serving a registry that misses an acknowledged issuance.
 func TestReplicatedAppendSeqFlagsForeignRecords(t *testing.T) {
 	r := openTestReplicated(t, newFakeTransport(t), "n1", []string{"n1"}, 1)
-	reg := &registry.Registry{Issued: map[string]string{}}
+	reg := &registry.Registry{}
 	issue := func(buyer, value string) uint64 {
 		t.Helper()
 		if err := reg.Adopt(buyer, value); err != nil {
@@ -260,5 +270,93 @@ func TestReplicatedSyncAdopts(t *testing.T) {
 	adopted, err = r.Sync(context.Background(), []string{replTestDigest})
 	if err != nil || adopted != 0 {
 		t.Fatalf("second Sync adopted %d err=%v, want 0, nil", adopted, err)
+	}
+}
+
+// TestRegistryOrderIndependent: however a registry's records arrive, it
+// keeps one buyer order. Four registries of the same c880 records — minted
+// by IssueBatch, adopted one by one in shuffled order, loaded from a
+// snapshot, and replayed by Replicated.Load from a WAL written in shuffled
+// order — give byte-identical snapshots and equal score traces.
+func TestRegistryOrderIndependent(t *testing.T) {
+	spec, err := bench.ByName("c880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := core.Analyze(spec.Build(), core.DefaultOptions(cell.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := registry.DesignDigest(a)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(3))
+	shuffled := func(recs []Record) []Record {
+		out := slices.Clone(recs)
+		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		return out
+	}
+	var buyers []string
+	for _, i := range rng.Perm(300) {
+		buyers = append(buyers, fmt.Sprintf("buyer-%03d", i))
+	}
+
+	minted := registry.New(a)
+	var suspect *circuit.Circuit
+	for _, chunk := range [][]string{buyers[:1], buyers[1:120], buyers[120:]} {
+		items, err := minted.IssueBatch(ctx, a, chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if suspect == nil {
+			suspect = items[0].Circuit
+		}
+	}
+	recs := minted.Records()
+
+	adopted := registry.New(a)
+	for _, rec := range shuffled(recs) {
+		if err := adopted.Adopt(rec.Buyer, rec.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	loaded, err := registry.Load(bytes.NewReader(minted.AppendJSON(nil)), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rs := openTestReplicated(t, newFakeTransport(t), "n1", []string{"n1"}, 1)
+	walRecs := shuffled(recs)
+	for len(walRecs) > 0 {
+		n := min(len(walRecs), 1+rng.Intn(40))
+		if _, err := rs.Append(ctx, digest, nil, walRecs[:n]); err != nil {
+			t.Fatal(err)
+		}
+		walRecs = walRecs[n:]
+	}
+	replayed, _, err := rs.Load(digest, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := minted.AppendJSON(nil)
+	wantScores, err := minted.TraceScores(a, suspect)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, reg := range map[string]*registry.Registry{"Adopt": adopted, "Load": loaded, "Replicated.Load": replayed} {
+		if got := reg.AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Errorf("%s: snapshot differs from the IssueBatch registry's", label)
+		}
+		got, err := reg.TraceScores(a, suspect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, wantScores) {
+			t.Errorf("%s: score trace differs from the IssueBatch registry's", label)
+		}
+	}
+	if !slices.IsSortedFunc(recs, func(x, y Record) int { return strings.Compare(x.Buyer, y.Buyer) }) {
+		t.Error("Records is not sorted by buyer")
 	}
 }

@@ -20,8 +20,9 @@
 // by copies).
 //
 // Detection is two-phase, as in the paper's flow: bit-parallel random
-// simulation rules out combinations that do occur, then a SAT query proves
-// the remaining candidates unreachable.
+// simulation rules out combinations that do occur, then SAT queries prove
+// the remaining candidates unreachable — each candidate's minterm asked as
+// assumptions of one solver holding one encoding of the circuit.
 package sdc
 
 import (
@@ -145,19 +146,48 @@ func Analyze(c *circuit.Circuit, opts Options) (*Analysis, error) {
 	if opts.SimWords <= 0 {
 		opts.SimWords = 16
 	}
-	// Phase 1: simulation marks occurring combinations. One run per
-	// analysis, so the gate-level reference costs less than an AIG view.
+	cands, err := candidates(c, opts)
+	if err != nil {
+		return nil, err
+	}
+	// Phase 2: SAT proof per candidate, all on one encoding of c.
+	a := &Analysis{Circuit: c}
+	if len(cands) == 0 {
+		return a, nil
+	}
+	s := sat.New()
+	piVars := make(map[string]int, len(c.PIs))
+	for _, pi := range c.PIs {
+		piVars[c.Nodes[pi].Name] = s.NewVar()
+	}
+	vars, err := cec.EncodeNodes(s, c, piVars)
+	if err != nil {
+		return nil, fmt.Errorf("sdc: %w", err)
+	}
+	for _, cd := range cands {
+		unreachable, err := proveUnreachable(s, vars, &c.Nodes[cd.Gate], cd.Minterm)
+		if err != nil {
+			return nil, err
+		}
+		if unreachable {
+			a.Locations = append(a.Locations, cd)
+		}
+	}
+	return a, nil
+}
+
+// candidates is phase 1: one simulation run marks the fanin combinations
+// that occur, and each 2-input gate whose first non-occurring minterm has
+// a realisable flip becomes a candidate location, still to be proved.
+func candidates(c *circuit.Circuit, opts Options) ([]Location, error) {
+	// One run per analysis, so the gate-level reference costs less than an
+	// AIG view.
 	vec := sim.Random(len(c.PIs), opts.SimWords, opts.Seed)
 	res, err := sim.Run(c, vec)
 	if err != nil {
 		return nil, err
 	}
-	type cand struct {
-		gate    circuit.NodeID
-		minterm int
-		alt     Replacement
-	}
-	var cands []cand
+	var cands []Location
 	for i := range c.Nodes {
 		nd := &c.Nodes[i]
 		if nd.IsPI || len(nd.Fanin) != 2 {
@@ -196,41 +226,23 @@ func Analyze(c *circuit.Circuit, opts Options) (*Analysis, error) {
 			if !feasible(opts.Library, alt) {
 				continue
 			}
-			cands = append(cands, cand{gate: circuit.NodeID(i), minterm: m, alt: alt})
+			cands = append(cands, Location{Gate: circuit.NodeID(i), Minterm: m, Alt: alt})
 			break // one candidate minterm per gate
 		}
 	}
-	// Phase 2: SAT proof per candidate.
-	a := &Analysis{Circuit: c}
-	for _, cd := range cands {
-		unreachable, err := proveUnreachable(c, cd.gate, cd.minterm)
-		if err != nil {
-			return nil, err
-		}
-		if unreachable {
-			a.Locations = append(a.Locations, Location{Gate: cd.gate, Minterm: cd.minterm, Alt: cd.alt})
-		}
-	}
-	return a, nil
+	return cands, nil
 }
 
 func feasible(lib *cell.Library, r Replacement) bool {
 	return lib.Has(r.Kind, len(r.Pins))
 }
 
-// proveUnreachable encodes the circuit and asks SAT for an input assignment
-// driving the gate's fanin pair to the given minterm; UNSAT proves the SDC.
-func proveUnreachable(c *circuit.Circuit, g circuit.NodeID, minterm int) (bool, error) {
-	s := sat.New()
-	piVars := make(map[string]int, len(c.PIs))
-	for _, pi := range c.PIs {
-		piVars[c.Nodes[pi].Name] = s.NewVar()
-	}
-	vars, err := cec.EncodeNodes(s, c, piVars)
-	if err != nil {
-		return false, fmt.Errorf("sdc: %w", err)
-	}
-	nd := &c.Nodes[g]
+// proveUnreachable asks the solver, which holds the circuit's encoding
+// (vars: one literal per node), for an input assignment driving nd's
+// fanin pair to the given minterm, as assumptions; UNSAT proves the SDC.
+// The query has no budget, so its verdict does not depend on what earlier
+// queries left in the solver.
+func proveUnreachable(s *sat.Solver, vars []int, nd *circuit.Node, minterm int) (bool, error) {
 	la := vars[nd.Fanin[0]]
 	lb := vars[nd.Fanin[1]]
 	if minterm&1 == 0 {

@@ -2,13 +2,17 @@ package sdc
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bench"
 	"repro/internal/cec"
 	"repro/internal/cell"
 	"repro/internal/circuit"
 	"repro/internal/logic"
+	"repro/internal/sat"
 	"repro/internal/sim"
 )
 
@@ -298,5 +302,67 @@ func TestExtractTamperDetection(t *testing.T) {
 	}
 	if _, err := Extract(a, cp); err == nil {
 		t.Error("tampered SDC gate not detected")
+	}
+}
+
+// freshSolverLocations is phase 2 as it ran before one encoding served
+// every candidate, kept as the oracle: a new solver and a new encoding of
+// the whole circuit per candidate.
+func freshSolverLocations(t *testing.T, c *circuit.Circuit, opts Options) []Location {
+	t.Helper()
+	cands, err := candidates(c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var locs []Location
+	for _, cd := range cands {
+		s := sat.New()
+		piVars := make(map[string]int, len(c.PIs))
+		for _, pi := range c.PIs {
+			piVars[c.Nodes[pi].Name] = s.NewVar()
+		}
+		vars, err := cec.EncodeNodes(s, c, piVars)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unreachable, err := proveUnreachable(s, vars, &c.Nodes[cd.Gate], cd.Minterm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if unreachable {
+			locs = append(locs, cd)
+		}
+	}
+	return locs
+}
+
+// TestSharedSolverMatchesFreshSolvers: answering every candidate on one
+// encoding finds exactly the locations a fresh solver per candidate does,
+// on correlated random circuits and on suite circuits.
+func TestSharedSolverMatchesFreshSolvers(t *testing.T) {
+	circuits := map[string]*circuit.Circuit{
+		"corr100": RandomCorrelated(12, 100, 7),
+		"corr400": RandomCorrelated(12, 400, 7),
+	}
+	for _, name := range []string{"c432", "c880", "c1355", "c1908"} {
+		spec, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits[name] = spec.Build()
+	}
+	for name, c := range circuits {
+		a, err := Analyze(c, DefaultOptions(lib()))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := freshSolverLocations(t, c, DefaultOptions(lib()))
+		if !reflect.DeepEqual(a.Locations, want) {
+			t.Errorf("%s: %d locations on one solver, %d with a fresh solver per candidate", name, len(a.Locations), len(want))
+		}
+		t.Logf("%s: %d locations", name, len(want))
+		if strings.HasPrefix(name, "corr") && len(want) == 0 {
+			t.Errorf("%s: no SDC locations; the comparison saw nothing", name)
+		}
 	}
 }

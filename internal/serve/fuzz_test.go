@@ -7,12 +7,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/jsonw"
-	"repro/internal/registry"
 )
 
 // oldWriteJSON is the encoding/json path /trace bodies took before
@@ -28,21 +26,10 @@ func oldWriteJSON(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
-// oldSave is Registry.Save before Registry.AppendJSON: the oracle for
-// snapshot bytes.
-func oldSave(t *testing.T, r *registry.Registry) []byte {
-	t.Helper()
-	type wire struct {
-		Design string            `json:"design"`
-		Digest string            `json:"digest"`
-		Issued map[string]string `json:"issued"`
-	}
-	return oldWriteJSON(t, wire{Design: r.Design, Digest: r.Digest, Issued: r.Issued})
-}
-
-// checkAppendJSON builds strings, floats, a TraceResponse and a registry
-// from one input and checks every hand-written appender against its
-// encoding/json oracle.
+// checkAppendJSON builds strings, floats and a TraceResponse from one
+// input and checks every hand-written appender against its encoding/json
+// oracle. Registry snapshots have their own fuzz target,
+// registry.FuzzSnapshotJSON.
 func checkAppendJSON(t *testing.T, a, b string, x, y uint64, agree, total int, full bool) {
 	t.Helper()
 	for _, s := range []string{a, b} {
@@ -81,21 +68,11 @@ func checkAppendJSON(t *testing.T, a, b string, x, y uint64, agree, total int, f
 		t.Fatalf("TraceResponse.AppendJSON:\n got %q\nwant %q", got, want)
 	}
 
-	reg := &registry.Registry{Design: b, Digest: a, Issued: map[string]string{}}
-	if got, want := reg.AppendJSON(nil), oldSave(t, reg); !bytes.Equal(got, want) {
-		t.Fatalf("empty Registry.AppendJSON:\n got %q\nwant %q", got, want)
-	}
-	for i, n := range append(names, b) {
-		reg.Issued[n] = strconv.Itoa(agree+i) + n
-	}
-	if got, want := reg.AppendJSON(nil), oldSave(t, reg); !bytes.Equal(got, want) {
-		t.Fatalf("Registry.AppendJSON:\n got %q\nwant %q", got, want)
-	}
 }
 
 // FuzzAppendJSON: jsonw.AppendString over arbitrary bytes, jsonw.AppendFloat
-// over finite bit patterns, and /trace bodies and registry snapshots built
-// from fuzzed names and scores all match encoding/json byte for byte.
+// over finite bit patterns, and /trace bodies built from fuzzed names and
+// scores all match encoding/json byte for byte.
 func FuzzAppendJSON(f *testing.F) {
 	f.Add("alice,bob,carol", "ebb615f0", math.Float64bits(0.4), math.Float64bits(1), 20, 50, false)
 	f.Add("<b>&co,line\xe2\x80\xa8sep\xe2\x80\xa9,Zo\xc3\xab", "bad\xff\xfe", math.Float64bits(1e-7), math.Float64bits(1e21), 0, 0, true)
