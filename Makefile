@@ -9,13 +9,13 @@ all: build vet test
 # Everything the CI workflow runs: formatting, vet, doc lint, build, the
 # full race-enabled test suite, vet and tests of the separate perfbench
 # module (it builds against this module's packages), one iteration of the
-# root verification, simulation, tracing and analysis benchmarks, a short
-# fuzz pass
-# over the three netlist parsers, the red-team spec reader, the hand-written JSON appenders
-# and registry snapshots (against encoding/json) and the SAT solver (against brute force, and
-# Reset against New), the fault-injected chaos smoke, the
-# daemon, cluster and partition process-level smokes, and the red-team
-# attack smoke.
+# root verification, simulation, tracing, analysis and .bench codec
+# benchmarks, a short fuzz pass over the three netlist parsers (and the
+# .bench codec against its legacy oracle), the red-team spec reader, the
+# hand-written JSON appenders and registry snapshots (against
+# encoding/json) and the SAT solver (against brute force, and Reset
+# against New), the fault-injected chaos smoke, the daemon, cluster and
+# partition process-level smokes, and the red-team attack smoke.
 ci: doccheck
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
@@ -25,7 +25,8 @@ ci: doccheck
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) bench-smoke
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/blif/
-	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/benchfmt/
+	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/benchfmt/
+	$(GO) test -fuzz='^FuzzParseMatchesLegacy$$' -fuzztime=10s ./internal/benchfmt/
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/verilog/
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=10s ./internal/redteam/
 	$(GO) test -run '^FuzzAppendJSON$$' -fuzz='^FuzzAppendJSON$$' -fuzztime=10s ./internal/serve/
@@ -138,9 +139,10 @@ bench:
 
 # One iteration of each root benchmark CI exercises: the verification
 # engines, the simulation kernels, registry tracing, snapshot writes and
-# replay, and the ODC and SDC analysis scans. Catches a benchmark that no longer builds or runs.
+# replay, the ODC and SDC analysis scans, and the .bench reader and
+# writer. Catches a benchmark that no longer builds or runs.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkVerifyWindows|BenchmarkVerifySession|BenchmarkVerifyColdCEC|BenchmarkPackedSim|BenchmarkSimRun|BenchmarkExhaustive|BenchmarkTraceScores|BenchmarkTraceResponse|BenchmarkRegistrySave|BenchmarkRegistryAdopt|BenchmarkAnalyze|BenchmarkSDCAnalyze' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkVerifyWindows|BenchmarkVerifySession|BenchmarkVerifyColdCEC|BenchmarkPackedSim|BenchmarkSimRun|BenchmarkExhaustive|BenchmarkTraceScores|BenchmarkTraceResponse|BenchmarkRegistrySave|BenchmarkRegistryAdopt|BenchmarkAnalyze|BenchmarkSDCAnalyze|BenchmarkBenchParse|BenchmarkBenchWrite' -benchtime 1x -benchmem .
 
 # Incremental-verification baseline: 64 fingerprint copies through the
 # persistent cec.Session vs 64 cold cec.Check miters; writes BENCH_verify.json
@@ -162,12 +164,14 @@ bench-analyze-smoke:
 cover:
 	$(GO) test -cover ./...
 
-# Short fuzz session over the three netlist parsers, the red-team
+# Short fuzz session over the three netlist parsers, the .bench codec
+# against its legacy oracle, the red-team
 # campaign-spec reader, the registry snapshot encoder and the SAT solver.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/blif/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/verilog/
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/benchfmt/
+	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/benchfmt/
+	$(GO) test -fuzz='^FuzzParseMatchesLegacy$$' -fuzztime=30s ./internal/benchfmt/
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=30s ./internal/redteam/
 	$(GO) test -run '^FuzzSnapshotJSON$$' -fuzz='^FuzzSnapshotJSON$$' -fuzztime=30s ./internal/registry/
 	$(GO) test -run '^FuzzSolve$$' -fuzz='^FuzzSolve$$' -fuzztime=30s ./internal/sat/

@@ -23,6 +23,7 @@ import (
 	"repro"
 	"repro/internal/aig"
 	"repro/internal/bench"
+	"repro/internal/benchfmt"
 	"repro/internal/cec"
 	"repro/internal/cell"
 	"repro/internal/circuit"
@@ -798,6 +799,62 @@ func BenchmarkRegistryAdopt(b *testing.B) {
 		if err := reg.AdoptAll(recs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchNetlist is suite circuit name in .bench form, as an upload or a
+// suspect reaches /designs and /trace.
+func benchNetlist(b *testing.B, name string) []byte {
+	spec, err := bench.ByName(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := benchfmt.Write(&buf, spec.Build()); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkBenchParse reads a suite circuit's .bench text — the first step
+// of every exact trace and every .bench upload.
+func BenchmarkBenchParse(b *testing.B) {
+	for _, name := range []string{"c880", "c5315"} {
+		b.Run(name, func(b *testing.B) {
+			src := benchNetlist(b, name)
+			b.SetBytes(int64(len(src)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := benchfmt.Parse(bytes.NewReader(src)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBenchWrite encodes a parsed suite circuit as .bench, as /issue
+// does for every copy it returns in that format.
+func BenchmarkBenchWrite(b *testing.B) {
+	for _, name := range []string{"c880", "c5315"} {
+		b.Run(name, func(b *testing.B) {
+			src := benchNetlist(b, name)
+			c, err := benchfmt.Parse(bytes.NewReader(src))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var buf bytes.Buffer
+			b.SetBytes(int64(len(src)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := benchfmt.Write(&buf, c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/atomicfile"
 	"repro/internal/core"
 	"repro/internal/registry"
 )
@@ -379,13 +380,8 @@ func cmdIssue(args []string) error {
 	if err := writeCircuit(*out, cp); err != nil {
 		return err
 	}
-	f, err := os.Create(*regPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := reg.Save(f); err != nil {
-		return err
+	if err := atomicfile.Write(*regPath, 0o644, reg.Save); err != nil {
+		return fmt.Errorf("writing registry: %w", err)
 	}
 	fmt.Printf("issued fingerprint %s to %q (%d buyers registered); copy verified\n",
 		value, *buyer, len(reg.Buyers()))

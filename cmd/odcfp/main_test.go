@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -8,6 +11,8 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/atomicfile"
+	"repro/internal/registry"
 )
 
 func runCLI(t *testing.T, args ...string) string {
@@ -79,5 +84,68 @@ func TestWriteCircuitRejectsUnknownExtension(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("rejected write left %s behind (%v)", path, err)
+	}
+}
+
+// TestIssueRegistryWriteFailure: a registry write that fails returns an
+// error and leaves the earlier registry byte-identical and loadable, with
+// no temporary file behind.
+func TestIssueRegistryWriteFailure(t *testing.T) {
+	in := filepath.Join("..", "..", "testdata", "c17.bench")
+	dir := t.TempDir()
+	reg := filepath.Join(dir, "reg.json")
+	if err := cmdIssue([]string{"-in", in, "-registry", reg, "-buyer", "alice", "-out", filepath.Join(dir, "alice.v")}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The registry's directory is a regular file: creating the temporary
+	// file fails.
+	notDir := filepath.Join(dir, "plain")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = cmdIssue([]string{"-in", in, "-registry", filepath.Join(notDir, "reg.json"), "-buyer", "bob", "-out", filepath.Join(dir, "bob.v")})
+	if err == nil || !strings.Contains(err.Error(), "writing registry") {
+		t.Fatalf("issue into %s: err = %v, want a registry write error", notDir, err)
+	}
+
+	// The encoder fails halfway through: the earlier registry stays.
+	failing := func(w io.Writer) error {
+		w.Write(before[:len(before)/2])
+		return errors.New("disk full")
+	}
+	if err := atomicfile.Write(reg, 0o644, failing); err == nil {
+		t.Fatal("atomicfile.Write reported success for a failed write")
+	}
+	after, err := os.ReadFile(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("failed write changed the registry:\n%s\nwant:\n%s", after, before)
+	}
+	a, err := loadAnalysis(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := registry.Load(bytes.NewReader(after), a)
+	if err != nil {
+		t.Fatalf("registry no longer loads: %v", err)
+	}
+	if buyers := r.Buyers(); len(buyers) != 1 || buyers[0] != "alice" {
+		t.Errorf("buyers %v, want [alice]", buyers)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp") {
+			t.Errorf("temporary file %s left behind", e.Name())
+		}
 	}
 }

@@ -17,7 +17,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
@@ -38,7 +41,7 @@ var nameToKind = map[string]logic.Kind{
 	"GND":  logic.Const0,
 }
 
-var kindToName = map[logic.Kind]string{
+var kindToName = [logic.NumKinds]string{
 	logic.And:    "AND",
 	logic.Nand:   "NAND",
 	logic.Or:     "OR",
@@ -51,153 +54,184 @@ var kindToName = map[logic.Kind]string{
 	logic.Const0: "GND",
 }
 
+// maxLine is the longest line Parse accepts, counted without its newline;
+// a longer one fails with bufio.ErrTooLong.
+const maxLine = 1<<20 - 1
+
 // Parse reads a combinational .bench netlist. The circuit name is taken
 // from the first comment line of the form "# name" if present, else "bench".
+// Gates may be defined in any order; node IDs follow definition order
+// (circuit.Defs.Order).
+//
+// The input is read once and its lines sliced in place; the names the
+// circuit keeps are copied into one shared string, so the circuit does not
+// hold on to the input.
 func Parse(r io.Reader) (*circuit.Circuit, error) {
-	sc := bufio.NewScanner(r)
-	// Lines may reach 1 MiB; the buffer starts at bufio's 4 KiB and grows
-	// only for long lines, so a small netlist does not zero 1 MiB.
-	sc.Buffer(nil, 1<<20)
+	var in strings.Builder
+	if _, err := io.Copy(&in, r); err != nil {
+		return nil, err
+	}
+	src := in.String()
 	name := "bench"
 	sawName := false
-
-	type gateDef struct {
-		out  string
-		kind logic.Kind
-		in   []string
-		line int
-	}
-	var inputs, outputs []string
-	var gates []gateDef
-	lineNo := 0
-
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	// The staging arrays grow with the gate lines actually staged, so blank
+	// lines, comments and stray commas reserve nothing.
+	var d circuit.Defs
+	for lineNo, rest := 1, src; rest != ""; lineNo++ {
+		line := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
 		}
-		if strings.HasPrefix(line, "#") {
+		if len(line) > maxLine {
+			return nil, bufio.ErrTooLong
+		}
+		line = strings.TrimSpace(line)
+		switch {
+		case line == "":
+		case line[0] == '#':
 			if !sawName {
-				if n := strings.TrimSpace(strings.TrimPrefix(line, "#")); n != "" {
-					name = strings.Fields(n)[0]
+				if n := strings.TrimSpace(line[1:]); n != "" {
+					if i := strings.IndexFunc(n, unicode.IsSpace); i >= 0 {
+						n = n[:i]
+					}
+					name = strings.Clone(n)
 					sawName = true
 				}
 			}
-			continue
-		}
-		up := strings.ToUpper(line)
-		switch {
-		case strings.HasPrefix(up, "INPUT(") || strings.HasPrefix(up, "INPUT ("):
+		case isDecl(line, "INPUT"):
 			sig, err := parenArg(line)
 			if err != nil {
 				return nil, fmt.Errorf("bench line %d: %w", lineNo, err)
 			}
-			inputs = append(inputs, sig)
-		case strings.HasPrefix(up, "OUTPUT(") || strings.HasPrefix(up, "OUTPUT ("):
+			d.Inputs = append(d.Inputs, sig)
+		case isDecl(line, "OUTPUT"):
 			sig, err := parenArg(line)
 			if err != nil {
 				return nil, fmt.Errorf("bench line %d: %w", lineNo, err)
 			}
-			outputs = append(outputs, sig)
+			d.Drivers = append(d.Drivers, sig)
 		default:
-			eq := strings.Index(line, "=")
-			if eq < 0 {
-				return nil, fmt.Errorf("bench line %d: expected assignment, got %q", lineNo, line)
+			if err := addGate(&d, line, lineNo); err != nil {
+				return nil, fmt.Errorf("bench line %d: %w", lineNo, err)
 			}
-			out := strings.TrimSpace(line[:eq])
-			rhs := strings.TrimSpace(line[eq+1:])
-			open := strings.Index(rhs, "(")
-			closeP := strings.LastIndex(rhs, ")")
-			if open < 0 || closeP < open {
-				return nil, fmt.Errorf("bench line %d: malformed function call %q", lineNo, rhs)
-			}
-			fn := strings.ToUpper(strings.TrimSpace(rhs[:open]))
-			if fn == "DFF" || fn == "DFFSR" || fn == "LATCH" {
-				return nil, fmt.Errorf("bench line %d: sequential element %s not supported", lineNo, fn)
-			}
-			kind, ok := nameToKind[fn]
-			if !ok {
-				return nil, fmt.Errorf("bench line %d: unknown function %q", lineNo, fn)
-			}
-			var in []string
-			argStr := strings.TrimSpace(rhs[open+1 : closeP])
-			if argStr != "" {
-				for _, a := range strings.Split(argStr, ",") {
-					a = strings.TrimSpace(a)
-					if a == "" {
-						return nil, fmt.Errorf("bench line %d: empty argument", lineNo)
-					}
-					in = append(in, a)
-				}
-			}
-			gates = append(gates, gateDef{out: out, kind: kind, in: in, line: lineNo})
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	keepNames(&d)
+	// .bench allows listing the same signal twice; the repeat is renamed.
+	d.Outputs = make([]string, len(d.Drivers))
+	listed := make(map[string]bool, len(d.Drivers))
+	for i, drv := range d.Drivers {
+		d.Outputs[i] = drv
+		if listed[drv] {
+			d.Outputs[i] = drv + "_dup"
+		}
+		listed[drv] = true
 	}
-
-	c := circuit.New(name)
-	for _, in := range inputs {
-		if _, err := c.AddPI(in); err != nil {
-			return nil, err
-		}
-	}
-	// Gates may be declared in any order.
-	remaining := gates
-	for len(remaining) > 0 {
-		progressed := false
-		var deferred []gateDef
-		for _, g := range remaining {
-			ready := true
-			for _, in := range g.in {
-				if _, ok := c.Lookup(in); !ok {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				deferred = append(deferred, g)
-				continue
-			}
-			fanin := make([]circuit.NodeID, len(g.in))
-			for i, in := range g.in {
-				fanin[i] = c.MustLookup(in)
-			}
-			if _, err := c.AddGate(g.out, g.kind, fanin...); err != nil {
-				return nil, fmt.Errorf("bench line %d: %w", g.line, err)
-			}
-			progressed = true
-		}
-		if !progressed {
-			return nil, fmt.Errorf("bench line %d: gate %q reads undefined or cyclic signals", deferred[0].line, deferred[0].out)
-		}
-		remaining = deferred
-	}
-	for _, out := range outputs {
-		drv, ok := c.Lookup(out)
-		if !ok {
-			return nil, fmt.Errorf("bench: OUTPUT(%s) has no driver", out)
-		}
-		poName := out
-		if c.IsPODriver(drv) {
-			// .bench allows listing the same signal twice; disambiguate.
-			poName = out + "_dup"
-		}
-		if err := c.AddPO(poName, drv); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
+	c, err := circuit.Build(name, &d)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
 	}
 	return c, nil
 }
 
+// isDecl reports whether line starts with kw (upper case) and then "(" or
+// " (", with letters matched as strings.ToUpper(line) would match them.
+func isDecl(line, kw string) bool {
+	head := line[:min(len(line), len(kw)+2)]
+	for i := 0; i < len(head); i++ {
+		if head[i] >= utf8.RuneSelf {
+			up := strings.ToUpper(line)
+			return strings.HasPrefix(up, kw+"(") || strings.HasPrefix(up, kw+" (")
+		}
+	}
+	if len(head) <= len(kw) {
+		return false
+	}
+	for i := 0; i < len(kw); i++ {
+		if upper(head[i]) != kw[i] {
+			return false
+		}
+	}
+	rest := head[len(kw):]
+	return rest[0] == '(' || rest == " ("
+}
+
+func upper(b byte) byte {
+	if 'a' <= b && b <= 'z' {
+		return b - ('a' - 'A')
+	}
+	return b
+}
+
+// addGate stages one "out = FN(a, b, ...)" line.
+func addGate(d *circuit.Defs, line string, lineNo int) error {
+	eq := strings.IndexByte(line, '=')
+	if eq < 0 {
+		return fmt.Errorf("expected assignment, got %q", line)
+	}
+	out := strings.TrimSpace(line[:eq])
+	rhs := strings.TrimSpace(line[eq+1:])
+	open := strings.IndexByte(rhs, '(')
+	closeP := strings.LastIndexByte(rhs, ')')
+	if open < 0 || closeP < open {
+		return fmt.Errorf("malformed function call %q", rhs)
+	}
+	kind, err := function(strings.TrimSpace(rhs[:open]))
+	if err != nil {
+		return err
+	}
+	if args := strings.TrimSpace(rhs[open+1 : closeP]); args != "" {
+		for {
+			a, tail, more := strings.Cut(args, ",")
+			if a = strings.TrimSpace(a); a == "" {
+				return fmt.Errorf("empty argument")
+			}
+			d.Args = append(d.Args, a)
+			if !more {
+				break
+			}
+			args = tail
+		}
+	}
+	d.Gates = append(d.Gates, out)
+	d.Kinds = append(d.Kinds, kind)
+	d.Ends = append(d.Ends, int32(len(d.Args)))
+	d.Lines = append(d.Lines, int32(lineNo))
+	return nil
+}
+
+// function maps a function name, matched case-insensitively as
+// strings.ToUpper would match it, to its gate kind.
+func function(fn string) (logic.Kind, error) {
+	var buf [8]byte
+	up := buf[:0]
+	for i := 0; i < len(fn); i++ {
+		if fn[i] >= utf8.RuneSelf || len(up) == len(buf) {
+			return functionSlow(strings.ToUpper(fn))
+		}
+		up = append(up, upper(fn[i]))
+	}
+	if kind, ok := nameToKind[string(up)]; ok {
+		return kind, nil
+	}
+	return functionSlow(string(up))
+}
+
+func functionSlow(fn string) (logic.Kind, error) {
+	if fn == "DFF" || fn == "DFFSR" || fn == "LATCH" {
+		return 0, fmt.Errorf("sequential element %s not supported", fn)
+	}
+	if kind, ok := nameToKind[fn]; ok {
+		return kind, nil
+	}
+	return 0, fmt.Errorf("unknown function %q", fn)
+}
+
 func parenArg(line string) (string, error) {
-	open := strings.Index(line, "(")
-	closeP := strings.LastIndex(line, ")")
+	open := strings.IndexByte(line, '(')
+	closeP := strings.LastIndexByte(line, ')')
 	if open < 0 || closeP < open {
 		return "", fmt.Errorf("malformed declaration %q", line)
 	}
@@ -208,51 +242,100 @@ func parenArg(line string) (string, error) {
 	return sig, nil
 }
 
-// Write emits the circuit in .bench form. POs whose name differs from the
-// driver get a BUFF alias so OUTPUT() lines reference real signals.
-func Write(w io.Writer, c *circuit.Circuit) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# %s\n", c.Name)
-	fmt.Fprintf(bw, "# %d inputs, %d outputs, %d gates\n", len(c.PIs), len(c.POs), c.NumGates())
-	for _, pi := range c.PIs {
-		fmt.Fprintf(bw, "INPUT(%s)\n", c.Nodes[pi].Name)
+// keepNames copies the inputs' and gates' names, which slice the input
+// text, into one new string and re-points them there, so the circuit built
+// from d keeps only its names alive. Arguments and outputs resolve to these
+// names, and are left in place.
+func keepNames(d *circuit.Defs) {
+	n := 0
+	for _, s := range d.Inputs {
+		n += len(s)
 	}
-	type alias struct{ po, drv string }
-	var aliases []alias
-	for _, po := range c.POs {
-		drv := c.Nodes[po.Driver].Name
-		if po.Name == drv {
-			fmt.Fprintf(bw, "OUTPUT(%s)\n", po.Name)
-			continue
+	for _, s := range d.Gates {
+		n += len(s)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, s := range d.Inputs {
+		b.WriteString(s)
+	}
+	for _, s := range d.Gates {
+		b.WriteString(s)
+	}
+	all := b.String()
+	for _, names := range [][]string{d.Inputs, d.Gates} {
+		for i, s := range names {
+			names[i], all = all[:len(s)], all[len(s):]
 		}
+	}
+}
+
+// Write emits the circuit in .bench form. POs whose name differs from the
+// driver get a BUFF alias so OUTPUT() lines reference real signals. The
+// netlist is built in one buffer and handed to w in a single Write; on an
+// error nothing is written.
+func Write(w io.Writer, c *circuit.Circuit) error {
+	for _, po := range c.POs {
 		if id, clash := c.Lookup(po.Name); clash && id != po.Driver {
 			return fmt.Errorf("benchfmt: PO %q collides with an unrelated node", po.Name)
 		}
-		aliases = append(aliases, alias{po.Name, drv})
-		fmt.Fprintf(bw, "OUTPUT(%s)\n", po.Name)
 	}
-	fmt.Fprintln(bw)
 	order, err := c.TopoOrder()
 	if err != nil {
 		return err
 	}
+	// A rough estimate of a gate line; append grows the buffer if needed.
+	b := make([]byte, 0, 32*len(c.Nodes))
+	b = append(b, "# "...)
+	b = append(b, c.Name...)
+	b = append(b, "\n# "...)
+	b = strconv.AppendInt(b, int64(len(c.PIs)), 10)
+	b = append(b, " inputs, "...)
+	b = strconv.AppendInt(b, int64(len(c.POs)), 10)
+	b = append(b, " outputs, "...)
+	b = strconv.AppendInt(b, int64(c.NumGates()), 10)
+	b = append(b, " gates\n"...)
+	for _, pi := range c.PIs {
+		b = append(b, "INPUT("...)
+		b = append(b, c.Nodes[pi].Name...)
+		b = append(b, ")\n"...)
+	}
+	for _, po := range c.POs {
+		b = append(b, "OUTPUT("...)
+		b = append(b, po.Name...)
+		b = append(b, ")\n"...)
+	}
+	b = append(b, '\n')
 	for _, id := range order {
 		nd := &c.Nodes[id]
 		if nd.IsPI {
 			continue
 		}
-		fn, ok := kindToName[nd.Kind]
-		if !ok {
+		if !nd.Kind.Valid() {
 			return fmt.Errorf("benchfmt: node %q has unsupported kind %v", nd.Name, nd.Kind)
 		}
-		args := make([]string, len(nd.Fanin))
+		b = append(b, nd.Name...)
+		b = append(b, " = "...)
+		b = append(b, kindToName[nd.Kind]...)
+		b = append(b, '(')
 		for i, f := range nd.Fanin {
-			args[i] = c.Nodes[f].Name
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = append(b, c.Nodes[f].Name...)
 		}
-		fmt.Fprintf(bw, "%s = %s(%s)\n", nd.Name, fn, strings.Join(args, ", "))
+		b = append(b, ")\n"...)
 	}
-	for _, a := range aliases {
-		fmt.Fprintf(bw, "%s = BUFF(%s)\n", a.po, a.drv)
+	for _, po := range c.POs {
+		drv := c.Nodes[po.Driver].Name
+		if po.Name == drv {
+			continue
+		}
+		b = append(b, po.Name...)
+		b = append(b, " = BUFF("...)
+		b = append(b, drv...)
+		b = append(b, ")\n"...)
 	}
-	return bw.Flush()
+	_, err = w.Write(b)
+	return err
 }

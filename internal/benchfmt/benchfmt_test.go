@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -203,5 +206,158 @@ func TestLineCap(t *testing.T) {
 	}
 	if _, err := Parse(strings.NewReader(src(1 << 20))); !errors.Is(err, bufio.ErrTooLong) {
 		t.Errorf("line past 1 MiB: err = %v, want bufio.ErrTooLong", err)
+	}
+}
+
+// TestParseMatchesLegacyOnSuite: every suite circuit, in written order and
+// with its gate lines shuffled, parses to legacyParse's circuit — same node
+// IDs, fanin and fanout order, POs and version — and writes legacyWrite's
+// bytes.
+func TestParseMatchesLegacyOnSuite(t *testing.T) {
+	for _, name := range bench.Names() {
+		for seed := int64(0); seed < 3; seed++ {
+			src := shuffledSuite(t, name, seed)
+			if _, err := Parse(strings.NewReader(src)); err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			checkMatchesLegacy(t, src)
+		}
+	}
+}
+
+// TestEditsStayInTheirSlab: Parse builds fanins and fanouts in shared
+// slabs, so an edit of one gate must not reach any other node's pins. Each
+// edit below grows, shrinks or rewires one gate of c880; only that gate's
+// fanin and its sources' fanouts may change.
+func TestEditsStayInTheirSlab(t *testing.T) {
+	edits := map[string]func(c *circuit.Circuit) (g circuit.NodeID, srcs []circuit.NodeID, err error){
+		"AddFanin": func(c *circuit.Circuit) (circuit.NodeID, []circuit.NodeID, error) {
+			g, p := pickGate(c, func(nd *circuit.Node) bool { return !nd.Kind.FixedFanin() })
+			return g, []circuit.NodeID{p}, c.AddFanin(g, p)
+		},
+		"ConvertGate": func(c *circuit.Circuit) (circuit.NodeID, []circuit.NodeID, error) {
+			g, p := pickGate(c, func(nd *circuit.Node) bool { return nd.Kind == logic.Inv })
+			return g, []circuit.NodeID{p}, c.ConvertGate(g, logic.Nand, p)
+		},
+		"ReplaceFanin": func(c *circuit.Circuit) (circuit.NodeID, []circuit.NodeID, error) {
+			g, p := pickGate(c, func(nd *circuit.Node) bool { return true })
+			old := c.Nodes[g].Fanin[0]
+			return g, []circuit.NodeID{p, old}, c.ReplaceFanin(g, 0, p)
+		},
+		"RemoveFanin then AddFanin": func(c *circuit.Circuit) (circuit.NodeID, []circuit.NodeID, error) {
+			g, p := pickGate(c, func(nd *circuit.Node) bool { return len(nd.Fanin) >= 3 })
+			old := c.Nodes[g].Fanin[0]
+			if err := c.RemoveFanin(g, old); err != nil {
+				return g, nil, err
+			}
+			if err := c.AddFanin(g, p); err != nil {
+				return g, nil, err
+			}
+			return g, []circuit.NodeID{p, old}, c.AddFanin(g, old)
+		},
+	}
+	src := shuffledSuite(t, "c880", 1)
+	for name, edit := range edits {
+		c, err := Parse(strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		type pins struct{ fanin, fanout []circuit.NodeID }
+		before := make([]pins, len(c.Nodes))
+		for i := range c.Nodes {
+			before[i] = pins{slices.Clone(c.Nodes[i].Fanin), slices.Clone(c.Nodes[i].Fanout())}
+		}
+		g, srcs, err := edit(c)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range c.Nodes {
+			id := circuit.NodeID(i)
+			if id != g && !slices.Equal(c.Nodes[i].Fanin, before[i].fanin) {
+				t.Errorf("%s on %q changed the fanin of %q", name, c.Nodes[g].Name, c.Nodes[i].Name)
+			}
+			if !slices.Contains(srcs, id) && !slices.Equal(c.Nodes[i].Fanout(), before[i].fanout) {
+				t.Errorf("%s on %q changed the fanout of %q", name, c.Nodes[g].Name, c.Nodes[i].Name)
+			}
+		}
+	}
+}
+
+// pickGate returns a gate matching ok whose successor in ID order is a
+// gate with fanin, and a primary input it does not read whose successor
+// has fanout — so a slab written past either list's end shows.
+func pickGate(c *circuit.Circuit, ok func(*circuit.Node) bool) (g, pi circuit.NodeID) {
+	g, pi = circuit.None, circuit.None
+	for i := len(c.PIs); i+1 < len(c.Nodes) && g == circuit.None; i++ {
+		if ok(&c.Nodes[i]) && len(c.Nodes[i+1].Fanin) > 0 {
+			g = circuit.NodeID(i)
+		}
+	}
+	for _, p := range c.PIs[:len(c.PIs)-1] {
+		if !slices.Contains(c.Nodes[g].Fanin, p) && len(c.Nodes[p+1].Fanout()) > 0 {
+			return g, p
+		}
+	}
+	panic("no primary input to add")
+}
+
+// TestReversedChain: a 100 000-gate NOT chain written last gate first
+// takes the old reader 100 000 passes; it parses in one, numbered from the
+// chain's head.
+func TestReversedChain(t *testing.T) {
+	const n = 100000
+	var b strings.Builder
+	fmt.Fprintf(&b, "INPUT(g0)\nOUTPUT(g%d)\n", n)
+	for i := n; i >= 1; i-- {
+		fmt.Fprintf(&b, "g%d = NOT(g%d)\n", i, i-1)
+	}
+	c, err := Parse(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 1, n / 2, n} {
+		if want := fmt.Sprintf("g%d", i); c.Nodes[i].Name != want {
+			t.Errorf("node %d is %q, want %q", i, c.Nodes[i].Name, want)
+		}
+	}
+}
+
+// TestLineCapBoundary: Parse fails with bufio.ErrTooLong exactly where
+// legacyParse's scanner did — a line of 1 MiB or more, counting a CR but
+// not the newline — whether the line ends in LF, CRLF or the end of input.
+func TestLineCapBoundary(t *testing.T) {
+	for _, n := range []int{1<<20 - 2, 1<<20 - 1, 1 << 20} {
+		for _, end := range []string{"\n", "\r\n", ""} {
+			line := "f = NOT(a)"
+			line += strings.Repeat(" ", n-len(line)-len(strings.TrimSuffix(end, "\n")))
+			src := "INPUT(a)\nOUTPUT(f)\n" + line + end
+			_, err := Parse(strings.NewReader(src))
+			_, werr := legacyParse(strings.NewReader(src))
+			if errors.Is(err, bufio.ErrTooLong) != errors.Is(werr, bufio.ErrTooLong) || (err == nil) != (werr == nil) {
+				t.Errorf("%d-byte line ending %q: err = %v, legacy err = %v", n, end, err, werr)
+			}
+		}
+	}
+}
+
+// TestParseJunkAllocs: blank lines, comments and commas stage nothing, so
+// parsing a multi-MiB body of them allocates a small multiple of the body
+// (its one copy), not an amount per newline or comma.
+func TestParseJunkAllocs(t *testing.T) {
+	const half = 2 << 20
+	comment := "#" + strings.Repeat(",", 62) + "\n"
+	body := strings.Repeat("\n", half) + strings.Repeat(comment, half/len(comment))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Parse(strings.NewReader(body))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a body with no inputs parsed")
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*len(body)); got > limit {
+		t.Errorf("parsing %d bytes of blank lines and comments allocated %d bytes, want at most %d", len(body), got, limit)
 	}
 }

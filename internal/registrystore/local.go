@@ -3,11 +3,13 @@ package registrystore
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 
+	"repro/internal/atomicfile"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/registry"
@@ -15,7 +17,7 @@ import (
 
 // localTmpMarker tags in-progress atomic writes; OpenLocal sweeps leftovers
 // (the same discipline internal/serve's design store uses).
-const localTmpMarker = ".tmp-"
+const localTmpMarker = atomicfile.TmpMarker
 
 // Local is the single-node Store: each design's registry is one JSON
 // snapshot file (<digest>.registry.json) replaced atomically on every
@@ -145,39 +147,18 @@ func (l *Local) Seq(digest string) uint64 {
 // Close is a no-op: the local store holds no descriptors between writes.
 func (l *Local) Close() error { return nil }
 
-// atomicWrite writes data to path via temp file + fsync + rename, honoring
-// the store.write / store.fsync fault points exactly like the design store
-// — injected failures surface as transient errors the serve layer retries.
+// atomicWrite writes data to path through atomicfile.Write, honoring the
+// store.write / store.fsync fault points exactly like the design store —
+// injected failures surface as transient errors the serve layer retries.
 func (l *Local) atomicWrite(path string, data []byte) error {
 	if err := fault.Err(fault.StoreWrite); err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(l.dir, filepath.Base(path)+localTmpMarker+"*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	cleanup := func() { f.Close(); os.Remove(tmp) }
-	if _, err := f.Write(data); err != nil {
-		cleanup()
-		return err
-	}
-	fault.Stall(fault.StoreFsync)
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, err := os.Open(l.dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return atomicfile.Write(path, 0o600, func(w io.Writer) error {
+		if _, err := w.Write(data); err != nil {
+			return err
+		}
+		fault.Stall(fault.StoreFsync)
+		return nil
+	})
 }

@@ -481,18 +481,26 @@ func writeNetlist(w io.Writer, format string, c *circuit.Circuit) error {
 	}
 }
 
-// detectFormat sniffs a netlist's format from its content: BLIF models
-// start with dot-directives, Verilog declares a module, everything else is
-// treated as ISCAS .bench (whose INPUT(...) lines are unmistakable anyway).
+// detectFormat sniffs a netlist's format from its first significant line:
+// BLIF models start with dot-directives, Verilog declares a module,
+// everything else is treated as ISCAS .bench (whose INPUT(...) lines are
+// unmistakable anyway). Blank lines and "#" or "//" comments are skipped;
+// nothing past the first significant line is read.
 func detectFormat(data []byte) string {
-	for _, line := range strings.Split(string(data), "\n") {
-		t := strings.TrimSpace(line)
+	for rest := data; len(rest) > 0; {
+		line := rest
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = nil
+		}
+		t := bytes.TrimSpace(line)
 		switch {
-		case t == "" || strings.HasPrefix(t, "#") || strings.HasPrefix(t, "//"):
+		case len(t) == 0 || t[0] == '#' || bytes.HasPrefix(t, []byte("//")):
 			continue
-		case strings.HasPrefix(t, "."):
+		case t[0] == '.':
 			return "blif"
-		case strings.HasPrefix(t, "module"):
+		case bytes.HasPrefix(t, []byte("module")):
 			return "v"
 		default:
 			return "bench"

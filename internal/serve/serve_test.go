@@ -606,3 +606,28 @@ func TestTraceOutcomeSignals(t *testing.T) {
 		t.Errorf("trace_misses rose by %d, want 1", d)
 	}
 }
+
+// TestDetectFormat: the format is read off the first line that is neither
+// blank nor a "#" or "//" comment.
+func TestDetectFormat(t *testing.T) {
+	cases := []struct{ name, body, want string }{
+		{"bench", "INPUT(a)\nOUTPUT(q)\nq = NOT(a)\n", "bench"},
+		{"bench after comments", "# c17\n\n   \n# 5 inputs\nINPUT(G1)\n", "bench"},
+		{"blif", ".model m\n.inputs a\n", "blif"},
+		{"blif after comments", "# generated\n\n.model m\n", "blif"},
+		{"verilog", "module m (a, q);\n", "v"},
+		{"verilog after // comments", "// circuit c17\n  // more\n\nmodule c17 (N1, N22);\n", "v"},
+		{"crlf", "\r\n# x\r\n  \t\r\nmodule m (a);\r\n", "v"},
+		{"crlf blif", "\r\n.model m\r\n", "blif"},
+		{"indented", "   .inputs a\n", "blif"},
+		{"no newline", "module m (a);", "v"},
+		{"all comments", "# one\n// two\n\n   \n", "bench"},
+		{"empty", "", "bench"},
+		{"later lines ignored", "INPUT(a)\nmodule m;\n.model x\n", "bench"},
+	}
+	for _, tc := range cases {
+		if got := detectFormat([]byte(tc.body)); got != tc.want {
+			t.Errorf("%s: detectFormat = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}

@@ -3,11 +3,13 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
+	"repro/internal/atomicfile"
 	"repro/internal/fault"
 	"repro/internal/obs"
 )
@@ -21,7 +23,7 @@ var (
 )
 
 // tmpMarker tags in-progress atomic writes; OpenStore sweeps leftovers.
-const tmpMarker = ".tmp-"
+const tmpMarker = atomicfile.TmpMarker
 
 // DesignMeta is the durable sidecar record of one uploaded design: enough
 // to re-run the upload path (parse → sweep → analyze) byte-identically on
@@ -78,41 +80,23 @@ func OpenStore(dir string) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// atomicWrite writes data to path via temp file + fsync + rename. The
-// destination is never truncated in place. The fault points model a flaky
-// disk: store.write fails the whole write before any byte lands (transient,
-// so the serve layer's retry policy applies); store.fsync stalls the sync.
+// atomicWrite writes data to path through atomicfile.Write. The fault
+// points model a flaky disk: store.write fails the whole write before any
+// byte lands (transient, so the serve layer's retry policy applies);
+// store.fsync stalls the sync.
 func (s *Store) atomicWrite(path string, data []byte) error {
 	if err := fault.Err(fault.StoreWrite); err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(s.dir, filepath.Base(path)+tmpMarker+"*")
+	err := atomicfile.Write(path, 0o600, func(w io.Writer) error {
+		if _, err := w.Write(data); err != nil {
+			return err
+		}
+		fault.Stall(fault.StoreFsync)
+		return nil
+	})
 	if err != nil {
 		return err
-	}
-	tmp := f.Name()
-	cleanup := func() { f.Close(); os.Remove(tmp) }
-	if _, err := f.Write(data); err != nil {
-		cleanup()
-		return err
-	}
-	fault.Stall(fault.StoreFsync)
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Persist the rename itself.
-	if d, err := os.Open(s.dir); err == nil {
-		d.Sync()
-		d.Close()
 	}
 	mStoreSaves.Inc()
 	return nil

@@ -51,35 +51,22 @@ func Map(n *blif.Netlist, opts Options) (*circuit.Circuit, error) {
 	}
 	b := &builder{c: c, maxFanin: opts.MaxFanin, inv: make(map[circuit.NodeID]circuit.NodeID)}
 
-	// BLIF nodes may be declared in any order; process in dependency order.
-	remaining := make([]*blif.Node, len(n.Nodes))
+	// BLIF nodes may be declared in any order; lower them in definition
+	// order, so every node's inputs exist when it is lowered.
+	d := circuit.Defs{Inputs: n.Inputs, Gates: make([]string, len(n.Nodes)), Ends: make([]int32, len(n.Nodes))}
 	for i := range n.Nodes {
-		remaining[i] = &n.Nodes[i]
+		d.Gates[i] = n.Nodes[i].Name
+		d.Args = append(d.Args, n.Nodes[i].Inputs...)
+		d.Ends[i] = int32(len(d.Args))
 	}
-	for len(remaining) > 0 {
-		progressed := false
-		var deferred []*blif.Node
-		for _, nd := range remaining {
-			ready := true
-			for _, in := range nd.Inputs {
-				if _, ok := c.Lookup(in); !ok {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				deferred = append(deferred, nd)
-				continue
-			}
-			if err := b.lowerNode(nd); err != nil {
-				return nil, err
-			}
-			progressed = true
+	order, err := d.Order()
+	if err != nil {
+		return nil, fmt.Errorf("techmap: %w", err)
+	}
+	for _, i := range order {
+		if err := b.lowerNode(&n.Nodes[i]); err != nil {
+			return nil, err
 		}
-		if !progressed {
-			return nil, fmt.Errorf("techmap: unresolved node dependencies (%q reads undefined signals)", deferred[0].Name)
-		}
-		remaining = deferred
 	}
 	for _, out := range n.Outputs {
 		drv, ok := c.Lookup(out)

@@ -1,6 +1,7 @@
 package techmap
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -440,4 +441,35 @@ func TestMapDependencyOrder(t *testing.T) {
 .end
 `
 	checkMapped(t, src, DefaultOptions(cell.Default()))
+}
+
+// TestMapReversedChain: a 100 000-node BLIF inverter chain written last
+// node first took the old deferred-pass loop 100 000 passes; it now maps in
+// definition order in one.
+func TestMapReversedChain(t *testing.T) {
+	const n = 100000
+	var b strings.Builder
+	fmt.Fprintf(&b, ".model chain\n.inputs g0\n.outputs g%d\n", n)
+	for i := n; i >= 1; i-- {
+		fmt.Fprintf(&b, ".names g%d g%d\n0 1\n", i-1, i)
+	}
+	b.WriteString(".end\n")
+	nl, err := blif.Parse(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Map(nl, DefaultOptions(cell.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.NumGates() != n {
+		t.Errorf("%d gates, want %d", c.NumGates(), n)
+	}
+	out, err := sim.EvalOne(c, []bool{true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0] != true { // an even number of inversions
+		t.Errorf("chain(1) = %v", out[0])
+	}
 }

@@ -391,31 +391,26 @@ func (p *parser) module() (*circuit.Circuit, error) {
 }
 
 func build(name string, inputs, outputs []string, gates []gateStmt, assigns []assignStmt, wires map[string]bool) (*circuit.Circuit, error) {
-	c := circuit.New(name)
-	for _, in := range inputs {
-		if _, err := c.AddPI(in); err != nil {
-			return nil, err
-		}
-	}
 	isOutput := make(map[string]bool, len(outputs))
 	for _, o := range outputs {
 		isOutput[o] = true
 	}
 	// Separate assigns: constants and buffers create nodes; an assign onto
 	// an output from an identifier is a PO alias (no node).
-	type pendingGate struct {
-		kind logic.Kind
-		out  string
-		in   []string
+	d := circuit.Defs{Inputs: inputs, Outputs: outputs, Drivers: make([]string, len(outputs))}
+	add := func(out string, kind logic.Kind, in ...string) {
+		d.Gates = append(d.Gates, out)
+		d.Kinds = append(d.Kinds, kind)
+		d.Args = append(d.Args, in...)
+		d.Ends = append(d.Ends, int32(len(d.Args)))
 	}
-	var pend []pendingGate
 	aliases := map[string]string{}
 	for _, a := range assigns {
 		switch a.rhs {
 		case "1'b0":
-			pend = append(pend, pendingGate{kind: logic.Const0, out: a.lhs})
+			add(a.lhs, logic.Const0)
 		case "1'b1":
-			pend = append(pend, pendingGate{kind: logic.Const1, out: a.lhs})
+			add(a.lhs, logic.Const1)
 		default:
 			if !validIdent(a.rhs) {
 				return nil, fmt.Errorf("verilog: unsupported assign RHS %q", a.rhs)
@@ -423,60 +418,25 @@ func build(name string, inputs, outputs []string, gates []gateStmt, assigns []as
 			if isOutput[a.lhs] {
 				aliases[a.lhs] = a.rhs
 			} else {
-				pend = append(pend, pendingGate{kind: logic.Buf, out: a.lhs, in: []string{a.rhs}})
+				add(a.lhs, logic.Buf, a.rhs)
 			}
 		}
 	}
 	for _, g := range gates {
-		pend = append(pend, pendingGate{kind: g.kind, out: g.out, in: g.in})
+		add(g.out, g.kind, g.in...)
 	}
-	// Topologically insert gates (inputs may be defined later in the file).
-	remaining := pend
-	for len(remaining) > 0 {
-		progressed := false
-		var defer2 []pendingGate
-		for _, g := range remaining {
-			ready := true
-			for _, in := range g.in {
-				if _, ok := c.Lookup(in); !ok {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				defer2 = append(defer2, g)
-				continue
-			}
-			fanin := make([]circuit.NodeID, len(g.in))
-			for i, in := range g.in {
-				fanin[i] = c.MustLookup(in)
-			}
-			if _, err := c.AddGate(g.out, g.kind, fanin...); err != nil {
-				return nil, err
-			}
-			progressed = true
-		}
-		if !progressed {
-			return nil, fmt.Errorf("verilog: cyclic or dangling gate definitions (%d unresolved, first output %q)", len(defer2), defer2[0].out)
-		}
-		remaining = defer2
-	}
-	for _, o := range outputs {
-		drvName := o
+	for i, o := range outputs {
+		d.Drivers[i] = o
 		if a, ok := aliases[o]; ok {
-			drvName = a
-		}
-		drv, ok := c.Lookup(drvName)
-		if !ok {
-			return nil, fmt.Errorf("verilog: output %q has no driver", o)
-		}
-		if err := c.AddPO(o, drv); err != nil {
-			return nil, err
+			d.Drivers[i] = a
 		}
 	}
 	_ = wires // declarations are advisory in this subset
-	if err := c.Validate(); err != nil {
-		return nil, err
+	// Gates may read signals defined later in the file; Build adds them in
+	// definition order.
+	c, err := circuit.Build(name, &d)
+	if err != nil {
+		return nil, fmt.Errorf("verilog: %w", err)
 	}
 	return c, nil
 }

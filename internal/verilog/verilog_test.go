@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -258,5 +259,27 @@ func TestLineCap(t *testing.T) {
 	}
 	if _, err := Parse(strings.NewReader(src(1 << 20))); !errors.Is(err, bufio.ErrTooLong) {
 		t.Errorf("line past 1 MiB: err = %v, want bufio.ErrTooLong", err)
+	}
+}
+
+// TestReversedChain: a 100 000-gate NOT chain instantiated last gate first
+// took the old deferred-pass loop 100 000 passes; it now parses in one,
+// numbered from the chain's head.
+func TestReversedChain(t *testing.T) {
+	const n = 100000
+	var b strings.Builder
+	fmt.Fprintf(&b, "module chain (g0, g%d);\n  input g0;\n  output g%d;\n", n, n)
+	for i := n; i >= 1; i-- {
+		fmt.Fprintf(&b, "  not (g%d, g%d);\n", i, i-1)
+	}
+	b.WriteString("endmodule\n")
+	c, err := Parse(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 1, n / 2, n} {
+		if want := fmt.Sprintf("g%d", i); c.Nodes[i].Name != want {
+			t.Errorf("node %d is %q, want %q", i, c.Nodes[i].Name, want)
+		}
 	}
 }
