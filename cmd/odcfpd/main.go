@@ -6,8 +6,7 @@
 // Usage:
 //
 //	odcfpd -addr :8341 -store ./odcfpd-store [-cache 64] [-j N]
-//	       [-max-bytes 16777216] [-timeout 60s] [-verify] [-addr-file PATH]
-//	       [-retries 3] [-breaker 3] [-cooldown 30s] [-max-queue N]
+//	       [-max-bytes 16777216] [-timeout 60s] [-drain 30s] [-addr-file PATH]
 //	       [-batch-chunk 64] [-max-batch 256] [-faults SPEC] [-pprof ADDR]
 //	       [-cluster URL,URL,... -node URL [-rf 2] [-hint-retry 500ms]
 //	        [-scrub-interval 1m]]
@@ -16,6 +15,12 @@
 // in-flight requests run to completion, then the process exits 0. With
 // -addr-file the actual listen address (useful with ":0") is written to the
 // given path once the listener is bound.
+//
+// Clients ask for CEC verification of an issued copy per request
+// (?verify=1, or "verify": true in a batch body). The resilience policy is
+// fixed: transient store errors are tried 3 times with backoff, 3
+// consecutive SAT-verify failures open the verification breaker for 30s,
+// and requests are shed with 429 once 4×-j callers wait for a worker.
 //
 // -cluster runs the daemon as one replica of an odcfpd cluster: the flag
 // lists every replica's advertised base URL (this node's included), -node
@@ -71,13 +76,8 @@ func run(args []string) error {
 	workers := fs.Int("j", 0, "max concurrently executing requests (0 = one per CPU)")
 	maxBytes := fs.Int64("max-bytes", 0, "max request body bytes (0 = default 16 MiB)")
 	timeout := fs.Duration("timeout", 0, "per-request timeout (0 = default 60s)")
-	verify := fs.Bool("verify", false, "CEC-verify every issued copy against the master before returning it")
 	addrFile := fs.String("addr-file", "", "write the bound listen address to this file")
 	drain := fs.Duration("drain", 30*time.Second, "max time to wait for in-flight requests on shutdown")
-	retries := fs.Int("retries", 0, "attempts for transient store errors (0 = default 3)")
-	breaker := fs.Int("breaker", 0, "consecutive SAT-verify failures tripping degraded mode (0 = default 3)")
-	cooldown := fs.Duration("cooldown", 0, "open-breaker cooldown before a probe (0 = default 30s)")
-	maxQueue := fs.Int("max-queue", 0, "shed requests beyond this pool queue depth (0 = default 4×workers, <0 = off)")
 	batchChunk := fs.Int("batch-chunk", 0, "copies per durable commit of a batch issue (0 = default 64)")
 	maxBatch := fs.Int("max-batch", 0, "max buyers in one synchronous batch request (0 = default 256)")
 	faults := fs.String("faults", "", "arm a fault-injection plan (chaos testing; see internal/fault)")
@@ -136,19 +136,14 @@ func run(args []string) error {
 	}
 
 	srv, err := serve.New(serve.Config{
-		StoreDir:         *store,
-		CacheSize:        *cache,
-		Workers:          *workers,
-		MaxRequestBytes:  *maxBytes,
-		RequestTimeout:   *timeout,
-		VerifyIssues:     *verify,
-		RetryAttempts:    *retries,
-		BreakerThreshold: *breaker,
-		BreakerCooldown:  *cooldown,
-		MaxQueueDepth:    *maxQueue,
-		BatchChunk:       *batchChunk,
-		MaxBatchBuyers:   *maxBatch,
-		Cluster:          clusterCfg,
+		StoreDir:        *store,
+		CacheSize:       *cache,
+		Workers:         *workers,
+		MaxRequestBytes: *maxBytes,
+		RequestTimeout:  *timeout,
+		BatchChunk:      *batchChunk,
+		MaxBatchBuyers:  *maxBatch,
+		Cluster:         clusterCfg,
 	})
 	if err != nil {
 		return err

@@ -93,9 +93,6 @@ func New(name string) *AIG {
 // NumAnds returns the number of AND nodes.
 func (g *AIG) NumAnds() int { return len(g.nodes) - 1 - len(g.pis) }
 
-// NumPIs returns the number of primary inputs.
-func (g *AIG) NumPIs() int { return len(g.pis) }
-
 // Levels returns the depth of the graph (max level over PO nodes).
 func (g *AIG) Levels() int {
 	max := int32(0)
@@ -106,9 +103,6 @@ func (g *AIG) Levels() int {
 	}
 	return int(max)
 }
-
-// PIName returns the name of the i-th primary input.
-func (g *AIG) PIName(i int) string { return g.names[i] }
 
 // AddPI appends a primary input and returns its (positive) edge.
 func (g *AIG) AddPI(name string) Ref {

@@ -56,9 +56,6 @@ func (g *AIG) Pack() *Packed {
 // NumNodes returns the node count, which fixes the SimInto buffer size.
 func (p *Packed) NumNodes() int { return p.nNodes }
 
-// NumPOs returns the primary-output count.
-func (p *Packed) NumPOs() int { return len(p.pos) }
-
 // SimInto runs the word-parallel simulation kernel: in[i] carries nWords
 // 64-pattern words for PI i (declaration order), and val — a flat buffer of
 // at least NumNodes()*nWords words, node n's stream at val[n*nWords:] — is

@@ -189,6 +189,28 @@ func (c *Circuit) AddPO(name string, driver NodeID) error {
 	return nil
 }
 
+// AddPOs declares the given primary outputs in order, with the checks and
+// the resulting version of one AddPO call per output, but in time linear in
+// the circuit's outputs plus the new ones. On error no output is added.
+func (c *Circuit) AddPOs(pos []PO) error {
+	names := make(map[string]bool, len(c.POs)+len(pos))
+	for _, po := range c.POs {
+		names[po.Name] = true
+	}
+	for _, po := range pos {
+		if po.Driver < 0 || int(po.Driver) >= len(c.Nodes) {
+			return fmt.Errorf("circuit %s: PO %q: driver %d out of range", c.Name, po.Name, po.Driver)
+		}
+		if names[po.Name] {
+			return fmt.Errorf("circuit %s: duplicate PO name %q", c.Name, po.Name)
+		}
+		names[po.Name] = true
+	}
+	c.version += uint64(len(pos)) // one touch per output, as AddPO
+	c.POs = append(c.POs, pos...)
+	return nil
+}
+
 // POsOf returns the indices into c.POs that are driven by node id.
 func (c *Circuit) POsOf(id NodeID) []int {
 	var out []int

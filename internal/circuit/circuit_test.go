@@ -1,8 +1,11 @@
 package circuit
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/logic"
 )
@@ -398,6 +401,74 @@ func TestSweep(t *testing.T) {
 	}
 	if _, ok := swept.Lookup("dead1"); ok {
 		t.Error("dead gate survived sweep")
+	}
+}
+
+// TestAddPOsMatchesAddPO: AddPOs leaves the outputs and version that one
+// AddPO per output would, and on a duplicate name (new or existing) or an
+// out-of-range driver it refuses and adds nothing.
+func TestAddPOsMatchesAddPO(t *testing.T) {
+	one, ids := buildFig1(t)
+	bulk, _ := buildFig1(t)
+	pos := []PO{{"G", ids["A"]}, {"H", ids["F"]}, {"I", ids["A"]}}
+	for _, po := range pos {
+		if err := one.AddPO(po.Name, po.Driver); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bulk.AddPOs(pos); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(one.POs, bulk.POs) || one.Version() != bulk.Version() {
+		t.Fatalf("AddPOs: POs %v version %d, AddPO: POs %v version %d",
+			bulk.POs, bulk.Version(), one.POs, one.Version())
+	}
+	for _, bad := range [][]PO{
+		{{"J", ids["A"]}, {"J", ids["B"]}},     // duplicate among the new outputs
+		{{"K", ids["A"]}, {"F", ids["B"]}},     // duplicate of an existing output
+		{{"L", ids["A"]}, {"M", NodeID(1000)}}, // driver out of range
+	} {
+		v, n := bulk.Version(), len(bulk.POs)
+		if err := bulk.AddPOs(bad); err == nil {
+			t.Errorf("AddPOs(%v) accepted", bad)
+		}
+		if bulk.Version() != v || len(bulk.POs) != n {
+			t.Errorf("refused AddPOs(%v) changed the circuit", bad)
+		}
+	}
+}
+
+// TestSweepManyOutputs: sweeping is linear in the outputs. 100 000 outputs
+// take milliseconds; re-adding each through a scan of the earlier ones took
+// about 25 s.
+func TestSweepManyOutputs(t *testing.T) {
+	const n = 100_000
+	c := New("wide")
+	a, err := c.AddPI("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := c.AddGate("g", logic.Inv, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.POs = make([]PO, n)
+	for i := range c.POs {
+		c.POs[i] = PO{Name: "o" + strconv.Itoa(i), Driver: g}
+	}
+	done := make(chan *Circuit, 1)
+	go func() {
+		swept, _ := c.Sweep()
+		done <- swept
+	}()
+	select {
+	case swept := <-done:
+		if !slices.Equal(swept.POs, c.POs) || swept.Version() != uint64(2+n) {
+			t.Errorf("swept circuit has %d POs at version %d, want the %d originals at version %d",
+				len(swept.POs), swept.Version(), n, 2+n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("Sweep of %d outputs still running after 5s", n)
 	}
 }
 

@@ -200,10 +200,12 @@ func (c *Circuit) Sweep() (*Circuit, int) {
 		}
 		remap[id] = nid
 	}
-	for _, po := range c.POs {
-		if err := out.AddPO(po.Name, remap[po.Driver]); err != nil {
-			panic(err)
-		}
+	pos := make([]PO, len(c.POs))
+	for i, po := range c.POs {
+		pos[i] = PO{Name: po.Name, Driver: remap[po.Driver]}
+	}
+	if err := out.AddPOs(pos); err != nil {
+		panic(err)
 	}
 	return out, removed
 }

@@ -484,14 +484,3 @@ func (a *Analysis) TotalTargets() int {
 	}
 	return n
 }
-
-// FindLocation returns the index of the location whose primary gate is p,
-// or -1.
-func (a *Analysis) FindLocation(p circuit.NodeID) int {
-	for i := range a.Locations {
-		if a.Locations[i].Primary == p {
-			return i
-		}
-	}
-	return -1
-}

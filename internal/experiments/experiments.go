@@ -15,7 +15,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/bench"
@@ -354,14 +353,6 @@ func FormatFig7(f *Fig7Series) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// SortedNames returns the keys of a Bits map in suite order then
-// alphabetical for any extras (test helper).
-func (f *Fig7Series) SortedNames() []string {
-	names := append([]string(nil), f.Order...)
-	sort.Strings(names)
-	return names
 }
 
 // E7Row compares the reactive and proactive heuristics on one circuit (the

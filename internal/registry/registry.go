@@ -217,6 +217,21 @@ func DesignDigest(a *core.Analysis) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
+// ValidDigest reports whether d has DesignDigest's format: 32 lowercase
+// hex digits. Stores check it before using a digest in a file name, so a
+// request cannot name a path outside the store directory.
+func ValidDigest(d string) bool {
+	if len(d) != 32 {
+		return false
+	}
+	for _, c := range d {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // New creates an empty registry bound to the analysed design.
 func New(a *core.Analysis) *Registry {
 	return &Registry{

@@ -24,6 +24,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/registry"
 )
 
 // hintMagic opens every hint log file.
@@ -123,7 +125,7 @@ func openHintLog(dir, node string) (*hintLog, error) {
 // parseHint decodes one replayed frame back into (digest, range).
 func parseHint(rec Record) (string, hintRange, error) {
 	lo, hi, ok := strings.Cut(rec.Value, "-")
-	if !validDigest(rec.Buyer) || !ok {
+	if !registry.ValidDigest(rec.Buyer) || !ok {
 		return "", hintRange{}, fmt.Errorf("registrystore: hints: malformed hint %q=%q", rec.Buyer, rec.Value)
 	}
 	l, err1 := strconv.ParseUint(lo, 10, 64)

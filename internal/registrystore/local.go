@@ -74,24 +74,10 @@ func (l *Local) path(digest string) string {
 	return filepath.Join(l.dir, digest+".registry.json")
 }
 
-// validDigest rejects digests that could escape the store directory; real
-// digests are fixed-width lowercase hex (registry.DesignDigest).
-func validDigest(d string) bool {
-	if len(d) != 32 {
-		return false
-	}
-	for _, c := range d {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // Load reads the design's snapshot, validating it against the analysis. A
 // missing file is a fresh empty registry (stored design, nothing issued).
 func (l *Local) Load(digest string, a *core.Analysis) (*registry.Registry, uint64, error) {
-	if !validDigest(digest) {
+	if !registry.ValidDigest(digest) {
 		return nil, 0, fmt.Errorf("registrystore: local: invalid digest %q", digest)
 	}
 	f, err := os.Open(l.path(digest))
@@ -115,7 +101,7 @@ func (l *Local) Load(digest string, a *core.Analysis) (*registry.Registry, uint6
 // every acknowledged issuance even when an earlier Append failed after the
 // in-memory reservation.
 func (l *Local) Append(ctx context.Context, digest string, reg *registry.Registry, recs []Record) (uint64, error) {
-	if !validDigest(digest) {
+	if !registry.ValidDigest(digest) {
 		return 0, fmt.Errorf("registrystore: local: invalid digest %q", digest)
 	}
 	buf := snapshotBufs.Get().(*[]byte)

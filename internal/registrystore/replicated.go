@@ -617,15 +617,15 @@ func (r *Replicated) Handoff() HandoffStats {
 	}
 }
 
-// Sync pulls every peer's records for the given digests and unions them
-// locally — the restarted-follower catch-up path, run in the background at
-// daemon startup. Per-peer failures are skipped (a dead peer must not block
-// recovery); the first local append error aborts.
+// Sync pulls every peer's records for exactly the given digests and
+// unions them locally — the restarted-follower catch-up path run at daemon
+// startup, and the one-design pull of read repair and design adoption.
+// Per-peer failures are skipped (a dead peer must not block recovery); the
+// first local append error aborts.
 func (r *Replicated) Sync(ctx context.Context, digests []string) (adopted int, err error) {
-	seen := make(map[string]bool, len(digests)+len(r.wal.Digests()))
-	all := append(append([]string(nil), digests...), r.wal.Digests()...)
-	for _, digest := range all {
-		if seen[digest] || !validDigest(digest) {
+	seen := make(map[string]bool, len(digests))
+	for _, digest := range digests {
+		if seen[digest] || !registry.ValidDigest(digest) {
 			continue
 		}
 		seen[digest] = true

@@ -31,6 +31,8 @@ type fakeTransport struct {
 	// fullSends counts Replicate calls per node whose record list was
 	// longer than one append's worth — the catch-up re-send signature.
 	sends map[string][]int
+	// fetches lists the digests Fetch was asked for, per node.
+	fetches map[string][]string
 }
 
 func newFakeTransport(t *testing.T, nodes ...string) *fakeTransport {
@@ -38,6 +40,8 @@ func newFakeTransport(t *testing.T, nodes ...string) *fakeTransport {
 		peers: make(map[string]*WAL),
 		down:  make(map[string]bool),
 		sends: make(map[string][]int),
+
+		fetches: make(map[string][]string),
 	}
 	for _, n := range nodes {
 		w, err := OpenWAL(t.TempDir())
@@ -73,6 +77,7 @@ func (ft *fakeTransport) Fetch(ctx context.Context, node, digest string) ([]Reco
 	ft.mu.Lock()
 	down := ft.down[node]
 	w := ft.peers[node]
+	ft.fetches[node] = append(ft.fetches[node], digest)
 	ft.mu.Unlock()
 	if down {
 		return nil, errors.New("peer down")
@@ -270,6 +275,41 @@ func TestReplicatedSyncAdopts(t *testing.T) {
 	adopted, err = r.Sync(context.Background(), []string{replTestDigest})
 	if err != nil || adopted != 0 {
 		t.Fatalf("second Sync adopted %d err=%v, want 0, nil", adopted, err)
+	}
+}
+
+// TestReplicatedSyncPullsOnlyItsDigests: Sync fetches exactly the digests
+// it is given. A one-design pull (read repair, design adoption) must not
+// also fetch every other design the local WAL holds.
+func TestReplicatedSyncPullsOnlyItsDigests(t *testing.T) {
+	const other = "00112233445566778899aabbccddeeff"
+	ft := newFakeTransport(t, "n2", "n3")
+	r := openTestReplicated(t, ft, "n1", []string{"n1", "n2", "n3"}, 2)
+	if _, _, err := r.wal.Append(other, []Record{{Buyer: "o-1", Value: "1"}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range []string{"n2", "n3"} {
+		if _, _, err := ft.peers[node].Append(other, []Record{{Buyer: "o-1", Value: "1"}, {Buyer: "o-2", Value: "2"}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ft.peers[node].Append(replTestDigest, []Record{{Buyer: "s-1", Value: "1"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if _, err := r.Sync(context.Background(), []string{replTestDigest}); err != nil {
+		t.Fatal(err)
+	}
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	for _, node := range []string{"n2", "n3"} {
+		if got := ft.fetches[node]; !slices.Equal(got, []string{replTestDigest}) {
+			t.Errorf("Sync of one digest fetched %v from %s, want only %s", got, node, replTestDigest)
+		}
+	}
+	if r.Total(replTestDigest) != 1 || r.Total(other) != 1 {
+		t.Errorf("totals after Sync: requested %d, other %d; want 1 and 1 (other not pulled)",
+			r.Total(replTestDigest), r.Total(other))
 	}
 }
 

@@ -316,7 +316,7 @@ func TestScrubPropertyRandomBitFlips(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d (byte %d): reopen: %v", trial, off, err)
 		}
-		if _, err := r.Sync(context.Background(), nil); err != nil {
+		if _, err := r.Sync(context.Background(), r.Digests()); err != nil {
 			t.Fatalf("trial %d (byte %d): sync: %v", trial, off, err)
 		}
 		r.Scrub()

@@ -28,6 +28,7 @@ import (
 	"sync"
 
 	"repro/internal/fault"
+	"repro/internal/registry"
 )
 
 // walMagic opens every segment file; a version bump changes the final byte.
@@ -101,7 +102,7 @@ func OpenWAL(dir string) (*WAL, error) {
 			continue
 		}
 		digest := strings.TrimSuffix(name, walSuffix)
-		if !validDigest(digest) {
+		if !registry.ValidDigest(digest) {
 			continue
 		}
 		seg, err := openSegment(filepath.Join(dir, name), digest)
@@ -115,7 +116,7 @@ func OpenWAL(dir string) (*WAL, error) {
 
 // segmentFor returns (creating if needed) the digest's open segment.
 func (w *WAL) segmentFor(digest string) (*segment, error) {
-	if !validDigest(digest) {
+	if !registry.ValidDigest(digest) {
 		return nil, fmt.Errorf("registrystore: wal: invalid digest %q", digest)
 	}
 	w.mu.Lock()
@@ -240,7 +241,7 @@ func createSegment(path, dir, digest string) (*segment, error) {
 
 // segmentHeader renders the 24-byte header for a digest.
 func segmentHeader(digest string) []byte {
-	raw, _ := hex.DecodeString(digest) // validDigest guarantees 32 hex chars
+	raw, _ := hex.DecodeString(digest) // registry.ValidDigest guarantees 32 hex chars
 	return append([]byte(walMagic), raw...)
 }
 
@@ -327,7 +328,7 @@ func salvageFrames(data []byte, off int64, have map[string]string) []Record {
 	var out []Record
 	seen := make(map[string]bool)
 	for p := off; p+walFrameOverhead <= int64(len(data)); p++ {
-		rec, next, ok := decodeFrameLoose(data, p)
+		rec, _, next, ok := frameAt(data, p)
 		if !ok {
 			continue
 		}
@@ -338,31 +339,6 @@ func salvageFrames(data []byte, off int64, have map[string]string) []Record {
 		p = next - 1 // resume right after the valid frame
 	}
 	return out
-}
-
-// decodeFrameLoose parses a frame at off without the sequence check —
-// the salvage scanner's probe. CRC and length sanity still apply.
-func decodeFrameLoose(data []byte, off int64) (rec Record, next int64, ok bool) {
-	if off+walFrameOverhead > int64(len(data)) {
-		return rec, 0, false
-	}
-	plen := binary.LittleEndian.Uint32(data[off:])
-	crc := binary.LittleEndian.Uint32(data[off+4:])
-	if plen < 12 || plen > walMaxPayload || off+walFrameOverhead+int64(plen) > int64(len(data)) {
-		return rec, 0, false
-	}
-	payload := data[off+walFrameOverhead : off+walFrameOverhead+int64(plen)]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return rec, 0, false
-	}
-	blen := binary.LittleEndian.Uint16(payload[8:])
-	vlen := binary.LittleEndian.Uint16(payload[10:])
-	if int(blen)+int(vlen)+12 != int(plen) {
-		return rec, 0, false
-	}
-	rec.Buyer = string(payload[12 : 12+blen])
-	rec.Value = string(payload[12+int(blen) : 12+int(blen)+int(vlen)])
-	return rec, off + walFrameOverhead + int64(plen), true
 }
 
 // rebuildSegmentFile replaces the segment file at path with a freshly
@@ -410,30 +386,38 @@ func rebuildSegmentFile(path, digest string, recs []Record) (*os.File, int64, er
 	return f, int64(len(buf)), nil
 }
 
-// decodeFrame parses one frame at off. ok is false on a torn, corrupt or
-// out-of-sequence frame — the caller truncates from off.
+// decodeFrame parses the frame at off and requires its sequence number to
+// be wantSeq. ok is false on a torn, corrupt or out-of-sequence frame — the
+// caller truncates from off.
 func decodeFrame(data []byte, off int64, wantSeq uint64) (rec Record, next int64, ok bool) {
+	rec, seq, next, ok := frameAt(data, off)
+	return rec, next, ok && seq == wantSeq
+}
+
+// frameAt parses one frame at off and returns its record, its sequence
+// number and the offset just past it. ok is false on a torn or corrupt
+// frame: one that overruns data, fails its CRC or has inconsistent lengths.
+func frameAt(data []byte, off int64) (rec Record, seq uint64, next int64, ok bool) {
 	if off+walFrameOverhead > int64(len(data)) {
-		return rec, 0, false
+		return rec, 0, 0, false
 	}
 	plen := binary.LittleEndian.Uint32(data[off:])
 	crc := binary.LittleEndian.Uint32(data[off+4:])
 	if plen < 12 || plen > walMaxPayload || off+walFrameOverhead+int64(plen) > int64(len(data)) {
-		return rec, 0, false
+		return rec, 0, 0, false
 	}
 	payload := data[off+walFrameOverhead : off+walFrameOverhead+int64(plen)]
 	if crc32.ChecksumIEEE(payload) != crc {
-		return rec, 0, false
+		return rec, 0, 0, false
 	}
-	seq := binary.LittleEndian.Uint64(payload)
 	blen := binary.LittleEndian.Uint16(payload[8:])
 	vlen := binary.LittleEndian.Uint16(payload[10:])
-	if seq != wantSeq || int(blen)+int(vlen)+12 != int(plen) {
-		return rec, 0, false
+	if int(blen)+int(vlen)+12 != int(plen) {
+		return rec, 0, 0, false
 	}
 	rec.Buyer = string(payload[12 : 12+blen])
 	rec.Value = string(payload[12+int(blen) : 12+int(blen)+int(vlen)])
-	return rec, off + walFrameOverhead + int64(plen), true
+	return rec, binary.LittleEndian.Uint64(payload), off + walFrameOverhead + int64(plen), true
 }
 
 // encodeFrame renders one record at seq as a framed byte string.

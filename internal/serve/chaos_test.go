@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"runtime"
@@ -81,11 +82,8 @@ func assertNoGoroutineLeak(t *testing.T, baseline int) {
 // still running when the deadline fires; the strict cancellation-latency
 // bound on an unstalled search is asserted in internal/sat's ctx tests.
 func TestChaosDeadlineFreesSlot(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		Workers:          1,
-		RequestTimeout:   50 * time.Millisecond,
-		BreakerThreshold: 100, // keep SAT verification armed throughout
-	})
+	s, ts := newTestServer(t, Config{Workers: 1, RequestTimeout: 50 * time.Millisecond})
+	s.breaker = newBreaker(100, breakerCooldown) // keep SAT verification armed throughout
 	info, _ := uploadDesign(t, ts.URL, benchBytes(t, "c432"))
 	baseline := runtime.NumGoroutine()
 
@@ -136,15 +134,10 @@ func TestChaosDeadlineFreesSlot(t *testing.T) {
 // leaks no goroutines.
 func TestChaosIssuanceDurability(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := newTestServer(t, Config{
-		StoreDir:         dir,
-		Workers:          4,
-		VerifyIssues:     true,
-		RetryBase:        time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
-		MaxQueueDepth:    -1, // no shedding: every buyer gets a definite answer
-	})
+	s1, ts1 := newTestServer(t, Config{StoreDir: dir, Workers: 4})
+	s1.backoff = time.Millisecond
+	s1.breaker = newBreaker(2, time.Hour)
+	s1.maxQueue = math.MaxInt // no shedding: every buyer gets a definite answer
 	info, _ := uploadDesign(t, ts1.URL, benchBytes(t, "c432"))
 	baseline := runtime.NumGoroutine()
 
@@ -163,7 +156,7 @@ func TestChaosIssuanceDurability(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			buyer := fmt.Sprintf("chaos-%02d", i)
-			url := fmt.Sprintf("%s/designs/%s/issue?buyer=%s", ts1.URL, info.Digest, buyer)
+			url := fmt.Sprintf("%s/designs/%s/issue?buyer=%s&verify=1", ts1.URL, info.Digest, buyer)
 			resp, err := http.Post(url, "text/plain", nil)
 			if err != nil {
 				t.Error(err)
@@ -268,7 +261,6 @@ func TestChaosIssuanceDurability(t *testing.T) {
 		}
 	}
 
-	_ = s1
 	assertNoGoroutineLeak(t, baseline)
 }
 
@@ -295,7 +287,8 @@ func metricsSnapshot(t testing.TB, base string) map[string]int64 {
 // further requests are shed with 429 + Retry-After instead of queueing,
 // and the queued work still completes once the worker frees up.
 func TestChaosLoadShedding(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, MaxQueueDepth: 1, RequestTimeout: 5 * time.Second})
+	s, ts := newTestServer(t, Config{Workers: 1, RequestTimeout: 5 * time.Second})
+	s.maxQueue = 1
 	info, _ := uploadDesign(t, ts.URL, benchBytes(t, "c432"))
 
 	release := make(chan struct{})
@@ -583,12 +576,8 @@ func assertTracesTo(t *testing.T, base, dir, digest string, netlist []byte, buye
 // restart: a batch may not drop a record another request acknowledged.
 func TestChaosIssueDuringBatchVerify(t *testing.T) {
 	dir := t.TempDir()
-	s, ts := newTestServer(t, Config{
-		StoreDir:         dir,
-		Workers:          2,
-		RequestTimeout:   1500 * time.Millisecond,
-		BreakerThreshold: 100, // keep SAT verification armed throughout
-	})
+	s, ts := newTestServer(t, Config{StoreDir: dir, Workers: 2, RequestTimeout: 1500 * time.Millisecond})
+	s.breaker = newBreaker(100, breakerCooldown) // keep SAT verification armed throughout
 	info, _ := uploadDesign(t, ts.URL, benchBytes(t, "c880"))
 	d := s.lookupDesign(info.Digest)
 
@@ -629,13 +618,9 @@ func TestChaosIssueDuringBatchVerify(t *testing.T) {
 // restart.
 func TestChaosIssueDuringJobVerify(t *testing.T) {
 	dir := t.TempDir()
-	s, ts := newTestServer(t, Config{
-		StoreDir:         dir,
-		Workers:          2,
-		RequestTimeout:   1500 * time.Millisecond,
-		RetryBase:        time.Millisecond,
-		BreakerThreshold: 100,
-	})
+	s, ts := newTestServer(t, Config{StoreDir: dir, Workers: 2, RequestTimeout: 1500 * time.Millisecond})
+	s.backoff = time.Millisecond
+	s.breaker = newBreaker(100, breakerCooldown)
 	info, _ := uploadDesign(t, ts.URL, benchBytes(t, "c880"))
 	d := s.lookupDesign(info.Digest)
 

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/registry"
 	"repro/internal/registrystore"
 )
 
@@ -189,11 +190,23 @@ func (s *Server) startClusterSync(ctx context.Context) {
 		return
 	}
 	s.syncDone = make(chan struct{})
-	digests, _ := s.store.Digests()
+	digests, _ := s.knownDigests()
 	go func() {
 		defer close(s.syncDone)
 		s.cluster.store.Sync(ctx, digests)
 	}()
+}
+
+// knownDigests lists every design this replica knows of: those in the
+// design store, then those with registry records in the WAL (a digest in
+// both appears twice; Sync skips repeats). A full anti-entropy pull syncs
+// all of them.
+func (s *Server) knownDigests() ([]string, error) {
+	digests, err := s.store.Digests()
+	if err != nil {
+		return nil, err
+	}
+	return append(digests, s.cluster.store.Digests()...), nil
 }
 
 // routeDesign resolves a design-scoped request: on a single-node daemon it
@@ -304,7 +317,7 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, node string, bo
 // replicated registry records) from the first peer that has them, persists
 // them locally and registers the design for serving.
 func (s *Server) adoptDesignFromPeers(ctx context.Context, digest string) *design {
-	if !validDigest(digest) {
+	if !registry.ValidDigest(digest) {
 		return nil
 	}
 	cs := s.cluster
@@ -428,7 +441,7 @@ type registryFetchResponse struct {
 // peer compares totals to decide whether to stream a full catch-up).
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
-	if !validDigest(digest) {
+	if !registry.ValidDigest(digest) {
 		writeError(w, http.StatusNotFound, "unknown design "+digest)
 		return
 	}
@@ -457,7 +470,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // committed record list, the serving side of peer catch-up pulls.
 func (s *Server) handleRegistryFetch(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
-	if !validDigest(digest) {
+	if !registry.ValidDigest(digest) {
 		writeError(w, http.StatusNotFound, "unknown design "+digest)
 		return
 	}
@@ -472,7 +485,7 @@ func (s *Server) handleRegistryFetch(w http.ResponseWriter, r *http.Request) {
 // them verbatim; analysis stays lazy (first use).
 func (s *Server) handleDesignPush(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
-	if !validDigest(digest) {
+	if !registry.ValidDigest(digest) {
 		writeError(w, http.StatusNotFound, "invalid digest "+digest)
 		return
 	}
@@ -531,7 +544,7 @@ func (s *Server) handleDesignFetch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 	cs := s.cluster
 	if r.URL.Query().Get("sync") == "1" {
-		digests, err := s.store.Digests()
+		digests, err := s.knownDigests()
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return

@@ -248,11 +248,11 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 // withWorker admits fn to the bounded pool under the per-request timeout
 // and maps admission/execution failures onto HTTP statuses. fn writes the
 // success response itself. Before queueing, the request is shed outright
-// (429 + Retry-After) when the pool's queue depth has reached the
-// configured bound — better an instant retryable rejection than a slot in a
+// (429 + Retry-After) when s.maxQueue callers already wait for a slot —
+// better an instant retryable rejection than a slot in a
 // queue whose head already exceeds every deadline.
 func (s *Server) withWorker(w http.ResponseWriter, r *http.Request, kind string, fn func(ctx context.Context) error) {
-	if max := s.cfg.MaxQueueDepth; max > 0 && s.pool.Waiting() >= max {
+	if s.pool.Waiting() >= s.maxQueue {
 		mShed.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "server overloaded; retry later")
@@ -482,7 +482,7 @@ func (s *Server) handleIssue(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	verify := s.cfg.VerifyIssues || r.URL.Query().Get("verify") == "1"
+	verify := r.URL.Query().Get("verify") == "1"
 
 	s.withWorker(w, r, "issue", func(ctx context.Context) error {
 		a, err := s.analysis(ctx, d)

@@ -254,7 +254,7 @@ func (s *Server) handleBatchIssue(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	verify := s.cfg.VerifyIssues || req.Verify || q.Get("verify") == "1"
+	verify := req.Verify || q.Get("verify") == "1"
 	async := req.Async || q.Get("async") == "1"
 	// The synchronous cap is checked before a generated list is expanded.
 	n := len(req.Buyers)

@@ -32,9 +32,19 @@ var (
 	mShed           = obs.NewCounter("serve", "shed_requests", obs.Nondet())
 )
 
-// degradedSimWords sizes the random-pattern spot check used when SAT
-// verification is unavailable: 64 words = 4096 patterns per PO.
-const degradedSimWords = 64
+// The resilience policy. No deployment has needed to tune it, so it is
+// fixed here rather than configured.
+const (
+	retryAttempts    = 3                    // tries for a transient store error
+	retryBase        = 5 * time.Millisecond // first backoff; each later one doubles
+	breakerThreshold = 3                    // consecutive SAT-verify failures that trip the breaker
+	breakerCooldown  = 30 * time.Second     // how long a tripped breaker stays open before a probe
+	queuePerWorker   = 4                    // callers waiting per worker slot before requests are shed
+
+	// degradedSimWords sizes the random-pattern spot check used when SAT
+	// verification is unavailable: 64 words = 4096 patterns per PO.
+	degradedSimWords = 64
+)
 
 // isTransient reports whether err is worth retrying: anything in the chain
 // declaring Transient() true (injected faults do; real disk errors from a
@@ -44,17 +54,15 @@ func isTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
-// retryTransient runs fn up to attempts times, sleeping base<<i plus up to
-// 50% jitter between tries. Only transient errors are retried; the context
-// aborts both the work (via fn's own plumbing) and the backoff sleeps.
-func retryTransient(ctx context.Context, attempts int, base time.Duration, fn func() error) error {
-	if attempts < 1 {
-		attempts = 1
-	}
+// retryStore runs fn up to retryAttempts times, sleeping s.backoff<<i plus
+// up to 50% jitter between tries. Only transient errors are retried; the
+// context aborts both the work (via fn's own plumbing) and the backoff
+// sleeps.
+func (s *Server) retryStore(ctx context.Context, fn func() error) error {
 	var err error
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < retryAttempts; i++ {
 		if i > 0 {
-			d := base << (i - 1)
+			d := s.backoff << (i - 1)
 			d += time.Duration(rand.Int63n(int64(d)/2 + 1))
 			t := time.NewTimer(d)
 			select {
@@ -70,11 +78,6 @@ func retryTransient(ctx context.Context, attempts int, base time.Duration, fn fu
 		}
 	}
 	return err
-}
-
-// retryStore is retryTransient under the server's configured policy.
-func (s *Server) retryStore(ctx context.Context, fn func() error) error {
-	return retryTransient(ctx, s.cfg.RetryAttempts, s.cfg.RetryBase, fn)
 }
 
 // breaker is a consecutive-failure circuit breaker. Closed: everything is

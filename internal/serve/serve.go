@@ -89,7 +89,8 @@ var (
 )
 
 // Config tunes the daemon. The zero value is usable: every field has a
-// production default applied by New.
+// production default applied by New. The resilience policy — store retries,
+// the verification breaker, load shedding — is fixed (resilience.go).
 type Config struct {
 	// StoreDir is the durable store's root directory (required).
 	StoreDir string
@@ -103,25 +104,6 @@ type Config struct {
 	// RequestTimeout bounds one request's queueing + execution time
 	// (default 60s).
 	RequestTimeout time.Duration
-	// VerifyIssues proves every issued copy functionally equivalent to the
-	// master before returning it, through the analysis's shared verifier:
-	// window certificates first, the whole-circuit CEC session as the
-	// fallback. Clients can also request this per call with ?verify=1.
-	VerifyIssues bool
-	// RetryAttempts bounds tries for transient store errors (default 3).
-	RetryAttempts int
-	// RetryBase is the first backoff delay; later tries double it and add
-	// jitter (default 5ms).
-	RetryBase time.Duration
-	// BreakerThreshold is the consecutive SAT-verification failure count
-	// that trips the degraded-verification circuit breaker (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before
-	// admitting a probe (default 30s).
-	BreakerCooldown time.Duration
-	// MaxQueueDepth sheds requests (429 + Retry-After) once this many
-	// callers queue for a worker slot (default 4×Workers; <0 disables).
-	MaxQueueDepth int
 	// BatchChunk is how many copies a batch issue commits per durable
 	// registry+job write (default 64). Larger chunks amortize fsyncs
 	// harder; smaller ones bound the work re-done after a crash.
@@ -149,21 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 60 * time.Second
-	}
-	if c.RetryAttempts == 0 {
-		c.RetryAttempts = 3
-	}
-	if c.RetryBase == 0 {
-		c.RetryBase = 5 * time.Millisecond
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 30 * time.Second
-	}
-	if c.MaxQueueDepth == 0 {
-		c.MaxQueueDepth = 4 * c.Workers
 	}
 	if c.BatchChunk <= 0 {
 		c.BatchChunk = 64
@@ -200,6 +167,13 @@ type Server struct {
 	cache    *analysisCache
 	pool     *par.Pool
 	breaker  *breaker
+
+	// backoff is the first store-retry delay and maxQueue the pool queue
+	// depth at which requests are shed. New sets them from the constants
+	// in resilience.go; tests in this package shorten or lift them before
+	// sending traffic.
+	backoff  time.Duration
+	maxQueue int
 
 	mu      sync.Mutex
 	designs map[string]*design
@@ -243,11 +217,13 @@ func New(cfg Config) (*Server, error) {
 		store:   store,
 		cache:   newAnalysisCache(cfg.CacheSize),
 		pool:    par.NewPool(cfg.Workers),
-		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		breaker: newBreaker(breakerThreshold, breakerCooldown),
+		backoff: retryBase,
 		designs: make(map[string]*design),
 		jobs:    make(map[string]*JobRecord),
 		jobWake: make(chan struct{}, 1),
 	}
+	s.maxQueue = queuePerWorker * s.pool.Workers()
 	if err := s.openRegistryStore(); err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -391,7 +392,8 @@ func TestServeGracefulShutdown(t *testing.T) {
 // below the burst size, and load shedding under pressure is not what this
 // test is about (the chaos suite covers it).
 func TestServeConcurrentIssue(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxQueueDepth: -1})
+	s, ts := newTestServer(t, Config{})
+	s.maxQueue = math.MaxInt
 	info, _ := uploadDesign(t, ts.URL, benchBytes(t, "c880"))
 
 	const buyers = 8

@@ -12,6 +12,7 @@ import (
 	"repro/internal/atomicfile"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/registry"
 )
 
 // Store metrics: saves/loads are workload-determined; recovered temp files
@@ -105,24 +106,10 @@ func (s *Store) atomicWrite(path string, data []byte) error {
 func (s *Store) designPath(digest string) string { return filepath.Join(s.dir, digest+".design") }
 func (s *Store) metaPath(digest string) string   { return filepath.Join(s.dir, digest+".meta.json") }
 
-// validDigest rejects digests that could escape the store directory; real
-// digests are fixed-width lowercase hex (registry.DesignDigest).
-func validDigest(d string) bool {
-	if len(d) != 32 {
-		return false
-	}
-	for _, c := range d {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // PutDesign durably records a design's raw netlist bytes and metadata.
 // The netlist is stored verbatim so reloading replays the exact upload.
 func (s *Store) PutDesign(digest string, meta DesignMeta, netlist []byte) error {
-	if !validDigest(digest) {
+	if !registry.ValidDigest(digest) {
 		return fmt.Errorf("serve: store: invalid digest %q", digest)
 	}
 	mb, err := json.Marshal(meta)
@@ -140,7 +127,7 @@ func (s *Store) PutDesign(digest string, meta DesignMeta, netlist []byte) error 
 
 // HasDesign reports whether a complete design record exists for digest.
 func (s *Store) HasDesign(digest string) bool {
-	if !validDigest(digest) {
+	if !registry.ValidDigest(digest) {
 		return false
 	}
 	if _, err := os.Stat(s.metaPath(digest)); err != nil {
@@ -153,7 +140,7 @@ func (s *Store) HasDesign(digest string) bool {
 // LoadDesign returns the stored metadata and raw netlist bytes for digest.
 func (s *Store) LoadDesign(digest string) (DesignMeta, []byte, error) {
 	var meta DesignMeta
-	if !validDigest(digest) {
+	if !registry.ValidDigest(digest) {
 		return meta, nil, fmt.Errorf("serve: store: invalid digest %q", digest)
 	}
 	mb, err := os.ReadFile(s.metaPath(digest))
@@ -175,7 +162,7 @@ func (s *Store) LoadDesign(digest string) (DesignMeta, []byte, error) {
 // avoids touching the netlist bytes until first use).
 func (s *Store) LoadMeta(digest string) (DesignMeta, error) {
 	var meta DesignMeta
-	if !validDigest(digest) {
+	if !registry.ValidDigest(digest) {
 		return meta, fmt.Errorf("serve: store: invalid digest %q", digest)
 	}
 	mb, err := os.ReadFile(s.metaPath(digest))
@@ -281,16 +268,4 @@ func (s *Store) LoadJobs() ([]*JobRecord, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
-}
-
-// DeleteJob removes a job record (finished jobs only — callers enforce
-// that). A missing file is not an error.
-func (s *Store) DeleteJob(id string) error {
-	if !validJobID(id) {
-		return fmt.Errorf("serve: store: invalid job id %q", id)
-	}
-	if err := os.Remove(s.jobPath(id)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("serve: store: %w", err)
-	}
-	return nil
 }

@@ -401,10 +401,12 @@ func Nandify(c *circuit.Circuit) *circuit.Circuit {
 		}
 		remap[id] = nid
 	}
-	for _, po := range c.POs {
-		if err := out.AddPO(po.Name, remap[po.Driver]); err != nil {
-			panic(err)
-		}
+	pos := make([]circuit.PO, len(c.POs))
+	for i, po := range c.POs {
+		pos[i] = circuit.PO{Name: po.Name, Driver: remap[po.Driver]}
+	}
+	if err := out.AddPOs(pos); err != nil {
+		panic(err)
 	}
 	return out
 }
