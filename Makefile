@@ -9,8 +9,8 @@ all: build vet test
 # Everything the CI workflow runs: formatting, vet, doc lint, build, the
 # full race-enabled test suite, vet and tests of the separate perfbench
 # module (it builds against this module's packages), one iteration of the
-# root verification, simulation, tracing, analysis and .bench codec
-# benchmarks, a short fuzz pass over the three netlist parsers (and the
+# root verification, simulation, tracing, analysis, .bench codec and
+# async job benchmarks, a short fuzz pass over the three netlist parsers (and the
 # .bench codec against its legacy oracle), the red-team spec reader, the
 # hand-written JSON appenders and registry snapshots (against
 # encoding/json) and the SAT solver (against brute force, and Reset
@@ -139,10 +139,11 @@ bench:
 
 # One iteration of each root benchmark CI exercises: the verification
 # engines, the simulation kernels, registry tracing, snapshot writes and
-# replay, the ODC and SDC analysis scans, and the .bench reader and
-# writer. Catches a benchmark that no longer builds or runs.
+# replay, the ODC and SDC analysis scans, the .bench reader and writer,
+# and one 10 000-copy async job through an in-process daemon. Catches a
+# benchmark that no longer builds or runs.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkVerifyWindows|BenchmarkVerifySession|BenchmarkVerifyColdCEC|BenchmarkPackedSim|BenchmarkSimRun|BenchmarkExhaustive|BenchmarkTraceScores|BenchmarkTraceResponse|BenchmarkRegistrySave|BenchmarkRegistryAdopt|BenchmarkAnalyze|BenchmarkSDCAnalyze|BenchmarkBenchParse|BenchmarkBenchWrite' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkVerifyWindows|BenchmarkVerifySession|BenchmarkVerifyColdCEC|BenchmarkPackedSim|BenchmarkSimRun|BenchmarkExhaustive|BenchmarkTraceScores|BenchmarkTraceResponse|BenchmarkRegistrySave|BenchmarkRegistryAdopt|BenchmarkAnalyze|BenchmarkSDCAnalyze|BenchmarkBenchParse|BenchmarkBenchWrite|BenchmarkAsyncJob' -benchtime 1x -benchmem .
 
 # Incremental-verification baseline: 64 fingerprint copies through the
 # persistent cec.Session vs 64 cold cec.Check miters; writes BENCH_verify.json

@@ -16,9 +16,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/aig"
@@ -799,6 +803,76 @@ func BenchmarkRegistryAdopt(b *testing.B) {
 		if err := reg.AdoptAll(recs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAsyncJob mints one 10 000-copy unverified async job on c880
+// through an in-process daemon on an empty store at the default chunk, as
+// the mature workload's preseed does. Daemon start-up and the upload are
+// not timed; the submit and the polls until the job is done are.
+func BenchmarkAsyncJob(b *testing.B) {
+	netlist := benchNetlist(b, "c880")
+	b.ReportAllocs()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		srv, err := serve.New(serve.Config{StoreDir: b.TempDir()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		var design struct {
+			Digest string `json:"digest"`
+		}
+		httpJSON(b, ts.URL+"/designs", netlist, &design)
+		b.StartTimer()
+		var job struct {
+			ID           string `json:"id"`
+			State        string `json:"state"`
+			Acknowledged int    `json:"acknowledged"`
+			Error        string `json:"error"`
+		}
+		httpJSON(b, ts.URL+"/designs/"+design.Digest+"/issue/batch?async=1", []byte(`{"count": 10000}`), &job)
+		for job.State != serve.JobDone {
+			if job.State == serve.JobFailed {
+				b.Fatalf("job failed: %s", job.Error)
+			}
+			time.Sleep(time.Millisecond)
+			httpJSON(b, ts.URL+"/jobs/"+job.ID, nil, &job)
+		}
+		b.StopTimer()
+		if job.Acknowledged != 10000 {
+			b.Fatalf("job done with %d copies acknowledged", job.Acknowledged)
+		}
+		ts.Close()
+		if err := srv.Shutdown(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// httpJSON POSTs body to url (GETs it when body is nil) and decodes the
+// JSON answer into v, failing on any status above 299.
+func httpJSON(b *testing.B, url string, body []byte, v any) {
+	var resp *http.Response
+	var err error
+	if body == nil {
+		resp, err = http.Get(url)
+	} else {
+		resp, err = http.Post(url, "application/octet-stream", bytes.NewReader(body))
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if resp.StatusCode > 299 {
+		b.Fatalf("%s: %s: %s", url, resp.Status, data)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -44,9 +44,15 @@ func Write(path string, perm fs.FileMode, write func(io.Writer) error) error {
 		return err
 	}
 	// Persist the rename itself.
+	SyncDir(dir)
+	return nil
+}
+
+// SyncDir makes the renames and removals already done in dir durable,
+// where the platform lets a directory be synced; it is best effort.
+func SyncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
 	}
-	return nil
 }

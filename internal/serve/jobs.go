@@ -10,9 +10,11 @@ package serve
 // uses: the chunk's records are durable before any of its copies is
 // verified, so a verification failure or an expired deadline never takes
 // back a record that a concurrent /issue of the same buyer has already
-// acknowledged. The durability contract mirrors the registry store's: a
-// copy counts as acknowledged only once the registry holding its
-// fingerprint AND the job record listing it as done have both been written
+// acknowledged. A job's buyer list is written once, in its request file,
+// before the 202; after that only its progress, a count of acknowledged
+// buyers, is rewritten. The durability contract mirrors the registry
+// store's: a copy counts as acknowledged only once the registry holding
+// its fingerprint AND the job progress covering it have both been written
 // with the temp-file+fsync+rename discipline, in that order. A crash
 // between the two writes re-runs the chunk on resume; because issuance is
 // deterministic per buyer (registry.IssueBatch reuses recorded values), the
@@ -55,6 +57,13 @@ const (
 	JobFailed  = "failed"
 )
 
+// keepFinishedJobs is how many done or failed jobs the daemon keeps, in
+// memory and in the store; older ones are retired. A finished job only
+// answers polls: its copies are in the registry and re-fetched through
+// /issue. Without a bound the job map, the store directory and the
+// start-up load grow by one job per async batch forever.
+const keepFinishedJobs = 1024
+
 // BatchIssueRequest is the JSON body of POST /designs/{digest}/issue/batch.
 // Buyers may be listed explicitly, or generated as Prefix+index with Count.
 type BatchIssueRequest struct {
@@ -94,29 +103,51 @@ type BatchIssueResponse struct {
 	Copies []BatchCopy `json:"copies"`
 }
 
-// JobRecord is the durable state of one async issuance job — persisted to
-// the store before the 202 leaves the server and after every chunk commit,
-// and served (as a jobStatus view) from GET /jobs/{id}.
+// JobRecord is one async issuance job, served (as a jobStatus view) from
+// GET /jobs/{id}. Its request, ID through Created, is persisted once
+// before the 202 leaves the server and never changes; its JobProgress is
+// persisted after every chunk commit.
 type JobRecord struct {
 	// ID is the job's handle (fixed-width hex).
-	ID string `json:"id"`
+	ID string
 	// Digest is the design being issued.
-	Digest string `json:"digest"`
-	// Buyers is the full recipient list, in issue order.
-	Buyers []string `json:"buyers"`
+	Digest string
+	// Buyers is the full recipient list, in issue order. It is never
+	// mutated after submit, so readers share it without jobMu.
+	Buyers []string
 	// Verify CEC-proves each copy before it is acknowledged.
-	Verify bool `json:"verify"`
+	Verify bool
+	// Created is an RFC3339 timestamp.
+	Created string
+	JobProgress
+}
+
+// JobProgress is the mutable half of a job, guarded by jobMu and rewritten
+// whole after every chunk; its size does not depend on the job's.
+type JobProgress struct {
 	// State is one of JobQueued, JobRunning, JobDone, JobFailed.
 	State string `json:"state"`
-	// Done lists acknowledged buyers: their fingerprints are durable and
-	// each copy is re-fetchable, byte-identically, via /issue.
-	Done []string `json:"done"`
+	// Acked counts acknowledged buyers, always a prefix of Buyers: their
+	// fingerprints are durable and each copy is re-fetchable,
+	// byte-identically, via /issue.
+	Acked int `json:"acked"`
 	// Error explains a JobFailed state.
 	Error string `json:"error,omitempty"`
-	// Created and Updated are RFC3339 timestamps.
-	Created string `json:"created"`
+	// Updated is an RFC3339 timestamp.
 	Updated string `json:"updated"`
 }
+
+// before orders jobs by creation time, then id: the runner's pick order
+// and the GET /jobs order.
+func (r *JobRecord) before(o *JobRecord) bool {
+	if r.Created != o.Created {
+		return r.Created < o.Created
+	}
+	return r.ID < o.ID
+}
+
+// terminal reports whether the job is done or failed.
+func (r *JobRecord) terminal() bool { return r.State == JobDone || r.State == JobFailed }
 
 // jobStatus is the polling view of a JobRecord: counts always, full buyer
 // lists only on request (a 10⁵-copy job's lists dwarf the poll loop).
@@ -148,37 +179,71 @@ func newJobID() (string, error) {
 func rfc3339Now() string { return time.Now().UTC().Format(time.RFC3339) }
 
 // statusView renders a record snapshot; the caller holds jobMu (or owns
-// the record exclusively).
+// the record exclusively). The lists share the record's read-only Buyers.
 func statusView(rec *JobRecord, withLists bool) jobStatus {
 	st := jobStatus{
 		ID: rec.ID, Digest: rec.Digest, State: rec.State, Verify: rec.Verify,
-		Total: len(rec.Buyers), Acknowledged: len(rec.Done),
-		Remaining: len(rec.Buyers) - len(rec.Done),
+		Total: len(rec.Buyers), Acknowledged: rec.Acked,
+		Remaining: len(rec.Buyers) - rec.Acked,
 		Error:     rec.Error, Created: rec.Created, Updated: rec.Updated,
 	}
 	if withLists {
-		st.Buyers = append([]string(nil), rec.Buyers...)
-		st.Done = append([]string(nil), rec.Done...)
+		st.Buyers = rec.Buyers
+		st.Done = rec.Buyers[:rec.Acked]
 	}
 	return st
 }
 
 // loadJobs reloads persisted job records at startup; interrupted jobs
 // (queued or running) are counted as resumed and re-run by the runner.
+// Finished jobs are queued for retirement in pick order, which is the
+// order the runner finished them in up to jobs created in the same second,
+// and those beyond keepJobs are retired.
 func (s *Server) loadJobs() error {
-	recs, err := s.store.LoadJobs()
+	jobs, err := s.store.LoadJobs()
 	if err != nil {
 		return err
 	}
-	s.jobMu.Lock()
-	defer s.jobMu.Unlock()
-	for _, rec := range recs {
-		s.jobs[rec.ID] = rec
-		if rec.State == JobQueued || rec.State == JobRunning {
+	var finished []*JobRecord
+	for _, rec := range jobs {
+		if rec.terminal() {
+			finished = append(finished, rec)
+		} else {
 			mJobsResumed.Inc()
 		}
 	}
+	sort.Slice(finished, func(i, j int) bool { return finished[i].before(finished[j]) })
+	s.jobMu.Lock()
+	s.jobs = jobs
+	s.finished = s.finished[:0]
+	for _, rec := range finished {
+		s.finished = append(s.finished, rec.ID)
+	}
+	s.jobMu.Unlock()
+	s.retireJobs()
 	return nil
+}
+
+// retireJobs drops the earliest-finished jobs beyond keepJobs from the map,
+// then from the store. Finished jobs are never written again, so removing
+// their files outside jobMu races with nothing. A removal that fails
+// leaves the files for the next start-up to retire.
+func (s *Server) retireJobs() {
+	s.jobMu.Lock()
+	n := len(s.finished) - s.keepJobs
+	if n <= 0 {
+		s.jobMu.Unlock()
+		return
+	}
+	retired := s.finished[:n:n]
+	s.finished = s.finished[n:]
+	for _, id := range retired {
+		delete(s.jobs, id)
+	}
+	s.jobMu.Unlock()
+	for _, id := range retired {
+		s.store.DeleteJob(id)
+	}
 }
 
 // wakeRunner nudges the job runner without blocking.
@@ -336,8 +401,8 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, d *design, bu
 	}
 	now := rfc3339Now()
 	rec := &JobRecord{
-		ID: id, Digest: d.digest, Buyers: buyers, Verify: verify,
-		State: JobQueued, Created: now, Updated: now,
+		ID: id, Digest: d.digest, Buyers: buyers, Verify: verify, Created: now,
+		JobProgress: JobProgress{State: JobQueued, Updated: now},
 	}
 	if err := s.retryStore(r.Context(), func() error { return s.store.PutJob(rec) }); err != nil {
 		if isTransient(err) {
@@ -384,17 +449,16 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 // creation time then id.
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	s.jobMu.Lock()
-	out := make([]jobStatus, 0, len(s.jobs))
+	recs := make([]*JobRecord, 0, len(s.jobs))
 	for _, rec := range s.jobs {
-		out = append(out, statusView(rec, false))
+		recs = append(recs, rec)
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].before(recs[j]) })
+	out := make([]jobStatus, len(recs))
+	for i, rec := range recs {
+		out[i] = statusView(rec, false)
 	}
 	s.jobMu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Created != out[j].Created {
-			return out[i].Created < out[j].Created
-		}
-		return out[i].ID < out[j].ID
-	})
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
@@ -405,11 +469,10 @@ func (s *Server) nextJob() *JobRecord {
 	defer s.jobMu.Unlock()
 	var pick *JobRecord
 	for _, rec := range s.jobs {
-		if rec.State != JobQueued && rec.State != JobRunning {
+		if rec.terminal() {
 			continue
 		}
-		if pick == nil || rec.Created < pick.Created ||
-			(rec.Created == pick.Created && rec.ID < pick.ID) {
+		if pick == nil || rec.before(pick) {
 			pick = rec
 		}
 	}
@@ -425,7 +488,8 @@ func (s *Server) nextJob() *JobRecord {
 // with a running mega-batch instead of starving behind it. When the
 // runner's context dies (Shutdown), the current chunk is cancelled
 // mid-copy; the job's durable state is untouched since its last commit and
-// the next daemon over the same store resumes it.
+// the next daemon over the same store resumes it. After each job it
+// retires the finished jobs beyond keepJobs.
 func (s *Server) runJobs(ctx context.Context) {
 	defer close(s.runnerDone)
 	for {
@@ -439,52 +503,56 @@ func (s *Server) runJobs(ctx context.Context) {
 			}
 		}
 		s.processJob(ctx, rec)
+		s.retireJobs()
 		if ctx.Err() != nil {
 			return
 		}
 	}
 }
 
-// commitJob persists the record's current state; the caller must not hold
-// jobMu (commitJob snapshots under it).
+// commitJob persists the record's current progress; the caller must not
+// hold jobMu (commitJob snapshots under it).
 func (s *Server) commitJob(ctx context.Context, rec *JobRecord) error {
 	s.jobMu.Lock()
 	rec.Updated = rfc3339Now()
-	snap := *rec
-	snap.Buyers = append([]string(nil), rec.Buyers...)
-	snap.Done = append([]string(nil), rec.Done...)
+	p := rec.JobProgress
 	s.jobMu.Unlock()
-	return s.retryStore(ctx, func() error { return s.store.PutJob(&snap) })
+	return s.retryStore(ctx, func() error { return s.store.PutJobProgress(rec.ID, p) })
 }
 
-// failJob marks the job failed (keeping its acknowledged prefix) and
-// persists the terminal state.
-func (s *Server) failJob(ctx context.Context, rec *JobRecord, err error) {
+// finishJob marks the job done, or failed with err (keeping its
+// acknowledged prefix), queues it for retirement and persists the
+// terminal state.
+func (s *Server) finishJob(ctx context.Context, rec *JobRecord, err error) {
 	s.jobMu.Lock()
-	rec.State = JobFailed
-	rec.Error = err.Error()
+	rec.State = JobDone
+	if err != nil {
+		rec.State, rec.Error = JobFailed, err.Error()
+	}
+	s.finished = append(s.finished, rec.ID)
 	s.jobMu.Unlock()
-	mJobsFailed.Inc()
+	if err != nil {
+		mJobsFailed.Inc()
+	} else {
+		mJobsCompleted.Inc()
+	}
 	s.commitJob(ctx, rec)
 }
 
 // processJob runs one job to a terminal state or until ctx dies. Chunks
 // follow the acknowledged order: reserve + durable registry append + verify
-// (mint), then the job record's done list is extended and persisted.
+// (mint), then the job's acknowledged count is advanced and persisted.
 // A crash between those two writes re-runs the chunk deterministically on
 // resume, so acknowledged copies are never lost or duplicated.
 func (s *Server) processJob(ctx context.Context, rec *JobRecord) {
 	d := s.lookupDesign(rec.Digest)
 	if d == nil {
-		s.failJob(ctx, rec, fmt.Errorf("unknown design %s", rec.Digest))
+		s.finishJob(ctx, rec, fmt.Errorf("unknown design %s", rec.Digest))
 		return
 	}
-	s.jobMu.Lock()
-	buyers := append([]string(nil), rec.Buyers...)
-	done := len(rec.Done)
-	verify := rec.Verify
-	s.jobMu.Unlock()
-
+	// Only the runner writes a record's progress once it is submitted, so
+	// it reads Acked without jobMu; the request fields never change.
+	buyers, done := rec.Buyers, rec.Acked
 	for done < len(buyers) {
 		if ctx.Err() != nil {
 			return // shutdown: resume from the durable state next start
@@ -497,13 +565,13 @@ func (s *Server) processJob(ctx context.Context, rec *JobRecord) {
 			if err != nil {
 				return err
 			}
-			_, _, err = s.mint(ctx, d, a, chunk, verify, false)
+			_, _, err = s.mint(ctx, d, a, chunk, rec.Verify, false)
 			return err
 		})
 		cancel()
 		if err == nil && s.testHook != nil {
 			// The chunk's copies are durable in the registry but the job
-			// record does not list them yet — the window chaos tests target.
+			// progress does not cover them yet — the window chaos tests target.
 			s.testHook("job-chunk-minted")
 		}
 		if err != nil {
@@ -513,30 +581,26 @@ func (s *Server) processJob(ctx context.Context, rec *JobRecord) {
 			// A chunk deadline on a live daemon is a real failure (the
 			// chunk is sized to fit well inside RequestTimeout), as is a
 			// non-transient store or embed error.
-			s.failJob(ctx, rec, fmt.Errorf("chunk at copy %d: %w", done, err))
+			s.finishJob(ctx, rec, fmt.Errorf("chunk at copy %d: %w", done, err))
 			return
 		}
 		mBatchCopies.Add(int64(n))
-		s.jobMu.Lock()
-		rec.Done = append(rec.Done, chunk...)
-		s.jobMu.Unlock()
 		done += n
+		s.jobMu.Lock()
+		rec.Acked = done
+		s.jobMu.Unlock()
 		if err := s.commitJob(ctx, rec); err != nil {
 			if ctx.Err() != nil {
 				return
 			}
-			// The copies are durable in the registry but the job record
+			// The copies are durable in the registry but the job progress
 			// could not say so; resume will re-run them idempotently.
-			s.failJob(ctx, rec, fmt.Errorf("persisting job progress: %w", err))
+			s.finishJob(ctx, rec, fmt.Errorf("persisting job progress: %w", err))
 			return
 		}
 		if s.testHook != nil {
 			s.testHook("job-chunk")
 		}
 	}
-	s.jobMu.Lock()
-	rec.State = JobDone
-	s.jobMu.Unlock()
-	mJobsCompleted.Inc()
-	s.commitJob(ctx, rec)
+	s.finishJob(ctx, rec, nil)
 }

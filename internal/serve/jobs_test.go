@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -211,5 +214,251 @@ func TestServeBatchIssueAsync(t *testing.T) {
 
 	if status, _, _ := postBatch(t, ts.URL, info.Digest, "", BatchIssueRequest{Count: 1}); status != http.StatusOK {
 		t.Error("interactive batch blocked after async job")
+	}
+}
+
+// submitAsync submits an async batch and returns the job id.
+func submitAsync(t testing.TB, base, digest string, req BatchIssueRequest) string {
+	t.Helper()
+	status, _, body := postBatch(t, base, digest, "?async=1", req)
+	if status != http.StatusAccepted {
+		t.Fatalf("async submit: status %d: %s", status, body)
+	}
+	var st jobStatus
+	if err := json.Unmarshal(body, &st); err != nil || st.ID == "" {
+		t.Fatalf("submit response: %v: %s", err, body)
+	}
+	return st.ID
+}
+
+// registryBuyers counts each buyer the design's registry lists.
+func registryBuyers(t testing.TB, base, digest string) map[string]int {
+	t.Helper()
+	resp, err := http.Get(base + "/designs/" + digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info struct {
+		Buyers []string `json:"buyers"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	count := make(map[string]int, len(info.Buyers))
+	for _, b := range info.Buyers {
+		count[b]++
+	}
+	return count
+}
+
+// TestJobCommitFixedSize: a chunk commit rewrites only the job's progress
+// file, whose size does not grow with the job; the request file, with the
+// buyer list, is written once at submit and never again.
+func TestJobCommitFixedSize(t *testing.T) {
+	s, ts := newTestServer(t, Config{BatchChunk: 4})
+	info, _ := uploadDesign(t, ts.URL, benchBytes(t, "c880"))
+
+	const total = 1000
+	var (
+		id      string
+		request []byte
+		chunks  int
+	)
+	known := make(chan struct{})
+	s.testHook = func(kind string) {
+		if kind != "job-chunk" {
+			return
+		}
+		<-known
+		chunks++
+		b, err := os.ReadFile(s.store.jobPath(id))
+		if err != nil {
+			t.Errorf("chunk %d: %v", chunks, err)
+			return
+		}
+		if request == nil {
+			request = b
+		} else if !bytes.Equal(b, request) {
+			t.Errorf("chunk %d rewrote the request file (%d bytes, was %d)", chunks, len(b), len(request))
+		}
+		fi, err := os.Stat(s.store.progressPath(id))
+		if err != nil {
+			t.Errorf("chunk %d: %v", chunks, err)
+			return
+		}
+		if fi.Size() >= 256 {
+			t.Errorf("chunk %d: progress file is %d bytes, want < 256", chunks, fi.Size())
+		}
+	}
+	id = submitAsync(t, ts.URL, info.Digest, BatchIssueRequest{Count: total, Prefix: "fixed-"})
+	close(known)
+	st := pollJob(t, ts.URL, id)
+	if st.State != JobDone || st.Acknowledged != total {
+		t.Fatalf("job %s with %d/%d acknowledged (%s)", st.State, st.Acknowledged, total, st.Error)
+	}
+	if chunks != total/4 {
+		t.Errorf("observed %d chunk commits, want %d", chunks, total/4)
+	}
+	if b, err := os.ReadFile(s.store.jobPath(id)); err != nil || !bytes.Equal(b, request) {
+		t.Errorf("request file changed by the job's end (%v)", err)
+	}
+}
+
+// TestJobLegacyFormatResumes: a job file written before progress files
+// existed (the whole record, rewritten per chunk, with a done list) loads
+// with its state and len(done) acknowledged, and resumes from there: the
+// acknowledged copies keep their fingerprints and none is minted again.
+func TestJobLegacyFormatResumes(t *testing.T) {
+	const id = "4c6567616379a0b1" // running, 4 of 12 buyers done
+	fixture, err := os.ReadFile(filepath.Join("testdata", "legacy-job", "job-"+id+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{StoreDir: dir})
+	info, _ := uploadDesign(t, ts1.URL, benchBytes(t, "c432"))
+
+	// The daemon that wrote the fixture had acknowledged the first 4 copies,
+	// so their records are in the registry.
+	status, _, body := postBatch(t, ts1.URL, info.Digest, "", BatchIssueRequest{Count: 4, Prefix: "legacy-"})
+	if status != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", status, body)
+	}
+	var pre BatchIssueResponse
+	if err := json.Unmarshal(body, &pre); err != nil {
+		t.Fatal(err)
+	}
+	s1.runnerCancel()
+	<-s1.runnerDone
+	if err := os.WriteFile(filepath.Join(dir, "job-"+id+".json"), fixture, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := st.LoadJobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := jobs[id]
+	if rec == nil {
+		t.Fatalf("fixture job not loaded: %v", jobs)
+	}
+	if rec.Digest != info.Digest {
+		t.Fatalf("fixture digest %s, c432 uploads as %s", rec.Digest, info.Digest)
+	}
+	if rec.State != JobRunning || rec.Acked != 4 || len(rec.Buyers) != 12 {
+		t.Fatalf("loaded state %q, %d of %d acknowledged; want running, 4 of 12", rec.State, rec.Acked, len(rec.Buyers))
+	}
+
+	copies0 := mBatchCopies.Value()
+	_, ts2 := newTestServer(t, Config{StoreDir: dir, BatchChunk: 4})
+	final := pollJob(t, ts2.URL, id)
+	if final.State != JobDone || final.Acknowledged != 12 || len(final.Done) != 12 {
+		t.Fatalf("resumed job %s with %d/12 acknowledged (%s)", final.State, final.Acknowledged, final.Error)
+	}
+	if d := mBatchCopies.Value() - copies0; d != 8 {
+		t.Errorf("resume minted %d copies, want the 8 unacknowledged", d)
+	}
+	for _, cp := range pre.Copies {
+		status, hdr, body := rawIssue(t, ts2.URL, info.Digest, cp.Buyer, "")
+		if status != http.StatusOK {
+			t.Fatalf("fetch %s: status %d: %s", cp.Buyer, status, body)
+		}
+		if got := hdr.Get("X-Odcfp-Fingerprint"); got != cp.Fingerprint {
+			t.Errorf("%s fingerprint %s across resume, was %s", cp.Buyer, got, cp.Fingerprint)
+		}
+	}
+	count := registryBuyers(t, ts2.URL, info.Digest)
+	for i := 0; i < 12; i++ {
+		if b := fmt.Sprintf("legacy-%05d", i); count[b] != 1 {
+			t.Errorf("registry holds %s %d times, want 1", b, count[b])
+		}
+	}
+}
+
+// TestJobRetention: only the keepJobs most recently finished jobs stay, in
+// the job map and in the store, so a restarted daemon loads only those;
+// start-up retires the excess and removes orphan progress files.
+func TestJobRetention(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{StoreDir: dir})
+	const keep = 3
+	s.keepJobs = keep
+	info, _ := uploadDesign(t, ts.URL, benchBytes(t, "c432"))
+
+	var ids []string
+	for i := 0; i < keep+2; i++ {
+		id := submitAsync(t, ts.URL, info.Digest, BatchIssueRequest{Count: 1, Prefix: fmt.Sprintf("ret%d-", i)})
+		if st := pollJob(t, ts.URL, id); st.State != JobDone {
+			t.Fatalf("job %d: state %q (%s)", i, st.State, st.Error)
+		}
+		ids = append(ids, id)
+	}
+	jobFiles := func() []string {
+		names, err := filepath.Glob(filepath.Join(dir, jobPrefix+"*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	// retired reports whether s holds n jobs, each one of kept, and the
+	// store holds their two files each and no others.
+	retired := func(s *Server, n int, kept []string) bool {
+		s.jobMu.Lock()
+		defer s.jobMu.Unlock()
+		if len(s.jobs) != n || len(jobFiles()) != 2*n {
+			return false
+		}
+		for id := range s.jobs {
+			if !slices.Contains(kept, id) {
+				return false
+			}
+		}
+		return true
+	}
+	waitFor(t, "retirement", func() bool { return retired(s, keep, ids[2:]) })
+	for _, id := range ids[2:] {
+		for _, path := range []string{s.store.jobPath(id), s.store.progressPath(id)} {
+			if _, err := os.Stat(path); err != nil {
+				t.Errorf("kept job: %v", err)
+			}
+		}
+	}
+	resp, err := http.Get(ts.URL + "/jobs/" + ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("retired job: status %d, want 404", resp.StatusCode)
+	}
+
+	// A retirement cut short between its two removals leaves a progress
+	// file alone; start-up removes it.
+	orphan := s.store.progressPath("00000000000000ff")
+	if err := os.WriteFile(orphan, []byte(`{"state":"done","acked":1,"updated":""}`+"\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s.runnerCancel()
+	<-s.runnerDone
+	s2, _ := newTestServer(t, Config{StoreDir: dir})
+	if !retired(s2, keep, ids[2:]) {
+		t.Errorf("restart loaded %d jobs and left %d job files, want %d and %d", len(s2.jobs), len(jobFiles()), keep, 2*keep)
+	}
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Errorf("orphan progress file survived start-up: %v", err)
+	}
+
+	// Start-up retires whatever exceeds the bound.
+	s2.keepJobs = 1
+	if err := s2.loadJobs(); err != nil {
+		t.Fatal(err)
+	}
+	if !retired(s2, 1, ids[2:]) {
+		t.Errorf("reload kept %d jobs and %d job files, want 1 and 2", len(s2.jobs), len(jobFiles()))
 	}
 }

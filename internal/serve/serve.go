@@ -158,7 +158,7 @@ type design struct {
 
 // Server is the fingerprinting daemon: an http.Handler plus the cache,
 // store, worker pool and lifecycle around it. Create with New; serve
-// either via Serve/ListenAndServe or by mounting Handler in a test server.
+// either via Serve or by mounting Handler in a test server.
 type Server struct {
 	cfg      Config
 	store    *Store
@@ -168,20 +168,24 @@ type Server struct {
 	pool     *par.Pool
 	breaker  *breaker
 
-	// backoff is the first store-retry delay and maxQueue the pool queue
-	// depth at which requests are shed. New sets them from the constants
-	// in resilience.go; tests in this package shorten or lift them before
-	// sending traffic.
+	// backoff is the first store-retry delay, maxQueue the pool queue
+	// depth at which requests are shed and keepJobs the number of finished
+	// jobs kept. New sets them from the constants in resilience.go and
+	// jobs.go; tests in this package change them before sending traffic.
 	backoff  time.Duration
 	maxQueue int
+	keepJobs int
 
 	mu      sync.Mutex
 	designs map[string]*design
 
-	// Async issuance jobs (jobs.go): records mirror the durable job files;
-	// jobWake nudges the runner goroutine, runnerCancel kills it.
+	// Async issuance jobs (jobs.go): records mirror the durable job files,
+	// and finished lists the done and failed ones in the order they
+	// finished, for retirement; jobWake nudges the runner goroutine,
+	// runnerCancel kills it.
 	jobMu        sync.Mutex
 	jobs         map[string]*JobRecord
+	finished     []string
 	jobWake      chan struct{}
 	runnerCancel context.CancelFunc
 	runnerDone   chan struct{}
@@ -220,10 +224,10 @@ func New(cfg Config) (*Server, error) {
 		breaker: newBreaker(breakerThreshold, breakerCooldown),
 		backoff: retryBase,
 		designs: make(map[string]*design),
-		jobs:    make(map[string]*JobRecord),
 		jobWake: make(chan struct{}, 1),
 	}
 	s.maxQueue = queuePerWorker * s.pool.Workers()
+	s.keepJobs = keepFinishedJobs
 	if err := s.openRegistryStore(); err != nil {
 		return nil, err
 	}
@@ -307,15 +311,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		return nil
 	}
 	return err
-}
-
-// ListenAndServe binds addr and calls Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Shutdown drains the daemon gracefully: the listener closes, in-flight

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -40,11 +42,12 @@ type DesignMeta struct {
 // Store is the daemon's durable state apart from issuance registries
 // (which live in a registrystore.Store — JSON snapshots in this same
 // directory for the single-node daemon, a replicated WAL in cluster mode).
-// Per design digest it holds two files, plus one file per async job:
+// Per design digest it holds two files, plus two files per async job:
 //
-//	<digest>.design        raw uploaded netlist bytes, verbatim
-//	<digest>.meta.json     DesignMeta (format + name)
-//	job-<id>.json          one async issuance job's durable state
+//	<digest>.design          raw uploaded netlist bytes, verbatim
+//	<digest>.meta.json       DesignMeta (format + name)
+//	job-<id>.json            one async issuance job's request, written once
+//	job-<id>.progress.json   its JobProgress, rewritten after every chunk
 //
 // Every write is crash-safe: content goes to a temp file in the same
 // directory, is fsynced, then renamed over the destination (and the
@@ -196,14 +199,20 @@ func (s *Store) Digests() ([]string, error) {
 	return out, nil
 }
 
-// jobPrefix and jobSuffix frame the durable file of one async issuance job.
+// jobPrefix frames the durable files of one async issuance job: the
+// request ends in jobSuffix and the progress in progressSuffix.
 const (
-	jobPrefix = "job-"
-	jobSuffix = ".json"
+	jobPrefix      = "job-"
+	jobSuffix      = ".json"
+	progressSuffix = ".progress.json"
 )
 
 func (s *Store) jobPath(id string) string {
 	return filepath.Join(s.dir, jobPrefix+id+jobSuffix)
+}
+
+func (s *Store) progressPath(id string) string {
+	return filepath.Join(s.dir, jobPrefix+id+progressSuffix)
 }
 
 // validJobID rejects ids that could escape the store directory; real ids
@@ -220,52 +229,132 @@ func validJobID(id string) bool {
 	return true
 }
 
-// PutJob durably persists one async issuance job record with the same
-// temp-file+fsync+rename discipline as every other store write, so a
-// restarted daemon only ever observes a complete old or complete new job
-// state — the invariant that makes "acknowledged" in a job's done list
-// crash-proof.
+// jobRequest is the form of job-<id>.json. Daemons before the progress
+// file rewrote this file after every chunk, with the job's state, its
+// acknowledged buyers in Done, its error and its update time; a request
+// file written now carries state queued and no Done. Either way, when no
+// progress file exists, these fields are the job's progress.
+type jobRequest struct {
+	ID      string   `json:"id"`
+	Digest  string   `json:"digest"`
+	Buyers  []string `json:"buyers"`
+	Verify  bool     `json:"verify"`
+	State   string   `json:"state"`
+	Done    []string `json:"done,omitempty"`
+	Error   string   `json:"error,omitempty"`
+	Created string   `json:"created"`
+	Updated string   `json:"updated"`
+}
+
+// PutJob durably writes a new job's request file, once.
 func (s *Store) PutJob(rec *JobRecord) error {
-	if !validJobID(rec.ID) {
-		return fmt.Errorf("serve: store: invalid job id %q", rec.ID)
+	return s.putJobFile(rec.ID, s.jobPath(rec.ID), jobRequest{
+		ID: rec.ID, Digest: rec.Digest, Buyers: rec.Buyers, Verify: rec.Verify,
+		State: rec.State, Created: rec.Created, Updated: rec.Updated,
+	})
+}
+
+// PutJobProgress durably replaces a job's progress file, so a restarted
+// daemon only ever observes a complete old or complete new progress — the
+// invariant that makes "acknowledged" crash-proof.
+func (s *Store) PutJobProgress(id string, p JobProgress) error {
+	return s.putJobFile(id, s.progressPath(id), p)
+}
+
+// putJobFile writes v as JSON to one of job id's files with the same
+// temp-file+fsync+rename discipline as every other store write.
+func (s *Store) putJobFile(id, path string, v any) error {
+	if !validJobID(id) {
+		return fmt.Errorf("serve: store: invalid job id %q", id)
 	}
-	b, err := json.Marshal(rec)
+	b, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	if err := s.atomicWrite(s.jobPath(rec.ID), append(b, '\n')); err != nil {
-		return fmt.Errorf("serve: store job %s: %w", rec.ID, err)
+	if err := s.atomicWrite(path, append(b, '\n')); err != nil {
+		return fmt.Errorf("serve: store job %s: %w", id, err)
 	}
 	return nil
 }
 
-// LoadJobs reads every persisted job record, sorted by id.
-func (s *Store) LoadJobs() ([]*JobRecord, error) {
+// DeleteJob removes a finished job's files. The request goes first, and
+// the directory is synced before the progress goes, so a crash in between
+// leaves an orphan progress file, which LoadJobs removes, and never a bare
+// request file, which would read as a queued job.
+func (s *Store) DeleteJob(id string) error {
+	if !validJobID(id) {
+		return fmt.Errorf("serve: store: invalid job id %q", id)
+	}
+	if err := os.Remove(s.jobPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("serve: store: %w", err)
+	}
+	atomicfile.SyncDir(s.dir)
+	if err := os.Remove(s.progressPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("serve: store: %w", err)
+	}
+	return nil
+}
+
+// LoadJobs reads every persisted job, keyed by id. A job's progress is its
+// progress file's, or, when it has none, its request file's own fields.
+// A progress file without a request file is left from a retirement cut
+// short and is removed.
+func (s *Store) LoadJobs() (map[string]*JobRecord, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("serve: store: %w", err)
 	}
-	var out []*JobRecord
+	out := make(map[string]*JobRecord)
+	var progress []string
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, jobPrefix) || !strings.HasSuffix(name, jobSuffix) ||
-			strings.Contains(name, tmpMarker) {
+		rest, ok := strings.CutPrefix(e.Name(), jobPrefix)
+		if e.IsDir() || !ok || strings.Contains(rest, tmpMarker) {
 			continue
 		}
-		id := strings.TrimSuffix(strings.TrimPrefix(name, jobPrefix), jobSuffix)
-		if !validJobID(id) {
+		if id, ok := strings.CutSuffix(rest, progressSuffix); ok && validJobID(id) {
+			progress = append(progress, id)
 			continue
 		}
-		b, err := os.ReadFile(filepath.Join(s.dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("serve: store: %w", err)
+		id, ok := strings.CutSuffix(rest, jobSuffix)
+		if !ok || !validJobID(id) {
+			continue
 		}
-		rec := new(JobRecord)
-		if err := json.Unmarshal(b, rec); err != nil {
+		var req jobRequest
+		if err := readJSON(s.jobPath(id), &req); err != nil {
 			return nil, fmt.Errorf("serve: store: job %s: %w", id, err)
 		}
-		out = append(out, rec)
+		out[id] = &JobRecord{
+			ID: id, Digest: req.Digest, Buyers: req.Buyers, Verify: req.Verify, Created: req.Created,
+			JobProgress: JobProgress{State: req.State, Acked: len(req.Done), Error: req.Error, Updated: req.Updated},
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	for _, id := range progress {
+		rec := out[id]
+		if rec == nil {
+			if err := os.Remove(s.progressPath(id)); err != nil {
+				return nil, fmt.Errorf("serve: store: %w", err)
+			}
+			continue
+		}
+		var p JobProgress
+		if err := readJSON(s.progressPath(id), &p); err != nil {
+			return nil, fmt.Errorf("serve: store: job %s progress: %w", id, err)
+		}
+		rec.JobProgress = p
+	}
+	for id, rec := range out {
+		if rec.Acked < 0 || rec.Acked > len(rec.Buyers) {
+			return nil, fmt.Errorf("serve: store: job %s: %d of %d buyers acknowledged", id, rec.Acked, len(rec.Buyers))
+		}
+	}
 	return out, nil
+}
+
+// readJSON decodes the JSON file at path into v.
+func readJSON(path string, v any) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(b, v)
 }
