@@ -143,7 +143,7 @@ bench:
 # and one 10 000-copy async job through an in-process daemon. Catches a
 # benchmark that no longer builds or runs.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkVerifyWindows|BenchmarkVerifySession|BenchmarkVerifyColdCEC|BenchmarkPackedSim|BenchmarkSimRun|BenchmarkExhaustive|BenchmarkTraceScores|BenchmarkTraceResponse|BenchmarkRegistrySave|BenchmarkRegistryAdopt|BenchmarkAnalyze|BenchmarkSDCAnalyze|BenchmarkBenchParse|BenchmarkBenchWrite|BenchmarkAsyncJob' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkVerifyWindows|BenchmarkVerifySession|BenchmarkVerifyColdCEC|BenchmarkPackedSim|BenchmarkSimRun|BenchmarkExhaustive|BenchmarkTraceScores|BenchmarkTraceResponse|BenchmarkRegistrySave|BenchmarkRegistryAdopt|BenchmarkLocalAppendAfterGC|BenchmarkAnalyze|BenchmarkSDCAnalyze|BenchmarkBenchParse|BenchmarkBenchWrite|BenchmarkAsyncJob' -benchtime 1x -benchmem .
 
 # Incremental-verification baseline: 64 fingerprint copies through the
 # persistent cec.Session vs 64 cold cec.Check miters; writes BENCH_verify.json

@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -37,6 +38,7 @@ import (
 	"repro/internal/fuse"
 	"repro/internal/power"
 	"repro/internal/registry"
+	"repro/internal/registrystore"
 	"repro/internal/sdc"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -724,32 +726,40 @@ func jsonIndent(b *testing.B, v any) []byte {
 	return buf.Bytes()
 }
 
-// BenchmarkTraceResponse encodes one 10 001-row score-trace body (the
-// mature registry's ?scores=1 answer) through the /trace handler's
-// encoder, into a reused buffer as the handler does.
+// BenchmarkTraceResponse streams one 10 001-row score-trace body (the
+// mature registry's ?scores=1 answer) into io.Discard as the /trace handler
+// streams it into the response: encoded straight from the registry's
+// ranking, through one chunk buffer per body.
 func BenchmarkTraceResponse(b *testing.B) {
 	a, reg, suspect := matureRegistry(b)
 	scores, err := reg.TraceScores(a, suspect)
 	if err != nil {
 		b.Fatal(err)
 	}
-	resp := serve.TraceResponse{Digest: reg.Digest, Exact: "suspect", Threshold: 1, Implicated: []string{"suspect"}}
+	resp := serve.TraceResponse{Digest: reg.Digest, Exact: "suspect"}
+	resp.SetScores(scores, 1)
+	copied := resp
 	for _, sc := range scores {
-		resp.Scores = append(resp.Scores, serve.TraceScore{
+		copied.Scores = append(copied.Scores, serve.TraceScore{
 			Buyer: sc.Name, AgreePresent: sc.AgreePresent, TotalPresent: sc.TotalPresent,
 			Fraction: sc.Fraction(), FractionAll: sc.FractionAll(),
 		})
 	}
-	buf := resp.AppendJSON(nil)
-	if !bytes.Equal(buf, jsonIndent(b, resp)) {
-		b.Fatal("TraceResponse.AppendJSON differs from encoding/json")
+	var body bytes.Buffer
+	if _, err := resp.WriteTo(&body); err != nil {
+		b.Fatal(err)
+	}
+	if !bytes.Equal(body.Bytes(), jsonIndent(b, copied)) {
+		b.Fatal("TraceResponse.WriteTo differs from encoding/json")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = resp.AppendJSON(buf[:0])
+		if _, err := resp.WriteTo(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.ReportMetric(float64(len(buf))/1024, "KiB/body")
+	b.ReportMetric(float64(body.Len())/1024, "KiB/body")
 }
 
 // BenchmarkRegistrySave encodes the mature registry's 10 001-record
@@ -772,6 +782,32 @@ func BenchmarkRegistrySave(b *testing.B) {
 		buf = reg.AppendJSON(buf[:0])
 	}
 	b.ReportMetric(float64(len(buf))/1024, "KiB/snapshot")
+}
+
+// BenchmarkLocalAppendAfterGC snapshots the mature registry through the
+// single-node store, with a collection between appends as a mature
+// daemon's allocation rate brings on: B/op shows whether the snapshot's
+// encode buffer survives a GC or is allocated afresh.
+func BenchmarkLocalAppendAfterGC(b *testing.B) {
+	_, reg, _ := matureRegistry(b)
+	store, err := registrystore.OpenLocal(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := store.Append(ctx, reg.Digest, reg, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		if _, err := store.Append(ctx, reg.Digest, reg, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkRegistryAdopt installs 20 000 c880 records, shuffled as a

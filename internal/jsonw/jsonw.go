@@ -1,10 +1,12 @@
 // Package jsonw appends JSON scalars exactly as encoding/json encodes
-// them, so a hot writer can append a response straight into a reused
-// buffer instead of reflecting over an intermediate value. The daemon's
-// two Θ(buyers) writers use it: /trace bodies (serve.TraceResponse) and
-// registry snapshots (registry.Registry.AppendJSON). Everything else keeps
-// encoding/json, which also stays as the test oracle these functions are
-// checked and fuzzed against byte for byte.
+// them, so a hot writer can append a response straight into a buffer
+// instead of reflecting over an intermediate value. The daemon's two
+// Θ(buyers) writers use it: /trace score bodies (serve.TraceResponse),
+// streamed to the client through one fixed-size buffer, and registry
+// snapshots (registry.Registry.AppendJSON), appended into the store's
+// reused buffer. Everything else keeps encoding/json, which also stays as
+// the test oracle these functions are checked and fuzzed against byte for
+// byte.
 package jsonw
 
 import (

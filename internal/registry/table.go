@@ -1,9 +1,11 @@
 package registry
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 
 	"repro/internal/core"
 )
@@ -75,18 +77,28 @@ func Implicated(scores []Score, threshold float64) []string {
 }
 
 // table is a flat, row-major table of issued fingerprints: one row per
-// buyer, one narrow digit per modification slot in the positional order of
-// core.Analysis.Radices (−1 unmodified, d ≥ 0 variant d: the flat form of a
-// core.Assignment). It is the registry's resident score table. Rows keep
-// no meaningful order (delete moves the last row); each registry record
-// names its row, and scores ranks by the records' name order. A table is
+// buyer, one byte per modification slot in the positional order of
+// core.Analysis.Radices, holding the slot's digit as an int8's two's
+// complement (digitByte: 0xFF for −1 unmodified, d for variant d ≥ 0; the
+// flat form of a core.Assignment). It is the registry's resident score
+// table. Rows keep no meaningful order (delete moves the last row); each
+// registry record names its row, and scores ranks by the records' name
+// order. A table is
 // not safe for concurrent mutation; the Registry guards it with its lock.
 type table struct {
 	radices []int    // per slot: 1 + variant count
 	scratch []int    // one row's digits while it is added
 	names   []string // per row
-	digits  []int8   // len(names) rows of len(radices) digits
+	digits  []byte   // len(names) rows of len(radices) digits
 }
+
+// digitByte is a slot digit in [−1, 127], or core.Tampered, as a table
+// byte. Rows hold only 0x00–0x7F and 0xFF, so core.Tampered's 0xFE matches
+// no row.
+func digitByte(d int) byte { return byte(int8(d)) }
+
+// lowSeven masks the low seven bits of every byte of a word.
+const lowSeven = 0x7f7f7f7f7f7f7f7f
 
 // newTable creates an empty table over the analysed design's slots. It
 // keeps only the slot radices, not the analysis.
@@ -115,7 +127,7 @@ func (t *table) addValue(name string, value *big.Int) error {
 	}
 	t.names = append(t.names, name)
 	for _, d := range t.scratch {
-		t.digits = append(t.digits, int8(d))
+		t.digits = append(t.digits, digitByte(d))
 	}
 	return nil
 }
@@ -138,7 +150,7 @@ func (t *table) delete(row int) {
 // records in name order, each naming its row. Tampered slots count for
 // nobody. TotalPresent and TotalAll depend on the suspect alone, so they
 // are counted once; per row only the agreements are, in one sequential
-// pass over the table.
+// pass over the table that compares eight slots per 64-bit word.
 //
 // Every score of one suspect shares its totals, so the agreement counts
 // are exact keys for the two fractions, and each lies in [0, TotalAll].
@@ -151,38 +163,56 @@ func (t *table) scores(got core.Assignment, recs []entry) []Score {
 	// want is the suspect as a row. A tampered slot, or a digit no row can
 	// hold (addValue), becomes core.Tampered, which no row holds either,
 	// so it matches nobody.
-	want := make([]int8, 0, len(t.radices))
+	want := make([]byte, 0, len(t.radices))
 	totalPresent, totalAll := 0, 0
 	for i := range got {
 		for _, obs := range got[i] {
-			d := int8(core.Tampered)
+			d := digitByte(core.Tampered)
 			if obs != core.Tampered {
 				totalAll++
 				if obs >= 0 {
 					totalPresent++
 				}
 				if obs <= math.MaxInt8 {
-					d = int8(obs)
+					d = digitByte(obs)
 				}
 			}
 			want = append(want, d)
 		}
 	}
 	n := len(t.radices)
+	words := len(want) / 8
+	wantWords := make([]uint64, words)
+	for w := range wantWords {
+		wantWords[w] = binary.LittleEndian.Uint64(want[8*w:])
+	}
+	tail := want[8*words:]
 	type agreement struct{ present, all int32 }
 	agree := make([]agreement, len(t.names))
 	for r := range agree {
 		row := t.digits[r*n : (r+1)*n]
 		agreePresent, agreeAll := 0, 0
-		for k, d := range row[:len(want)] {
+		// Eight slots per word: a byte of x is zero where the row agrees,
+		// and eq holds 0x80 in exactly those bytes (the carry-free
+		// zero-byte test, with no false positives). A row byte's sign bit
+		// marks an unmodified slot, which agreement does not make present.
+		for w, sus := range wantWords {
+			d := binary.LittleEndian.Uint64(row[8*w:])
+			x := d ^ sus
+			eq := ^((x&lowSeven + lowSeven) | x | lowSeven)
+			agreeAll += bits.OnesCount64(eq)
+			agreePresent += bits.OnesCount64(eq &^ d)
+		}
+		for k, sus := range tail {
+			d := row[8*words+k]
 			// Branch-free: whether a row agrees with a suspect is
 			// unpredictable, so a branch per slot mispredicts half the time.
 			eq := 0
-			if d == want[k] {
+			if d == sus {
 				eq = 1
 			}
 			agreeAll += eq
-			agreePresent += eq &^ int(uint8(d)>>7) // d ≥ 0: sign bit clear
+			agreePresent += eq &^ int(d>>7)
 		}
 		agree[r] = agreement{int32(agreePresent), int32(agreeAll)}
 	}

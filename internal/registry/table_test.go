@@ -3,6 +3,7 @@ package registry
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -154,7 +155,7 @@ func TestTableRankingMatchesComparisonSort(t *testing.T) {
 				ds := randomDigits()
 				tb.names = append(tb.names, name)
 				for _, d := range ds {
-					tb.digits = append(tb.digits, int8(d))
+					tb.digits = append(tb.digits, digitByte(d))
 				}
 				digits[name] = ds
 				recs = append(recs, entry{Record: Record{Buyer: name}, row: tb.len() - 1})
@@ -217,5 +218,109 @@ func TestTableRankingMatchesComparisonSort(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// byteScores is the byte-at-a-time scoring loop table.scores ran before it
+// compared eight slots per word, kept as its oracle and ranked by the
+// comparison sort (sortScores).
+func byteScores(tb *table, got core.Assignment) []Score {
+	var want []int8
+	totalPresent, totalAll := 0, 0
+	for i := range got {
+		for _, obs := range got[i] {
+			d := int8(core.Tampered)
+			if obs != core.Tampered {
+				totalAll++
+				if obs >= 0 {
+					totalPresent++
+				}
+				if obs <= math.MaxInt8 {
+					d = int8(obs)
+				}
+			}
+			want = append(want, d)
+		}
+	}
+	n := len(tb.radices)
+	scores := make([]Score, 0, tb.len())
+	for r := range tb.names {
+		agreePresent, agreeAll := 0, 0
+		for k, b := range tb.digits[r*n : r*n+len(want)] {
+			d := int8(b)
+			eq := 0
+			if d == want[k] {
+				eq = 1
+			}
+			agreeAll += eq
+			agreePresent += eq &^ int(uint8(d)>>7)
+		}
+		scores = append(scores, Score{
+			Name:         tb.names[r],
+			AgreePresent: agreePresent,
+			TotalPresent: totalPresent,
+			AgreeAll:     agreeAll,
+			TotalAll:     totalAll,
+		})
+	}
+	sortScores(scores)
+	return scores
+}
+
+// TestTableScoresMatchesByteOracle: the word-parallel scoring pass equals
+// the byte-at-a-time oracle on seeded random tables of every width up to
+// two words plus a tail, and c880's 82 and 83, with 0, 1 and 1 000 rows.
+// Row digits include −1, 0 and the int8 edge 126/127, and digits one
+// apart, where a borrowing zero-byte test would count false agreements;
+// suspect digits add core.Tampered and digits beyond the int8 range.
+func TestTableScoresMatchesByteOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	rowDigits := []int{-1, 0, 1, 2, 126, 127}
+	susDigits := append([]int{core.Tampered, 128, 254, 255, 1000}, rowDigits...)
+	var widths []int
+	for n := 1; n <= 17; n++ {
+		widths = append(widths, n)
+	}
+	widths = append(widths, 82, 83)
+	for _, n := range widths {
+		for _, rows := range []int{0, 1, 1000} {
+			tb := &table{radices: make([]int, n)}
+			var recs []entry
+			for _, i := range rng.Perm(rows) {
+				name := fmt.Sprintf("buyer-%04d", i)
+				tb.names = append(tb.names, name)
+				for range n {
+					tb.digits = append(tb.digits, digitByte(rowDigits[rng.Intn(len(rowDigits))]))
+				}
+				recs = append(recs, entry{Record: Record{Buyer: name}, row: tb.len() - 1})
+			}
+			slices.SortFunc(recs, compareEntries)
+			for trial := 0; trial < 4; trial++ {
+				// A suspect is a row with some slots rewritten, so
+				// agreements spread over the whole range, grouped into
+				// locations of one to three slots.
+				var base []byte
+				if rows > 0 {
+					r := rng.Intn(rows)
+					base = tb.digits[r*n : (r+1)*n]
+				}
+				var got core.Assignment
+				for k := 0; k < n; {
+					loc := make([]int, min(1+rng.Intn(3), n-k))
+					for j := range loc {
+						if base != nil && rng.Intn(3) > 0 {
+							loc[j] = int(int8(base[k+j]))
+						} else {
+							loc[j] = susDigits[rng.Intn(len(susDigits))]
+						}
+					}
+					got = append(got, loc)
+					k += len(loc)
+				}
+				if g, w := tb.scores(got, recs), byteScores(tb, got); !reflect.DeepEqual(g, w) {
+					t.Fatalf("width %d, %d rows, suspect %v: word-parallel scores differ from the byte oracle", n, rows, got)
+				}
+			}
+		}
 	}
 }

@@ -31,6 +31,14 @@ type Local struct {
 
 	mu   sync.Mutex
 	seqs map[string]uint64
+
+	// bufs is Append's free list of snapshot encode buffers. A snapshot is
+	// the whole registry, so a fresh buffer per issuance would be
+	// Θ(buyers) garbage. A sync.Pool drops its buffers at every GC, which
+	// a large registry's issuance rate brings on often; this list keeps
+	// them. It holds two, one per concurrent Append it serves without
+	// allocating.
+	bufs chan []byte
 }
 
 // Open opens the single-node registry store rooted at dir, creating it if
@@ -63,12 +71,8 @@ func OpenLocal(dir string) (*Local, error) {
 			}
 		}
 	}
-	return &Local{dir: dir, seqs: make(map[string]uint64)}, nil
+	return &Local{dir: dir, seqs: make(map[string]uint64), bufs: make(chan []byte, 2)}, nil
 }
-
-// snapshotBufs holds the encode buffers of Append: a snapshot is the whole
-// registry, so a fresh buffer per issuance would be Θ(buyers) garbage.
-var snapshotBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 func (l *Local) path(digest string) string {
 	return filepath.Join(l.dir, digest+".registry.json")
@@ -104,10 +108,17 @@ func (l *Local) Append(ctx context.Context, digest string, reg *registry.Registr
 	if !registry.ValidDigest(digest) {
 		return 0, fmt.Errorf("registrystore: local: invalid digest %q", digest)
 	}
-	buf := snapshotBufs.Get().(*[]byte)
-	*buf = reg.AppendJSON((*buf)[:0])
-	err := l.atomicWrite(l.path(digest), *buf)
-	snapshotBufs.Put(buf)
+	var buf []byte
+	select {
+	case buf = <-l.bufs:
+	default:
+	}
+	buf = reg.AppendJSON(buf[:0])
+	err := l.atomicWrite(l.path(digest), buf)
+	select {
+	case l.bufs <- buf:
+	default:
+	}
 	if err != nil {
 		return 0, fmt.Errorf("registrystore: local: registry %s: %w", digest, err)
 	}

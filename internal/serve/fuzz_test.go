@@ -2,15 +2,21 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/jsonw"
+	"repro/internal/registry"
 )
 
 // oldWriteJSON is the encoding/json path /trace bodies took before
@@ -126,5 +132,86 @@ func TestWriteJSONUnencodable(t *testing.T) {
 	}
 	if d := mErrors.Value() - before; d != 1 {
 		t.Errorf("request_errors rose by %d, want 1", d)
+	}
+}
+
+// syntheticRanking returns n scores of one 82-slot suspect in trace rank
+// order, with runs of equal fractions and names that need escaping.
+func syntheticRanking(n int) []registry.Score {
+	rng := rand.New(rand.NewSource(int64(n)))
+	scores := make([]registry.Score, n)
+	for i := range scores {
+		present := rng.Intn(41)
+		scores[i] = registry.Score{
+			Name:         fmt.Sprintf("buyer-%05d<%d>", i, i%7),
+			AgreePresent: present, TotalPresent: 40,
+			AgreeAll: present + rng.Intn(43), TotalAll: 82,
+		}
+	}
+	slices.SortStableFunc(scores, func(x, y registry.Score) int {
+		if c := cmp.Compare(y.AgreePresent, x.AgreePresent); c != 0 {
+			return c
+		}
+		return cmp.Compare(y.AgreeAll, x.AgreeAll)
+	})
+	return scores
+}
+
+// TestTraceBodyStreams: a 10 001-row score body set from a registry
+// ranking, streamed by WriteTo across many chunks or appended whole, is
+// byte-identical to encoding/json's encoding of the same answer with the
+// ranking copied into Scores.
+func TestTraceBodyStreams(t *testing.T) {
+	ranked := syntheticRanking(10001)
+	resp := TraceResponse{Digest: "ebb615f0", Exact: ranked[0].Name}
+	resp.SetScores(ranked, 0.5)
+	copied := resp
+	for _, sc := range ranked {
+		copied.Scores = append(copied.Scores, TraceScore{
+			Buyer: sc.Name, AgreePresent: sc.AgreePresent, TotalPresent: sc.TotalPresent,
+			Fraction: sc.Fraction(), FractionAll: sc.FractionAll(),
+		})
+	}
+	want := oldWriteJSON(t, copied)
+	var streamed bytes.Buffer
+	n, err := resp.WriteTo(&streamed)
+	if err != nil || n != int64(len(want)) {
+		t.Fatalf("WriteTo = %d, %v; want %d bytes", n, err, len(want))
+	}
+	if len(want) < 10*traceChunk {
+		t.Fatalf("a %d-byte body does not cross enough chunks", len(want))
+	}
+	if !bytes.Equal(streamed.Bytes(), want) {
+		t.Error("streamed body differs from encoding/json")
+	}
+	if !bytes.Equal(resp.AppendJSON(nil), want) {
+		t.Error("appended body differs from encoding/json")
+	}
+}
+
+// TestTraceBodyAllocs: streaming a score body allocates the same few
+// bytes at 10 001 rows as at 1 000, so no buffer grows with the buyers.
+func TestTraceBodyAllocs(t *testing.T) {
+	allocated := func(rows int) uint64 {
+		resp := TraceResponse{Digest: "ebb615f0"}
+		resp.SetScores(syntheticRanking(rows), 1)
+		// The least of a few runs: TotalAlloc also counts what other
+		// goroutines allocate meanwhile.
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := resp.WriteTo(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := allocated(1000), allocated(10001)
+	t.Logf("WriteTo allocates %d B at 1 000 rows, %d B at 10 001", small, large)
+	if large > small+1024 || large > 2*traceChunk {
+		t.Errorf("WriteTo allocates %d B at 1 000 rows and %d B at 10 001: it grows with the rows", small, large)
 	}
 }

@@ -9,8 +9,11 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime/metrics"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/jsonw"
@@ -71,23 +74,69 @@ type TraceResponse struct {
 	// the one outcome tracing cannot attribute. Operators should treat it
 	// as its own alert class rather than an empty Implicated list.
 	FullRemoval bool `json:"full_removal,omitempty"`
+
+	// ranked, set by SetScores, stands in for Scores when r is encoded:
+	// the registry's ranking, encoded row by row with no []TraceScore copy.
+	ranked []registry.Score
 }
+
+// SetScores fills the ?scores=1 fields from a registry ranking
+// (registry.TraceScores): Threshold, FullRemoval and Implicated at
+// threshold, and the scores the encoders write, which are read from
+// scores itself and not copied into Scores.
+func (r *TraceResponse) SetScores(scores []registry.Score, threshold float64) {
+	r.ranked = scores
+	r.Threshold = threshold
+	r.FullRemoval = registry.FullRemoval(scores)
+	r.Implicated = registry.Implicated(scores, threshold)
+}
+
+// traceChunk is the size of the pieces WriteTo hands to its writer.
+const traceChunk = 32 << 10
 
 // AppendJSON appends r exactly as writeJSON's encoding/json path would
 // write it — SetIndent("", "  ") layout, field order, omitempty and the
-// trailing newline — byte for byte. A ?scores=1 answer is Θ(buyers), and
-// reflecting over ten thousand rows cost several times the scoring. The
-// floats must be finite, as encoding/json requires.
+// trailing newline — byte for byte, with SetScores' ranking in place of
+// Scores when set. A ?scores=1 answer is Θ(buyers), and reflecting over
+// ten thousand rows cost several times the scoring. The floats must be
+// finite, as encoding/json requires.
 func (r *TraceResponse) AppendJSON(dst []byte) []byte {
+	return r.encode(dst, nil)
+}
+
+// WriteTo writes AppendJSON's bytes to w in pieces of about traceChunk
+// bytes through one buffer of about that size, so a Θ(buyers) body never
+// exists whole. After a write fails it writes nothing more and returns
+// that error.
+func (r *TraceResponse) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	var err error
+	flush := func(b []byte) []byte {
+		if err == nil {
+			var m int
+			m, err = w.Write(b)
+			n += int64(m)
+		}
+		return b[:0]
+	}
+	flush(r.encode(make([]byte, 0, traceChunk+traceChunk/4), flush))
+	return n, err
+}
+
+// encode is the one trace-body encoder. With flush nil it appends the
+// whole body to dst; otherwise, whenever dst has reached traceChunk
+// bytes between two rows, it hands dst to flush and carries on with what
+// flush returns.
+func (r *TraceResponse) encode(dst []byte, flush func([]byte) []byte) []byte {
 	dst = append(dst, "{\n  \"digest\": "...)
 	dst = jsonw.AppendString(dst, r.Digest)
 	dst = append(dst, ",\n  \"exact\": "...)
 	dst = jsonw.AppendString(dst, r.Exact)
-	if len(r.Scores) > 0 {
+	if n := r.numScores(); n > 0 {
 		var frac, fracAll floatRun
 		dst = append(dst, ",\n  \"scores\": ["...)
-		for i := range r.Scores {
-			sc := &r.Scores[i]
+		for i := 0; i < n; i++ {
+			sc := r.score(i)
 			if i > 0 {
 				dst = append(dst, ',')
 			}
@@ -102,6 +151,9 @@ func (r *TraceResponse) AppendJSON(dst []byte) []byte {
 			dst = append(dst, ",\n      \"fraction_all\": "...)
 			dst = fracAll.append(dst, sc.FractionAll)
 			dst = append(dst, "\n    }"...)
+			if flush != nil && len(dst) >= traceChunk {
+				dst = flush(dst)
+			}
 		}
 		dst = append(dst, "\n  ]"...)
 	}
@@ -117,6 +169,9 @@ func (r *TraceResponse) AppendJSON(dst []byte) []byte {
 			}
 			dst = append(dst, "\n    "...)
 			dst = jsonw.AppendString(dst, b)
+			if flush != nil && len(dst) >= traceChunk {
+				dst = flush(dst)
+			}
 		}
 		dst = append(dst, "\n  ]"...)
 	}
@@ -126,39 +181,51 @@ func (r *TraceResponse) AppendJSON(dst []byte) []byte {
 	return append(dst, "\n}\n"...)
 }
 
+// numScores is the number of score rows r encodes.
+func (r *TraceResponse) numScores() int {
+	if r.ranked != nil {
+		return len(r.ranked)
+	}
+	return len(r.Scores)
+}
+
+// score returns encoded score row i: from SetScores' ranking when set,
+// else from Scores.
+func (r *TraceResponse) score(i int) TraceScore {
+	if r.ranked == nil {
+		return r.Scores[i]
+	}
+	s := &r.ranked[i]
+	return TraceScore{
+		Buyer:        s.Name,
+		AgreePresent: s.AgreePresent,
+		TotalPresent: s.TotalPresent,
+		Fraction:     s.Fraction(),
+		FractionAll:  s.FractionAll(),
+	}
+}
+
 // floatRun appends one column of floats, copying the previous value's
 // digits when a value repeats. Score rows arrive sorted by evidence, so
 // equal fractions come in runs, and shortest-float formatting is otherwise
-// most of a score-trace encode.
+// most of a score-trace encode. The digits are kept in the run itself, as
+// a flush empties the buffer they were appended to.
 type floatRun struct {
-	bits       uint64
-	start, end int // the previous value's digits in dst; end 0 until one
+	bits   uint64
+	n      int // length of digits; 0 until a value is appended
+	digits [32]byte
 }
 
 func (c *floatRun) append(dst []byte, f float64) []byte {
 	// Compare bits, not values: 0 and -0 are equal but print differently.
 	bits := math.Float64bits(f)
-	if c.end > 0 && bits == c.bits {
-		return append(dst, dst[c.start:c.end]...)
+	if c.n > 0 && bits == c.bits {
+		return append(dst, c.digits[:c.n]...)
 	}
-	c.bits, c.start = bits, len(dst)
+	start := len(dst)
 	dst = jsonw.AppendFloat(dst, f)
-	c.end = len(dst)
+	c.bits, c.n = bits, copy(c.digits[:], dst[start:])
 	return dst
-}
-
-// sizeHint estimates the length of r's encoding, so that a score-trace
-// body is allocated once instead of grown: each score row takes 125 bytes
-// of layout, its buyer name, and about 45 bytes of counts and fractions.
-func (r *TraceResponse) sizeHint() int {
-	n := 128 + len(r.Digest) + len(r.Exact)
-	for i := range r.Scores {
-		n += 170 + len(r.Scores[i].Buyer)
-	}
-	for _, b := range r.Implicated {
-		n += 8 + len(b)
-	}
-	return n
 }
 
 // TraceScore is one buyer's agreement with the suspect copy.
@@ -585,19 +652,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return apiErrorf(http.StatusUnprocessableEntity, "trace: %v", err)
 			}
-			resp.Threshold = threshold
-			resp.FullRemoval = registry.FullRemoval(scores)
-			resp.Scores = make([]TraceScore, 0, len(scores))
-			for _, sc := range scores {
-				resp.Scores = append(resp.Scores, TraceScore{
-					Buyer:        sc.Name,
-					AgreePresent: sc.AgreePresent,
-					TotalPresent: sc.TotalPresent,
-					Fraction:     sc.Fraction(),
-					FractionAll:  sc.FractionAll(),
-				})
-			}
-			resp.Implicated = registry.Implicated(scores, threshold)
+			resp.SetScores(scores, threshold)
 		}
 		// The accusation count rides in a header so load balancers and
 		// alerting probes can watch trace outcomes without parsing bodies;
@@ -613,7 +668,16 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			mTraceMisses.Inc()
 		}
 		mTraces.Inc()
-		writeBody(w, http.StatusOK, resp.AppendJSON(make([]byte, 0, resp.sizeHint())))
+		if !wantScores {
+			writeBody(w, http.StatusOK, resp.AppendJSON(nil))
+			return nil
+		}
+		// A score body is Θ(buyers): stream it, with no Content-Length.
+		// Once the status is sent a failed write cannot be answered; the
+		// client sees a truncated chunked body.
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		resp.WriteTo(w)
 		return nil
 	})
 }
@@ -635,9 +699,42 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// handleMetrics implements GET /metrics: the full obs snapshot as JSON.
+// runtimeMetrics are the Go runtime's figures /metrics reports beside the
+// obs snapshot, read through runtime/metrics: allocation and GC decide
+// much of a large registry's per-request CPU. They are not obs metrics,
+// so run reports leave them out.
+var runtimeMetrics = []struct {
+	name, sample string
+	kind         obs.MetricKind
+}{
+	{"go.alloc_bytes", "/gc/heap/allocs:bytes", obs.KindCounter},
+	{"go.gc_cpu_ns", "/cpu/classes/gc/total:cpu-seconds", obs.KindCounter},
+	{"go.gc_cycles", "/gc/cycles/total:gc-cycles", obs.KindCounter},
+	{"go.heap_goal_bytes", "/gc/heap/goal:bytes", obs.KindGauge},
+}
+
+// handleMetrics implements GET /metrics: the full obs snapshot plus
+// runtimeMetrics as JSON, sorted by name.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, obs.Snapshot(false))
+	snap := obs.Snapshot(false)
+	samples := make([]metrics.Sample, len(runtimeMetrics))
+	for i, m := range runtimeMetrics {
+		samples[i].Name = m.sample
+	}
+	metrics.Read(samples)
+	for i, m := range runtimeMetrics {
+		v := samples[i].Value
+		n := int64(0)
+		switch v.Kind() {
+		case metrics.KindUint64:
+			n = int64(v.Uint64())
+		case metrics.KindFloat64: // the GC CPU, in seconds
+			n = int64(v.Float64() * 1e9)
+		}
+		snap = append(snap, obs.MetricSnapshot{Name: m.name, Kind: m.kind, Nondet: true, Value: n})
+	}
+	slices.SortFunc(snap, func(x, y obs.MetricSnapshot) int { return strings.Compare(x.Name, y.Name) })
+	writeJSON(w, http.StatusOK, snap)
 }
 
 // mint is the one issuance path: /issue, each chunk of a synchronous batch

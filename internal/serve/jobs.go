@@ -104,7 +104,7 @@ type BatchIssueResponse struct {
 }
 
 // JobRecord is one async issuance job, served (as a jobStatus view) from
-// GET /jobs/{id}. Its request, ID through Created, is persisted once
+// GET /jobs/{id}. Its request, ID through Seq, is persisted once
 // before the 202 leaves the server and never changes; its JobProgress is
 // persisted after every chunk commit.
 type JobRecord struct {
@@ -119,6 +119,9 @@ type JobRecord struct {
 	Verify bool
 	// Created is an RFC3339 timestamp.
 	Created string
+	// Seq numbers the daemon's jobs in submission order, from 1; it is 0
+	// for a job submitted to a daemon that did not number them.
+	Seq uint64
 	JobProgress
 }
 
@@ -137,9 +140,14 @@ type JobProgress struct {
 	Updated string `json:"updated"`
 }
 
-// before orders jobs by creation time, then id: the runner's pick order
-// and the GET /jobs order.
+// before orders jobs by submission: the runner's pick order, the GET /jobs
+// order and, as the runner finishes jobs in the order it picks them, the
+// retirement order after a restart. Jobs without a sequence number come
+// first, by creation time (one-second resolution), then id.
 func (r *JobRecord) before(o *JobRecord) bool {
+	if r.Seq != o.Seq {
+		return r.Seq < o.Seq
+	}
 	if r.Created != o.Created {
 		return r.Created < o.Created
 	}
@@ -197,15 +205,17 @@ func statusView(rec *JobRecord, withLists bool) jobStatus {
 // loadJobs reloads persisted job records at startup; interrupted jobs
 // (queued or running) are counted as resumed and re-run by the runner.
 // Finished jobs are queued for retirement in pick order, which is the
-// order the runner finished them in up to jobs created in the same second,
-// and those beyond keepJobs are retired.
+// order the runner finished them in, and those beyond keepJobs are
+// retired. Numbering resumes after the highest loaded sequence number.
 func (s *Server) loadJobs() error {
 	jobs, err := s.store.LoadJobs()
 	if err != nil {
 		return err
 	}
 	var finished []*JobRecord
+	var seq uint64
 	for _, rec := range jobs {
+		seq = max(seq, rec.Seq)
 		if rec.terminal() {
 			finished = append(finished, rec)
 		} else {
@@ -215,6 +225,7 @@ func (s *Server) loadJobs() error {
 	sort.Slice(finished, func(i, j int) bool { return finished[i].before(finished[j]) })
 	s.jobMu.Lock()
 	s.jobs = jobs
+	s.jobSeq = seq
 	s.finished = s.finished[:0]
 	for _, rec := range finished {
 		s.finished = append(s.finished, rec.ID)
@@ -399,9 +410,13 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request, d *design, bu
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	s.jobMu.Lock()
+	s.jobSeq++
+	seq := s.jobSeq
+	s.jobMu.Unlock()
 	now := rfc3339Now()
 	rec := &JobRecord{
-		ID: id, Digest: d.digest, Buyers: buyers, Verify: verify, Created: now,
+		ID: id, Digest: d.digest, Buyers: buyers, Verify: verify, Created: now, Seq: seq,
 		JobProgress: JobProgress{State: JobQueued, Updated: now},
 	}
 	if err := s.retryStore(r.Context(), func() error { return s.store.PutJob(rec) }); err != nil {
@@ -445,8 +460,8 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleJobList implements GET /jobs: every job's status, sorted by
-// creation time then id.
+// handleJobList implements GET /jobs: every job's status, in submission
+// order (JobRecord.before).
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	s.jobMu.Lock()
 	recs := make([]*JobRecord, 0, len(s.jobs))
@@ -462,8 +477,9 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
-// nextJob picks the oldest runnable job (queued, or running — i.e.
-// interrupted by a restart) and marks it running. Returns nil when idle.
+// nextJob picks the earliest-submitted runnable job (queued, or running,
+// i.e. interrupted by a restart) and marks it running. Returns nil when
+// idle.
 func (s *Server) nextJob() *JobRecord {
 	s.jobMu.Lock()
 	defer s.jobMu.Unlock()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -460,5 +461,63 @@ func TestJobRetention(t *testing.T) {
 	}
 	if !retired(s2, 1, ids[2:]) {
 		t.Errorf("reload kept %d jobs and %d job files, want 1 and 2", len(s2.jobs), len(jobFiles()))
+	}
+}
+
+// TestJobsRunInSubmissionOrder: jobs submitted within one second, whose
+// creation times are therefore equal, list, run and, after a reload,
+// retire in the order they were submitted, not in the order of their
+// random ids.
+func TestJobsRunInSubmissionOrder(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{StoreDir: dir})
+	info, _ := uploadDesign(t, ts.URL, benchBytes(t, "c432"))
+	// With the runner stopped the jobs stay queued, and the test picks
+	// them itself as the runner would.
+	s.runnerCancel()
+	<-s.runnerDone
+	var ids []string
+	for i := 0; i < 5; i++ {
+		ids = append(ids, submitAsync(t, ts.URL, info.Digest, BatchIssueRequest{Count: 1, Prefix: fmt.Sprintf("order%d-", i)}))
+	}
+
+	var list struct{ Jobs []jobStatus }
+	resp, err := http.Get(ts.URL + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []string
+	for _, st := range list.Jobs {
+		listed = append(listed, st.ID)
+	}
+	if !slices.Equal(listed, ids) {
+		t.Errorf("GET /jobs lists %v, submitted %v", listed, ids)
+	}
+
+	var ran []string
+	for rec := s.nextJob(); rec != nil; rec = s.nextJob() {
+		ran = append(ran, rec.ID)
+		s.processJob(context.Background(), rec)
+	}
+	if !slices.Equal(ran, ids) {
+		t.Errorf("jobs ran in order %v, submitted %v", ran, ids)
+	}
+
+	// A reload that keeps one finished job keeps the last one submitted.
+	s.keepJobs = 1
+	if err := s.loadJobs(); err != nil {
+		t.Fatal(err)
+	}
+	s.jobMu.Lock()
+	_, kept := s.jobs[ids[4]]
+	n := len(s.jobs)
+	s.jobMu.Unlock()
+	if n != 1 || !kept {
+		t.Errorf("reload kept %d jobs, the last submitted among them: %v", n, kept)
 	}
 }

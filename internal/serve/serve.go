@@ -180,12 +180,13 @@ type Server struct {
 	designs map[string]*design
 
 	// Async issuance jobs (jobs.go): records mirror the durable job files,
-	// and finished lists the done and failed ones in the order they
-	// finished, for retirement; jobWake nudges the runner goroutine,
-	// runnerCancel kills it.
+	// finished lists the done and failed ones in the order they finished,
+	// for retirement, and jobSeq is the last sequence number submitJob
+	// gave; jobWake nudges the runner goroutine, runnerCancel kills it.
 	jobMu        sync.Mutex
 	jobs         map[string]*JobRecord
 	finished     []string
+	jobSeq       uint64
 	jobWake      chan struct{}
 	runnerCancel context.CancelFunc
 	runnerDone   chan struct{}

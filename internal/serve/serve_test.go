@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/benchfmt"
 	"repro/internal/circuit"
+	"repro/internal/obs"
 	"repro/internal/redteam"
 )
 
@@ -631,5 +633,88 @@ func TestDetectFormat(t *testing.T) {
 		if got := detectFormat([]byte(tc.body)); got != tc.want {
 			t.Errorf("%s: detectFormat = %q, want %q", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestScoreTraceChunked: a score-mode answer larger than one write chunk
+// is streamed with chunked transfer encoding and no Content-Length, and
+// decodes to every buyer's score.
+func TestScoreTraceChunked(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	info, _ := uploadDesign(t, ts.URL, benchBytes(t, "c880"))
+	const buyers = 300
+	if st := pollJob(t, ts.URL, submitAsync(t, ts.URL, info.Digest, BatchIssueRequest{Count: buyers})); st.State != JobDone {
+		t.Fatalf("preseed job: state %q (%s)", st.State, st.Error)
+	}
+	suspect, _ := issueCopy(t, ts.URL, info.Digest, "buyer-00042", "")
+	resp, err := http.Post(ts.URL+"/designs/"+info.Digest+"/trace?scores=1", "text/plain", bytes.NewReader(suspect))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace: status %d, %v: %.200s", resp.StatusCode, err, body)
+	}
+	if len(body) <= traceChunk {
+		t.Fatalf("a %d-byte body fits one chunk", len(body))
+	}
+	if resp.ContentLength != -1 || !slices.Equal(resp.TransferEncoding, []string{"chunked"}) {
+		t.Errorf("Content-Length %d, Transfer-Encoding %v; want a chunked body", resp.ContentLength, resp.TransferEncoding)
+	}
+	var tr TraceResponse
+	if err := json.Unmarshal(body, &tr); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Scores) != buyers || tr.Scores[0].Buyer != "buyer-00042" || tr.Exact != "buyer-00042" {
+		t.Errorf("%d scores, top %q, exact %q", len(tr.Scores), tr.Scores[0].Buyer, tr.Exact)
+	}
+}
+
+// TestMetricsRuntimeGC: /metrics carries the runtime's GC and allocation
+// figures, marked Nondet, and the cumulative ones do not fall across a
+// score trace, which allocates.
+func TestMetricsRuntimeGC(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	info, _ := uploadDesign(t, ts.URL, benchBytes(t, "c432"))
+	suspect, _ := issueCopy(t, ts.URL, info.Digest, "alice", "")
+	read := func() map[string]obs.MetricSnapshot {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snaps []obs.MetricSnapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snaps); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.IsSortedFunc(snaps, func(x, y obs.MetricSnapshot) int { return strings.Compare(x.Name, y.Name) }) {
+			t.Error("/metrics is not sorted by name")
+		}
+		out := map[string]obs.MetricSnapshot{}
+		for _, s := range snaps {
+			out[s.Name] = s
+		}
+		return out
+	}
+	before := read()
+	traceSuspect(t, ts.URL, info.Digest, suspect, "?scores=1")
+	after := read()
+	for _, m := range runtimeMetrics {
+		b, okb := before[m.name]
+		a, oka := after[m.name]
+		if !okb || !oka || !a.Nondet || a.Kind != m.kind {
+			t.Errorf("%s: present %v/%v, nondet %v, kind %q", m.name, okb, oka, a.Nondet, a.Kind)
+			continue
+		}
+		if m.kind == obs.KindCounter && a.Value < b.Value {
+			t.Errorf("%s fell from %d to %d", m.name, b.Value, a.Value)
+		}
+	}
+	if after["go.alloc_bytes"].Value <= before["go.alloc_bytes"].Value {
+		t.Error("go.alloc_bytes did not rise across a score trace")
+	}
+	if after["go.heap_goal_bytes"].Value <= 0 {
+		t.Error("go.heap_goal_bytes is not positive")
 	}
 }

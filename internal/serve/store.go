@@ -244,13 +244,14 @@ type jobRequest struct {
 	Error   string   `json:"error,omitempty"`
 	Created string   `json:"created"`
 	Updated string   `json:"updated"`
+	Seq     uint64   `json:"seq,omitempty"`
 }
 
 // PutJob durably writes a new job's request file, once.
 func (s *Store) PutJob(rec *JobRecord) error {
 	return s.putJobFile(rec.ID, s.jobPath(rec.ID), jobRequest{
 		ID: rec.ID, Digest: rec.Digest, Buyers: rec.Buyers, Verify: rec.Verify,
-		State: rec.State, Created: rec.Created, Updated: rec.Updated,
+		State: rec.State, Created: rec.Created, Updated: rec.Updated, Seq: rec.Seq,
 	})
 }
 
@@ -324,7 +325,7 @@ func (s *Store) LoadJobs() (map[string]*JobRecord, error) {
 			return nil, fmt.Errorf("serve: store: job %s: %w", id, err)
 		}
 		out[id] = &JobRecord{
-			ID: id, Digest: req.Digest, Buyers: req.Buyers, Verify: req.Verify, Created: req.Created,
+			ID: id, Digest: req.Digest, Buyers: req.Buyers, Verify: req.Verify, Created: req.Created, Seq: req.Seq,
 			JobProgress: JobProgress{State: req.State, Acked: len(req.Done), Error: req.Error, Updated: req.Updated},
 		}
 	}
