@@ -12,6 +12,7 @@ package cec
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -73,6 +74,7 @@ type Verdict struct {
 // constrain internal signals — the SDC prover asking whether a gate's fanin
 // pair can take a value (internal/sdc) — use it directly.
 func EncodeNodes(s *sat.Solver, c *circuit.Circuit, piVars map[string]int) ([]int, error) {
+	sink := &cnf{s: s}
 	nodeVar := make([]int, len(c.Nodes))
 	order, err := c.TopoOrder()
 	if err != nil {
@@ -94,7 +96,7 @@ func EncodeNodes(s *sat.Solver, c *circuit.Circuit, piVars map[string]int) ([]in
 		for i, f := range nd.Fanin {
 			in[i] = nodeVar[f]
 		}
-		if err := encodeGate(s, nd.Kind, out, in); err != nil {
+		if err := encodeGate(sink, nd.Kind, out, in); err != nil {
 			return nil, fmt.Errorf("cec: node %q: %w", nd.Name, err)
 		}
 	}
@@ -120,8 +122,87 @@ func Encode(s *sat.Solver, c *circuit.Circuit, piVars map[string]int) ([]int, er
 	return pos, nil
 }
 
+// cnf is where encodeGate writes a formula. With a solver set, variables
+// and clauses go straight into it. Without one, they are recorded in buf as
+// a flat clause stream: the variable count, then each clause's literals and
+// a 0 terminator, every number a little-endian int32. Two formulas with the
+// same bytes are the same CNF, clause for clause, so the window certifier
+// uses buf itself as the key of the formulas it has proved, and load replays
+// it into a solver in the order it was written.
+//
+// It is a concrete type, not an interface or a type parameter: through
+// either of those every AddClause call's variadic literal slice escapes to
+// the heap.
+type cnf struct {
+	s    *sat.Solver
+	vars int
+	buf  []byte
+	long []int // encodeGate's scratch for its one wide clause
+	lits []int // load's scratch
+}
+
+// begin starts a recorded formula, keeping buf's allocation.
+func (f *cnf) begin() {
+	f.vars = 0
+	f.buf = append(f.buf[:0], 0, 0, 0, 0) // the variable count, set by bytes
+}
+
+// NewVar allocates a fresh variable and returns its (1-based) index.
+func (f *cnf) NewVar() int {
+	if f.s != nil {
+		return f.s.NewVar()
+	}
+	f.vars++
+	return f.vars
+}
+
+// AddClause adds a clause in DIMACS literal convention, as sat.Solver's
+// AddClause does.
+func (f *cnf) AddClause(lits ...int) error {
+	if f.s != nil {
+		return f.s.AddClause(lits...)
+	}
+	for _, l := range lits {
+		if l == 0 {
+			return errors.New("cec: zero literal")
+		}
+		f.buf = binary.LittleEndian.AppendUint32(f.buf, uint32(int32(l)))
+	}
+	f.buf = binary.LittleEndian.AppendUint32(f.buf, 0)
+	return nil
+}
+
+// bytes returns the recorded formula, variable count included. It aliases
+// buf until the next begin.
+func (f *cnf) bytes() []byte {
+	binary.LittleEndian.PutUint32(f.buf, uint32(f.vars))
+	return f.buf
+}
+
+// load replays the recorded formula into s, a fresh or Reset solver: first
+// every variable, then the clauses in the order they were added.
+func (f *cnf) load(s *sat.Solver) error {
+	b := f.bytes()
+	for range f.vars {
+		s.NewVar()
+	}
+	lits := f.lits[:0]
+	for i := 4; i < len(b); i += 4 {
+		if l := int(int32(binary.LittleEndian.Uint32(b[i:]))); l != 0 {
+			lits = append(lits, l)
+			continue
+		}
+		if err := s.AddClause(lits...); err != nil {
+			return err
+		}
+		lits = lits[:0]
+	}
+	f.lits = lits
+	return nil
+}
+
 // encodeGate adds the Tseitin clauses for out = kind(in...).
-func encodeGate(s *sat.Solver, kind logic.Kind, out int, in []int) error {
+func encodeGate(s *cnf, kind logic.Kind, out int, in []int) error {
 	switch kind {
 	case logic.Const0:
 		return s.AddClause(-out)
@@ -150,15 +231,15 @@ func encodeGate(s *sat.Solver, kind logic.Kind, out int, in []int) error {
 			}
 		}
 		// y → each input; all inputs → y.
-		long := make([]int, 0, len(in)+1)
+		long := s.long[:0]
 		for _, x := range in {
 			if err := s.AddClause(-y, x); err != nil {
 				return err
 			}
 			long = append(long, -x)
 		}
-		long = append(long, y)
-		return s.AddClause(long...)
+		s.long = append(long, y)
+		return s.AddClause(s.long...)
 	case logic.Or, logic.Nor:
 		y := out
 		if kind == logic.Nor {
@@ -170,15 +251,15 @@ func encodeGate(s *sat.Solver, kind logic.Kind, out int, in []int) error {
 				return err
 			}
 		}
-		long := make([]int, 0, len(in)+1)
+		long := s.long[:0]
 		for _, x := range in {
 			if err := s.AddClause(y, -x); err != nil {
 				return err
 			}
 			long = append(long, x)
 		}
-		long = append(long, -y)
-		return s.AddClause(long...)
+		s.long = append(long, -y)
+		return s.AddClause(s.long...)
 	case logic.Xor, logic.Xnor:
 		// Chain binary XORs: t1 = in0 ⊕ in1, t2 = t1 ⊕ in2, ...
 		acc := in[0]
@@ -216,7 +297,7 @@ func encodeGate(s *sat.Solver, kind logic.Kind, out int, in []int) error {
 }
 
 // encodeXor2 encodes t = a ⊕ b.
-func encodeXor2(s *sat.Solver, t, a, b int) error {
+func encodeXor2(s *cnf, t, a, b int) error {
 	for _, cl := range [][]int{
 		{-t, a, b},
 		{-t, -a, -b},
@@ -316,6 +397,7 @@ func CheckCtx(ctx context.Context, a, b *circuit.Circuit, opts Options) (Verdict
 	// Miter: or over outputs of (outA ⊕ outB) must be satisfiable for
 	// inequivalence.
 	diff := make([]int, 0, len(a.POs))
+	sink := &cnf{s: s}
 	for i := range a.POs {
 		la := lits.lit(ra[a.POs[i].Driver])
 		lb := lits.lit(rb[b.POs[i].Driver])
@@ -323,7 +405,7 @@ func CheckCtx(ctx context.Context, a, b *circuit.Circuit, opts Options) (Verdict
 			continue // same AIG edge: equal by construction
 		}
 		x := s.NewVar()
-		if err := encodeXor2(s, x, la, lb); err != nil {
+		if err := encodeXor2(sink, x, la, lb); err != nil {
 			return Verdict{}, err
 		}
 		diff = append(diff, x)

@@ -120,6 +120,7 @@ type Session struct {
 	opts    Options
 
 	s       *sat.Solver
+	out     cnf     // encodeGate's sink: s itself
 	piVars  []int   // PI variable per master PI index
 	act     [][]int // activation variable per slot, per option
 	diffPO  []int   // per PO: XOR-difference variable, 0 when unaffected
@@ -161,12 +162,14 @@ func NewSession(master *circuit.Circuit, slots []Slot, opts Options) (*Session, 
 	if err := validateSlots(master, slots); err != nil {
 		return nil, err
 	}
+	s := sat.New()
 	sess := &Session{
 		master:  master,
 		version: master.Version(),
 		slots:   slots,
 		opts:    opts,
-		s:       sat.New(),
+		s:       s,
+		out:     cnf{s: s},
 	}
 	sp := obs.Start("cec.session_build")
 	err := sess.build()
@@ -396,7 +399,7 @@ func (sess *Session) encodeHashed(table map[string]int, keyBuf *[]byte, kind log
 		return v, nil
 	}
 	out := sess.s.NewVar()
-	if err := encodeGate(sess.s, kind, out, in); err != nil {
+	if err := encodeGate(&sess.out, kind, out, in); err != nil {
 		return 0, err
 	}
 	table[string(*keyBuf)] = out
@@ -522,7 +525,7 @@ func (sess *Session) build() error {
 			nodeVar[id] = v
 		} else {
 			v = sess.s.NewVar()
-			if err := encodeGate(sess.s, nd.Kind, v, in); err != nil {
+			if err := encodeGate(&sess.out, nd.Kind, v, in); err != nil {
 				return fmt.Errorf("cec: master node %q: %w", nd.Name, err)
 			}
 			table[string(keyBuf)] = v
@@ -629,7 +632,7 @@ func (sess *Session) build() error {
 			continue
 		}
 		x := sess.s.NewVar()
-		if err := encodeXor2(sess.s, x, a, b); err != nil {
+		if err := encodeXor2(&sess.out, x, a, b); err != nil {
 			return err
 		}
 		sess.diffPO[i] = x

@@ -13,10 +13,13 @@ import (
 
 // Window-certificate counters. Each window solve also counts in
 // cec.universal_solves: it is a universal query (every activation free),
-// the same kind of solve as a session's cone closing.
+// the same kind of solve as a session's cone closing. A window proved by
+// an earlier window's identical formula counts in cec.windows_reused
+// instead, and in cec.windows_proved.
 var (
 	mWindowsProved = obs.NewCounter("cec", "windows_proved")
 	mWindowsMerged = obs.NewCounter("cec", "windows_merged")
+	mWindowsReused = obs.NewCounter("cec", "windows_reused")
 )
 
 // This file proves a whole catalogue safe region by region instead of on a
@@ -36,7 +39,8 @@ var (
 // outside (its cut) a free variable shared by both sides, every activation
 // variable free, and the OR of the output differences asserted. Unsat
 // proves every output equal to the master for all cut values and every
-// activation combination.
+// activation combination. Windows whose queries are the very same formula
+// share one proof (Certify).
 //
 // Composition rule: no window may contain, read as a fanin, or read as a
 // literal another window's interior node. Under that rule the certificates
@@ -47,9 +51,10 @@ var (
 // that break the rule are merged until it holds.
 
 // regionEncoder encodes master and instance copies of one region of the
-// master into a fresh solver. It is shared by the session's cone closing,
-// whose region is a PO's whole fanin cone (its cut is the PIs), and by the
-// window certifier. Its per-node scratch is reset after every region.
+// master as a recorded formula (cnf without a solver). It is shared by the
+// session's cone closing, whose region is a PO's whole fanin cone (its cut
+// is the PIs), and by the window certifier. Its per-node scratch is reset
+// after every region.
 type regionEncoder struct {
 	c      *circuit.Circuit
 	slots  []Slot
@@ -58,6 +63,10 @@ type regionEncoder struct {
 	diff   []bool  // per master node: instance side re-encoded
 	used   []circuit.NodeID
 	in     []int
+	optIn  []int
+	acts   []int
+	xs     []int
+	f      cnf // the region's formula
 }
 
 func newRegionEncoder(c *circuit.Circuit, slots []Slot) *regionEncoder {
@@ -81,9 +90,9 @@ func newRegionEncoder(c *circuit.Circuit, slots []Slot) *regionEncoder {
 
 // master returns the master literal of f, allocating a free cut variable
 // when f lies outside the region (shared by both sides).
-func (e *regionEncoder) master(s *sat.Solver, f circuit.NodeID) int {
+func (e *regionEncoder) master(f circuit.NodeID) int {
 	if e.mv[f] == 0 {
-		e.mv[f] = s.NewVar()
+		e.mv[f] = e.f.NewVar()
 		e.used = append(e.used, f)
 	}
 	return e.mv[f]
@@ -91,37 +100,39 @@ func (e *regionEncoder) master(s *sat.Solver, f circuit.NodeID) int {
 
 // inst returns the instance literal of f: its own when f was re-encoded,
 // otherwise the master's.
-func (e *regionEncoder) inst(s *sat.Solver, f circuit.NodeID) int {
+func (e *regionEncoder) inst(f circuit.NodeID) int {
 	if e.iv[f] != 0 {
 		return e.iv[f]
 	}
-	return e.master(s, f)
+	return e.master(f)
 }
 
-// prove encodes the region — nodes in union topological order, diff the
-// nodes whose instance side is re-encoded — asserts that some output
-// differs, and solves. Unsat proves every output equal to the master under
-// all cut values and activation combinations. The solver's budget is the
-// caller's to set.
-func (e *regionEncoder) prove(ctx context.Context, s *sat.Solver, nodes, diff, outputs []circuit.NodeID) (sat.Status, error) {
+// encode records the region's formula in e.f — nodes in union topological
+// order, diff the nodes whose instance side is re-encoded, and a last
+// clause asserting that some output differs. Unsat proves every output
+// equal to the master under all cut values and activation combinations.
+// It reports false when no output can differ at all (every output shares
+// the master's literal): the region is then proved without a formula.
+func (e *regionEncoder) encode(nodes, diff, outputs []circuit.NodeID) (bool, error) {
 	defer e.reset(diff)
 	for _, id := range diff {
 		e.diff[id] = true
 	}
-	c := e.c
+	c, f := e.c, &e.f
+	f.begin()
 	for _, id := range nodes {
 		nd := &c.Nodes[id]
 		if nd.IsPI {
-			e.master(s, id)
+			e.master(id)
 			continue
 		}
 		e.in = e.in[:0]
-		for _, f := range nd.Fanin {
-			e.in = append(e.in, e.master(s, f))
+		for _, fi := range nd.Fanin {
+			e.in = append(e.in, e.master(fi))
 		}
-		v := s.NewVar()
-		if err := encodeGate(s, nd.Kind, v, e.in); err != nil {
-			return sat.Unknown, fmt.Errorf("cec: region master node %q: %w", nd.Name, err)
+		v := f.NewVar()
+		if err := encodeGate(f, nd.Kind, v, e.in); err != nil {
+			return false, fmt.Errorf("cec: region master node %q: %w", nd.Name, err)
 		}
 		e.mv[id] = v
 		e.used = append(e.used, id)
@@ -137,71 +148,93 @@ func (e *regionEncoder) prove(ctx context.Context, s *sat.Solver, nodes, diff, o
 		}
 		nd := &c.Nodes[id]
 		e.in = e.in[:0]
-		for _, f := range nd.Fanin {
-			e.in = append(e.in, e.inst(s, f))
+		for _, fi := range nd.Fanin {
+			e.in = append(e.in, e.inst(fi))
 		}
 		si := e.slotOf[id]
-		base := s.NewVar()
-		if err := encodeGate(s, nd.Kind, base, e.in); err != nil {
-			return sat.Unknown, fmt.Errorf("cec: region instance node %q: %w", nd.Name, err)
+		base := f.NewVar()
+		if err := encodeGate(f, nd.Kind, base, e.in); err != nil {
+			return false, fmt.Errorf("cec: region instance node %q: %w", nd.Name, err)
 		}
 		if si < 0 {
 			e.iv[id] = base
 			continue
 		}
 		sl := &e.slots[si]
-		o := s.NewVar()
+		o := f.NewVar()
 		e.iv[id] = o
-		acts := make([]int, 0, len(sl.Options)+2)
+		acts := e.acts[:0]
 		for vi, m := range sl.Options {
-			optIn := append(make([]int, 0, len(e.in)+len(m.Lits)), e.in...)
+			e.optIn = append(e.optIn[:0], e.in...)
 			for _, l := range m.Lits {
-				lv := e.inst(s, l.Node)
+				lv := e.inst(l.Node)
 				if l.Neg {
 					lv = -lv
 				}
-				optIn = append(optIn, lv)
+				e.optIn = append(e.optIn, lv)
 			}
-			ov := s.NewVar()
-			if err := encodeGate(s, m.Kind, ov, optIn); err != nil {
-				return sat.Unknown, fmt.Errorf("cec: region slot gate %q option %d: %w", nd.Name, vi, err)
+			ov := f.NewVar()
+			if err := encodeGate(f, m.Kind, ov, e.optIn); err != nil {
+				return false, fmt.Errorf("cec: region slot gate %q option %d: %w", nd.Name, vi, err)
 			}
-			a := s.NewVar()
+			a := f.NewVar()
 			acts = append(acts, a)
-			if err := s.AddClause(-a, -o, ov); err != nil {
-				return sat.Unknown, err
+			if err := f.AddClause(-a, -o, ov); err != nil {
+				return false, err
 			}
-			if err := s.AddClause(-a, o, -ov); err != nil {
-				return sat.Unknown, err
+			if err := f.AddClause(-a, o, -ov); err != nil {
+				return false, err
 			}
 		}
 		n := len(acts)
-		if err := s.AddClause(append(acts, -o, base)...); err != nil {
-			return sat.Unknown, err
+		acts = append(acts, -o, base)
+		if err := f.AddClause(acts...); err != nil {
+			return false, err
 		}
-		if err := s.AddClause(append(acts[:n], o, -base)...); err != nil {
-			return sat.Unknown, err
+		acts = append(acts[:n], o, -base)
+		if err := f.AddClause(acts...); err != nil {
+			return false, err
 		}
+		e.acts = acts
 	}
-	var xs []int
+	xs := e.xs[:0]
 	for _, o := range outputs {
-		a, b := e.mv[o], e.inst(s, o)
+		a, b := e.mv[o], e.inst(o)
 		if a == b {
 			continue
 		}
-		x := s.NewVar()
-		if err := encodeXor2(s, x, a, b); err != nil {
-			return sat.Unknown, err
+		x := f.NewVar()
+		if err := encodeXor2(f, x, a, b); err != nil {
+			return false, err
 		}
 		xs = append(xs, x)
 	}
+	e.xs = xs
 	if len(xs) == 0 {
-		return sat.Unsat, nil
+		return false, nil
 	}
-	if err := s.AddClause(xs...); err != nil {
+	return true, f.AddClause(xs...)
+}
+
+// solve loads the encoded formula into s, reset to a new solver's state,
+// and solves it. The solver's budget is the caller's to set.
+func (e *regionEncoder) solve(ctx context.Context, s *sat.Solver) (sat.Status, error) {
+	if err := e.f.load(s); err != nil {
 		return sat.Unknown, err
 	}
 	return s.SolveCtx(ctx)
+}
+
+// prove encodes the region and solves its formula on s.
+func (e *regionEncoder) prove(ctx context.Context, s *sat.Solver, nodes, diff, outputs []circuit.NodeID) (sat.Status, error) {
+	open, err := e.encode(nodes, diff, outputs)
+	if err != nil {
+		return sat.Unknown, err
+	}
+	if !open {
+		return sat.Unsat, nil
+	}
+	return e.solve(ctx, s)
 }
 
 func (e *regionEncoder) reset(diff []circuit.NodeID) {
@@ -221,6 +254,7 @@ type CertifierStats struct {
 	Proved  int  // windows certified so far
 	Failed  bool // a window returned Sat or ran out of budget
 	Solves  int  // window solves run
+	Reused  int  // windows proved by an identical formula's earlier proof
 }
 
 // certWindow is one composed window: its nodes in union topological order,
@@ -455,6 +489,14 @@ func (ct *Certifier) compose(order []circuit.NodeID, init [][]circuit.NodeID) er
 // an error wrapping ErrBudgetExhausted; either way the interrupted windows
 // stay unresolved and the next call retries them. Once every window is
 // proved, later calls return true without touching a solver.
+//
+// Each distinct window formula is solved once per call. Windows of one
+// local shape encode to the same bytes — the same variables, the same
+// clauses in the same order — and unsatisfiability is a property of the
+// formula alone, so a window whose bytes match a formula already proved
+// Unsat in this call is proved without a solver and spends no budget. Only
+// Unsat results are kept; a Sat, budget-exhausted or interrupted formula
+// is solved again by the next window that has it.
 func (ct *Certifier) Certify(ctx context.Context) (bool, error) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
@@ -474,40 +516,54 @@ func (ct *Certifier) Certify(ctx context.Context) (bool, error) {
 	// One solver serves every window of the call, reset between them: each
 	// window starts from New's state, without New's allocations.
 	s := sat.New()
+	proved := make(map[string]struct{})
 	for i := range ct.windows {
 		w := &ct.windows[i]
 		if w.proved {
 			continue
 		}
-		s.Reset()
-		if ct.opts.MaxConflicts > 0 {
-			if remaining < 1 {
-				ct.stats.Failed = true
-				return false, nil
-			}
-			s.MaxConflicts = remaining
-		}
-		ct.stats.Solves++
-		mUniversalSolves.Inc()
-		st, err := ct.enc.prove(ctx, s, w.nodes, w.diff, w.outputs)
-		conf := s.Conflicts()
-		remaining -= conf
+		open, err := ct.enc.encode(w.nodes, w.diff, w.outputs)
 		if err != nil {
 			return false, err
 		}
-		switch {
-		case st == sat.Unsat:
-			w.proved = true
-			ct.stats.Proved++
-			mWindowsProved.Inc()
-		case st == sat.Unknown && conf == 0:
-			// Stopped before any search: only the sat.budget fault does
-			// that (a real budget runs out at a conflict). Retry later.
-			interrupted = true
-		default:
+		st := sat.Unsat
+		if _, ok := proved[string(ct.enc.f.bytes())]; ok {
+			ct.stats.Reused++
+			mWindowsReused.Inc()
+		} else if open {
+			s.Reset()
+			if ct.opts.MaxConflicts > 0 {
+				if remaining < 1 {
+					ct.stats.Failed = true
+					return false, nil
+				}
+				s.MaxConflicts = remaining
+			}
+			ct.stats.Solves++
+			mUniversalSolves.Inc()
+			st, err = ct.enc.solve(ctx, s)
+			conf := s.Conflicts()
+			remaining -= conf
+			if err != nil {
+				return false, err
+			}
+			if st == sat.Unknown && conf == 0 {
+				// Stopped before any search: only the sat.budget fault does
+				// that (a real budget runs out at a conflict). Retry later.
+				interrupted = true
+				continue
+			}
+			if st == sat.Unsat {
+				proved[string(ct.enc.f.bytes())] = struct{}{}
+			}
+		}
+		if st != sat.Unsat {
 			ct.stats.Failed = true
 			return false, nil
 		}
+		w.proved = true
+		ct.stats.Proved++
+		mWindowsProved.Inc()
 	}
 	if interrupted {
 		return false, fmt.Errorf("%w (window certificate interrupted)", ErrBudgetExhausted)

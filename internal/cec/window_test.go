@@ -214,3 +214,110 @@ func TestSessionConesOnRegionEncoder(t *testing.T) {
 		t.Fatalf("%d universal solves, want one per diff PO", st.UniversalSolves)
 	}
 }
+
+// twinFixture is two disjoint copies of fig1, F1 = X1·Y1 and F2 = X2·Y2,
+// each with one slot on its X reading its Y as a literal: the sound option
+// X·Y, or its ¬Y twin when flip names that copy. The two location windows
+// {X, F} encode to the same formula up to that literal's sign.
+func twinFixture(t *testing.T, flip ...bool) (*circuit.Circuit, []Slot, [][]circuit.NodeID) {
+	t.Helper()
+	c := circuit.New("twins")
+	var slots []Slot
+	var windows [][]circuit.NodeID
+	for i, neg := range flip {
+		n := func(s string) string { return s + string(rune('1'+i)) }
+		a, _ := c.AddPI(n("A"))
+		b, _ := c.AddPI(n("B"))
+		d, _ := c.AddPI(n("C"))
+		e, _ := c.AddPI(n("D"))
+		x, _ := c.AddGate(n("X"), logic.And, a, b)
+		y, _ := c.AddGate(n("Y"), logic.Or, d, e)
+		f, err := c.AddGate(n("F"), logic.And, x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AddPO(n("F"), f); err != nil {
+			t.Fatal(err)
+		}
+		slots = append(slots, Slot{Gate: x, Options: []Mod{{Kind: logic.And, Lits: []Lit{{Node: y, Neg: neg}}}}})
+		windows = append(windows, []circuit.NodeID{f, x})
+	}
+	return c, slots, windows
+}
+
+// TestCertifierReusesTwinProof: two windows of one shape and one formula
+// are proved by one solve, and the reused proof spends no conflict budget.
+func TestCertifierReusesTwinProof(t *testing.T) {
+	c, slots, windows := twinFixture(t, false, false)
+	ct, err := NewCertifier(c, slots, windows, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := ct.Certify(context.Background()); !ok || err != nil {
+		t.Fatalf("Certify = (%v, %v), want certified", ok, err)
+	}
+	st := ct.Stats()
+	if st.Windows != 2 || st.Proved != 2 || st.Solves != 1 || st.Reused != 1 {
+		t.Fatalf("stats %+v, want two windows proved by one solve and one reuse", st)
+	}
+	// A budget the first solve uses up entirely still certifies the twin:
+	// find the least budget that proves one window, then give both that.
+	one := DefaultOptions()
+	for one.MaxConflicts = 1; ; one.MaxConflicts++ {
+		single, err := NewCertifier(c, slots[:1], windows[:1], one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, _ := single.Certify(context.Background()); ok {
+			break
+		}
+		if one.MaxConflicts > 1000 {
+			t.Fatal("one window never certified")
+		}
+	}
+	ct, err = NewCertifier(c, slots, windows, one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := ct.Certify(context.Background()); !ok || err != nil {
+		t.Fatalf("Certify with a %d-conflict budget = (%v, %v), %+v; want certified", one.MaxConflicts, ok, err, ct.Stats())
+	}
+}
+
+// TestCertifierTwinWithFlippedLiteral: the second window has the first's
+// shape, but its option reads ¬Y, which changes F. The first window's proof
+// must not carry over: the certifier fails, in either order.
+func TestCertifierTwinWithFlippedLiteral(t *testing.T) {
+	for _, flip := range [][]bool{{false, true}, {true, false}} {
+		c, slots, windows := twinFixture(t, flip...)
+		ct, err := NewCertifier(c, slots, windows, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := ct.Certify(context.Background()); ok || err != nil {
+			t.Fatalf("twins %v: Certify = (%v, %v), %+v; want a failed window", flip, ok, err, ct.Stats())
+		}
+		if st := ct.Stats(); !st.Failed || st.Reused != 0 {
+			t.Fatalf("twins %v: stats %+v, want failed with nothing reused", flip, st)
+		}
+	}
+}
+
+// TestCertifierRemembersOnlyUnsat: an interrupted solve proves nothing, so
+// its formula's identical twin is solved, not reused. Both twins are the
+// broken ¬Y window; the injected budget interrupts the first solve only.
+func TestCertifierRemembersOnlyUnsat(t *testing.T) {
+	c, slots, windows := twinFixture(t, true, true)
+	ct, err := NewCertifier(c, slots, windows, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	armFaults(t, "sat.budget:count=1")
+	ok, err := ct.Certify(context.Background())
+	if ok || err != nil {
+		t.Fatalf("Certify = (%v, %v), want the twin's solve to fail", ok, err)
+	}
+	if st := ct.Stats(); st.Proved != 0 || st.Reused != 0 || st.Solves != 2 || !st.Failed {
+		t.Fatalf("stats %+v, want two solves, nothing proved or reused", st)
+	}
+}

@@ -12,7 +12,11 @@ package circuit
 
 import (
 	"fmt"
-	"sort"
+	"io"
+	"slices"
+	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"repro/internal/logic"
 )
@@ -589,17 +593,70 @@ func (c *Circuit) Stats() Stats {
 	return s
 }
 
-// String renders one line per node, for debugging and golden tests.
+// String renders one line per node, for debugging and golden tests:
+// a header, then each node in ID order, then the primary outputs by name.
+// registry.DesignDigest hashes this text (WriteText streams the same
+// bytes), so its format is part of every stored design digest.
 func (c *Circuit) String() string {
-	var b []byte
-	b = append(b, fmt.Sprintf("circuit %s (%d PI, %d PO, %d gates)\n", c.Name, len(c.PIs), len(c.POs), c.NumGates())...)
+	b, _ := c.appendText(nil, nil)
+	return string(b)
+}
+
+// textChunk is how many bytes of text WriteText buffers between writes.
+const textChunk = 4096
+
+// WriteText writes String's text to w in chunks of about textChunk bytes,
+// without building the whole text.
+func (c *Circuit) WriteText(w io.Writer) error {
+	b, err := c.appendText(make([]byte, 0, 2*textChunk), func(b []byte) ([]byte, error) {
+		if len(b) < textChunk {
+			return b, nil
+		}
+		_, err := w.Write(b)
+		return b[:0], err
+	})
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// appendText appends String's text to b. When spill is set, each line is
+// followed by a call to it, which may write the buffer out and return it
+// emptied.
+func (c *Circuit) appendText(b []byte, spill func([]byte) ([]byte, error)) ([]byte, error) {
+	var err error
+	line := func() {
+		if spill != nil && err == nil {
+			b, err = spill(b)
+		}
+	}
+	b = append(b, "circuit "...)
+	b = append(b, c.Name...)
+	b = append(b, " ("...)
+	b = strconv.AppendInt(b, int64(len(c.PIs)), 10)
+	b = append(b, " PI, "...)
+	b = strconv.AppendInt(b, int64(len(c.POs)), 10)
+	b = append(b, " PO, "...)
+	b = strconv.AppendInt(b, int64(c.NumGates()), 10)
+	b = append(b, " gates)\n"...)
+	line()
+	var num [20]byte
 	for i := range c.Nodes {
 		nd := &c.Nodes[i]
+		b = append(b, "  "...)
+		b = appendRight(b, strconv.AppendInt(num[:0], int64(i), 10), 4)
+		b = append(b, ' ')
+		b = appendLeft(b, nd.Name, 16)
 		if nd.IsPI {
-			b = append(b, fmt.Sprintf("  %4d %-16s PI\n", i, nd.Name)...)
+			b = append(b, " PI\n"...)
+			line()
 			continue
 		}
-		b = append(b, fmt.Sprintf("  %4d %-16s %-6v(", i, nd.Name, nd.Kind)...)
+		b = append(b, ' ')
+		b = appendLeft(b, nd.Kind.String(), 6)
+		b = append(b, '(')
 		for j, f := range nd.Fanin {
 			if j > 0 {
 				b = append(b, ", "...)
@@ -607,11 +664,34 @@ func (c *Circuit) String() string {
 			b = append(b, c.Nodes[f].Name...)
 		}
 		b = append(b, ")\n"...)
+		line()
 	}
-	pos := append([]PO(nil), c.POs...)
-	sort.Slice(pos, func(i, j int) bool { return pos[i].Name < pos[j].Name })
+	pos := slices.Clone(c.POs)
+	slices.SortFunc(pos, func(x, y PO) int { return strings.Compare(x.Name, y.Name) })
 	for _, po := range pos {
-		b = append(b, fmt.Sprintf("  PO %-16s <- %s\n", po.Name, c.Nodes[po.Driver].Name)...)
+		b = append(b, "  PO "...)
+		b = appendLeft(b, po.Name, 16)
+		b = append(b, " <- "...)
+		b = append(b, c.Nodes[po.Driver].Name...)
+		b = append(b, '\n')
+		line()
 	}
-	return string(b)
+	return b, err
+}
+
+// appendLeft appends s padded with spaces to width runes, as fmt's %-Ns.
+func appendLeft(b []byte, s string, width int) []byte {
+	b = append(b, s...)
+	for n := utf8.RuneCountInString(s); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return b
+}
+
+// appendRight appends s right-aligned in width bytes, as fmt's %Nd.
+func appendRight(b, s []byte, width int) []byte {
+	for n := len(s); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return append(b, s...)
 }

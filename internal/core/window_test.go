@@ -72,8 +72,8 @@ func TestWindowCertificatesMatchSession(t *testing.T) {
 			} else if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%s: %d slots, %d windows, %d merged, certified %v, session oracle %v",
-				spec.Name, len(a.Slots()), st.Windows, st.Merged, certified, sess != nil)
+			t.Logf("%s: %d slots, %d windows (%d distinct formulas solved, %d reused, %d proved), %d merged, certified %v, session oracle %v",
+				spec.Name, len(a.Slots()), st.Windows, st.Solves, st.Reused, st.Proved, st.Merged, certified, sess != nil)
 			if !certified && sess == nil {
 				// The verifier's fallback is a session built exactly like
 				// the oracle, without its budget: too slow to run here.

@@ -23,6 +23,7 @@ import (
 	"io"
 	"math/big"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,7 +31,11 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/jsonw"
+	"repro/internal/obs"
 )
+
+// mDigests counts DesignDigest calls: each hashes the whole netlist text.
+var mDigests = obs.NewCounter("registry", "digests")
 
 // Record is one issuance: the buyer a fingerprinted copy was minted for
 // and the decimal fingerprint value recorded for them. Records are
@@ -205,15 +210,34 @@ func (r *Registry) remove(idx []int) {
 // canonical node list plus the location/target/variant shape. Any change to
 // the netlist or the analysis options changes the digest.
 func DesignDigest(a *core.Analysis) string {
+	mDigests.Inc()
 	h := sha256.New()
-	io.WriteString(h, a.Circuit.String())
+	a.Circuit.WriteText(h) // a hash.Hash never returns an error
+	b := make([]byte, 0, 4096)
 	for i := range a.Locations {
+		if len(b) > 3072 {
+			h.Write(b)
+			b = b[:0]
+		}
 		loc := &a.Locations[i]
-		fmt.Fprintf(h, "L%d:%d:%d:%d;", loc.Primary, loc.FFCRoot, loc.Trigger, len(loc.Targets))
+		b = append(b, 'L')
+		b = strconv.AppendInt(b, int64(loc.Primary), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(loc.FFCRoot), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(loc.Trigger), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(len(loc.Targets)), 10)
+		b = append(b, ';')
 		for j := range loc.Targets {
-			fmt.Fprintf(h, "T%d:%d;", loc.Targets[j].Gate, len(loc.Targets[j].Variants))
+			b = append(b, 'T')
+			b = strconv.AppendInt(b, int64(loc.Targets[j].Gate), 10)
+			b = append(b, ':')
+			b = strconv.AppendInt(b, int64(len(loc.Targets[j].Variants)), 10)
+			b = append(b, ';')
 		}
 	}
+	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
@@ -234,10 +258,13 @@ func ValidDigest(d string) bool {
 
 // New creates an empty registry bound to the analysed design.
 func New(a *core.Analysis) *Registry {
-	return &Registry{
+	r := &Registry{
 		Design: a.Circuit.Name,
 		Digest: DesignDigest(a),
 	}
+	// a has just been hashed: its first check need not hash it again.
+	r.checked.Store(a.ID())
+	return r
 }
 
 // deriveValue is the deterministic buyer→fingerprint derivation: a keyed

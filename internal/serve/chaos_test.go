@@ -581,7 +581,7 @@ func TestChaosIssueDuringBatchVerify(t *testing.T) {
 	info, _ := uploadDesign(t, ts.URL, benchBytes(t, "c880"))
 	d := s.lookupDesign(info.Digest)
 
-	chaosFaults(t, "sat.slow:delay=20ms")
+	chaosFaults(t, "sat.slow:delay=400ms")
 	batch := make(chan string, 1)
 	go func() {
 		resp, err := http.Post(ts.URL+"/designs/"+info.Digest+"/issue/batch?verify=1", "application/json", strings.NewReader(`{"buyers": ["x"]}`))
@@ -624,7 +624,7 @@ func TestChaosIssueDuringJobVerify(t *testing.T) {
 	info, _ := uploadDesign(t, ts.URL, benchBytes(t, "c880"))
 	d := s.lookupDesign(info.Digest)
 
-	chaosFaults(t, "sat.slow:delay=20ms")
+	chaosFaults(t, "sat.slow:delay=400ms")
 	code, _, sub := postBatch(t, ts.URL, info.Digest, "?async=1&verify=1", BatchIssueRequest{Buyers: []string{"x"}})
 	if code != http.StatusAccepted {
 		t.Fatalf("async submit: status %d: %s", code, sub)
