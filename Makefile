@@ -140,10 +140,11 @@ bench:
 # One iteration of each root benchmark CI exercises: the verification
 # engines, the simulation kernels, registry tracing, snapshot writes and
 # replay, the ODC and SDC analysis scans, the .bench reader and writer,
-# and one 10 000-copy async job through an in-process daemon. Catches a
-# benchmark that no longer builds or runs.
+# one 10 000-copy async job through an in-process daemon, and the design
+# digest (internal/core). Catches a benchmark that no longer builds or runs.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkVerifyWindows|BenchmarkVerifySession|BenchmarkVerifyColdCEC|BenchmarkPackedSim|BenchmarkSimRun|BenchmarkExhaustive|BenchmarkTraceScores|BenchmarkTraceResponse|BenchmarkRegistrySave|BenchmarkRegistryAdopt|BenchmarkLocalAppendAfterGC|BenchmarkAnalyze|BenchmarkSDCAnalyze|BenchmarkBenchParse|BenchmarkBenchWrite|BenchmarkAsyncJob' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench '^BenchmarkDesignDigest$$' -benchtime 1x -benchmem ./internal/core/
 
 # Incremental-verification baseline: 64 fingerprint copies through the
 # persistent cec.Session vs 64 cold cec.Check miters; writes BENCH_verify.json

@@ -8,6 +8,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+
+	"repro/internal/fault"
 )
 
 // TmpMarker is part of the name of every temporary file Write creates, so
@@ -46,6 +48,24 @@ func Write(path string, perm fs.FileMode, write func(io.Writer) error) error {
 	// Persist the rename itself.
 	SyncDir(dir)
 	return nil
+}
+
+// WriteFile replaces path with data, mode 0o600. It is the durable stores'
+// one write, and it honours their fault points, which model a flaky disk:
+// store.write fails the whole write before any byte lands (a transient
+// error, so the serve layer's retry policy applies) and store.fsync stalls
+// it before the sync.
+func WriteFile(path string, data []byte) error {
+	if err := fault.Err(fault.StoreWrite); err != nil {
+		return err
+	}
+	return Write(path, 0o600, func(w io.Writer) error {
+		if _, err := w.Write(data); err != nil {
+			return err
+		}
+		fault.Stall(fault.StoreFsync)
+		return nil
+	})
 }
 
 // SyncDir makes the renames and removals already done in dir durable,

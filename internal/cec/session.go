@@ -57,6 +57,8 @@ type Lit struct {
 // convert-single form (INV→NAND/NOR, BUF→AND/OR).
 type Mod struct {
 	Kind logic.Kind
+	// Lits is only read, never written: core.Analysis.Slots shares the
+	// catalogue's slices.
 	Lits []Lit
 }
 

@@ -595,7 +595,7 @@ func (c *Circuit) Stats() Stats {
 
 // String renders one line per node, for debugging and golden tests:
 // a header, then each node in ID order, then the primary outputs by name.
-// registry.DesignDigest hashes this text (WriteText streams the same
+// core.Analysis.Digest hashes this text (WriteText streams the same
 // bytes), so its format is part of every stored design digest.
 func (c *Circuit) String() string {
 	b, _ := c.appendText(nil, nil)

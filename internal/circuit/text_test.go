@@ -13,7 +13,7 @@ import (
 )
 
 // sprintfText is the fmt-based renderer String replaced, kept as the
-// oracle for its bytes: registry.DesignDigest hashes this text, so every
+// oracle for its bytes: core.Analysis.Digest hashes this text, so every
 // stored digest depends on it staying byte-identical.
 func sprintfText(c *circuit.Circuit) string {
 	var b []byte

@@ -25,8 +25,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/cec"
 	"repro/internal/cell"
 	"repro/internal/circuit"
 	"repro/internal/logic"
@@ -54,11 +54,9 @@ var (
 
 // Lit is a signal reference with polarity: the value fed to a modified gate
 // is Node when !Neg and its complement when Neg (realised as a fresh
-// inverter at embed time).
-type Lit struct {
-	Node circuit.NodeID
-	Neg  bool
-}
+// inverter at embed time). It is cec's literal, so the verifier's slots
+// share the catalogue's literal slices (Slots).
+type Lit = cec.Lit
 
 // VariantKind classifies a modification.
 type VariantKind uint8
@@ -189,6 +187,9 @@ type Analysis struct {
 	// certificates first, a shared whole-circuit session as the fallback.
 	verifyMu sync.Mutex
 	verifier *Verifier
+	// digest is the design digest, computed once by Digest (digest.go).
+	digestOnce sync.Once
+	digest     string
 
 	// Scan state: target gates already claimed by an earlier location, and
 	// the MFFC cone scratch reused across primaries.
@@ -209,24 +210,6 @@ type Analysis struct {
 	varBuf    []Variant // variantsFor scratch
 	rrBuf     []Variant // rerouteVariants scratch
 	tgtBuf    []Target  // locationAt target scratch
-
-	// id is the analysis's process-unique identity, assigned by ID.
-	id atomic.Uint64
-}
-
-// lastAnalysisID is the most recently assigned Analysis identity.
-var lastAnalysisID atomic.Uint64
-
-// ID returns a process-unique, never-reused identity for this analysis,
-// assigned on first call. An analysis is immutable once built, so callers
-// can memoise work derived from it (a registry's digest check) by ID
-// without keeping the analysis — and its verifier session — alive.
-func (a *Analysis) ID() uint64 {
-	if id := a.id.Load(); id != 0 {
-		return id
-	}
-	a.id.CompareAndSwap(0, lastAnalysisID.Add(1))
-	return a.id.Load()
 }
 
 // arenaChunk is the element capacity of one arena chunk.

@@ -1,4 +1,4 @@
-package registry
+package core
 
 import (
 	"crypto/sha256"
@@ -6,18 +6,18 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/cell"
 	"repro/internal/circuit"
-	"repro/internal/core"
 )
 
-// sprintfDigest is the fmt-based DesignDigest, kept as the oracle: every
-// stored registry and design is keyed by these bytes.
+// sprintfDigest is the fmt-based Digest, kept as the oracle: every stored
+// registry and design is keyed by these bytes.
 // (circuit's tests pin Circuit.String to its own fmt oracle.)
-func sprintfDigest(a *core.Analysis) string {
+func sprintfDigest(a *Analysis) string {
 	h := sha256.New()
 	io.WriteString(h, a.Circuit.String())
 	for i := range a.Locations {
@@ -59,8 +59,8 @@ func renamed(t *testing.T, c *circuit.Circuit, name func(string) string) *circui
 // and names past the 16-rune padding.
 func TestDesignDigestMatchesSprintf(t *testing.T) {
 	for _, spec := range append(bench.Suite(), bench.Extras()...) {
-		a := analyzed(t, spec.Name)
-		if got, want := DesignDigest(a), sprintfDigest(a); got != want {
+		a := analyzeBench(t, spec.Name)
+		if got, want := a.Digest(), sprintfDigest(a); got != want {
 			t.Errorf("%s: digest %s, fmt oracle %s", spec.Name, got, want)
 		}
 	}
@@ -73,54 +73,83 @@ func TestDesignDigestMatchesSprintf(t *testing.T) {
 		func(s string) string { return "日本語" + s + "日本語の長いゲート名" },
 		func(s string) string { return strings.Repeat("é", 15) + s },
 	} {
-		a, err := core.Analyze(renamed(t, spec.Build(), name), core.DefaultOptions(cell.Default()))
+		a, err := Analyze(renamed(t, spec.Build(), name), DefaultOptions(cell.Default()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := DesignDigest(a), sprintfDigest(a); got != want {
+		if got, want := a.Digest(), sprintfDigest(a); got != want {
 			t.Errorf("%s: digest %s, fmt oracle %s", a.Circuit.Name, got, want)
 		}
 	}
 }
 
-// TestNewMarksChecked: New hashes its analysis once for its Digest and
-// remembers it, so issuing and tracing against that analysis hash nothing
-// more; another analysis of the same design is hashed once on first use.
-func TestNewMarksChecked(t *testing.T) {
-	a := analyzed(t, "c432")
-	base := mDigests.Value()
-	digests := func() int64 { return mDigests.Value() - base }
-	r := New(a)
-	if n := digests(); n != 1 {
-		t.Fatalf("New hashed %d times, want 1", n)
+// TestDigestSensitivity: a different analysis option set changes the
+// digest; a second analysis of the same design has the same one.
+func TestDigestSensitivity(t *testing.T) {
+	a := analyzeBench(t, "c432")
+	d1 := a.Digest()
+	if !ValidDigest(d1) {
+		t.Fatalf("digest %q has not the digest format", d1)
 	}
-	cp, _, err := issue(r, a, "x")
+	spec, err := bench.ByName("c432")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.TraceExact(a, cp); err != nil {
+	opts := DefaultOptions(cell.Default())
+	opts.MaxTargetsPerLocation = 1
+	a2, err := Analyze(spec.Build(), opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := digests(); n != 1 {
-		t.Fatalf("issue and trace after New hashed %d more times, want 0", n-1)
+	if a.TotalTargets() != a2.TotalTargets() && a2.Digest() == d1 {
+		t.Error("digest ignored analysis shape change")
 	}
-	again := analyzed(t, "c432")
-	for _, buyer := range []string{"y", "z"} {
-		if _, _, err := issue(r, again, buyer); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := digests(); n != 2 {
-		t.Fatalf("a second analysis hashed %d times over two issues, want 1", n-1)
+	if analyzeBench(t, "c432").Digest() != d1 {
+		t.Error("digest not deterministic")
 	}
 }
 
-// BenchmarkDesignDigest is one digest of c5315, as an upload and a fresh
-// registry compute it.
+// TestDigestHashesOnce: concurrent and repeated Digest calls on one
+// analysis hash its netlist once, and core.digests counts that hash.
+func TestDigestHashesOnce(t *testing.T) {
+	a := analyzeBench(t, "c432")
+	base := mDigests.Value()
+	var wg sync.WaitGroup
+	got := make([]string, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = a.Digest()
+		}()
+	}
+	wg.Wait()
+	for _, d := range got {
+		if d != got[0] {
+			t.Fatalf("concurrent digests differ: %q", got)
+		}
+	}
+	if a.Digest() != got[0] {
+		t.Error("a repeated Digest differs")
+	}
+	if n := mDigests.Value() - base; n != 1 {
+		t.Errorf("9 Digest calls hashed %d times, want 1", n)
+	}
+}
+
+// BenchmarkDesignDigest is one hash of c5315, as an upload or a cache
+// reload computes it (Digest itself returns the kept string after that).
 func BenchmarkDesignDigest(b *testing.B) {
-	a := analyzed(b, "c5315")
+	spec, err := bench.ByName("c5315")
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := Analyze(spec.Build(), DefaultOptions(cell.Default()))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for b.Loop() {
-		DesignDigest(a)
+		a.hashDesign()
 	}
 }

@@ -25,11 +25,8 @@ func (a *Analysis) Slots() []cec.Slot {
 			tgt := &a.Locations[i].Targets[j]
 			slot := cec.Slot{Gate: tgt.Gate, Options: make([]cec.Mod, len(tgt.Variants))}
 			for v, variant := range tgt.Variants {
-				lits := make([]cec.Lit, len(variant.Lits))
-				for k, l := range variant.Lits {
-					lits[k] = cec.Lit{Node: l.Node, Neg: l.Neg}
-				}
-				slot.Options[v] = cec.Mod{Kind: variant.NewGateKind, Lits: lits}
+				// cec only reads Lits, so the slot shares the catalogue's.
+				slot.Options[v] = cec.Mod{Kind: variant.NewGateKind, Lits: variant.Lits}
 			}
 			slots = append(slots, slot)
 		}

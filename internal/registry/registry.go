@@ -17,25 +17,18 @@ package registry
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/big"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/jsonw"
-	"repro/internal/obs"
 )
-
-// mDigests counts DesignDigest calls: each hashes the whole netlist text.
-var mDigests = obs.NewCounter("registry", "digests")
 
 // Record is one issuance: the buyer a fingerprinted copy was minted for
 // and the decimal fingerprint value recorded for them. Records are
@@ -94,11 +87,6 @@ type Registry struct {
 	// Invariant: whenever mu is released, a built table's rows are exactly
 	// the records, and each entry's row names its own.
 	table *table
-
-	// checked is the core.Analysis.ID of the last analysis that passed
-	// check, so a repeat check skips re-hashing the netlist. An ID, not the
-	// pointer: the registry must not keep an evicted analysis alive.
-	checked atomic.Uint64
 }
 
 // search binary-searches buyer-ordered records for buyer, returning its
@@ -110,10 +98,11 @@ func search(recs []entry, buyer string) (int, bool) {
 }
 
 // valueIndex returns the reverse value→buyer index, building it from the
-// records on first use. The caller must hold mu for writing.
-func (r *Registry) valueIndex() map[string]string {
+// records on first use, with room for extra values the caller is about to
+// add. The caller must hold mu for writing.
+func (r *Registry) valueIndex(extra int) map[string]string {
 	if r.byValue == nil {
-		r.byValue = make(map[string]string, len(r.records))
+		r.byValue = make(map[string]string, len(r.records)+extra)
 		for _, e := range r.records {
 			r.byValue[e.Value] = e.Buyer
 		}
@@ -206,65 +195,13 @@ func (r *Registry) remove(idx []int) {
 	r.records = r.records[:w]
 }
 
-// DesignDigest hashes the structural identity of the analysed design: the
-// canonical node list plus the location/target/variant shape. Any change to
-// the netlist or the analysis options changes the digest.
-func DesignDigest(a *core.Analysis) string {
-	mDigests.Inc()
-	h := sha256.New()
-	a.Circuit.WriteText(h) // a hash.Hash never returns an error
-	b := make([]byte, 0, 4096)
-	for i := range a.Locations {
-		if len(b) > 3072 {
-			h.Write(b)
-			b = b[:0]
-		}
-		loc := &a.Locations[i]
-		b = append(b, 'L')
-		b = strconv.AppendInt(b, int64(loc.Primary), 10)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(loc.FFCRoot), 10)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(loc.Trigger), 10)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(len(loc.Targets)), 10)
-		b = append(b, ';')
-		for j := range loc.Targets {
-			b = append(b, 'T')
-			b = strconv.AppendInt(b, int64(loc.Targets[j].Gate), 10)
-			b = append(b, ':')
-			b = strconv.AppendInt(b, int64(len(loc.Targets[j].Variants)), 10)
-			b = append(b, ';')
-		}
-	}
-	h.Write(b)
-	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
-// ValidDigest reports whether d has DesignDigest's format: 32 lowercase
-// hex digits. Stores check it before using a digest in a file name, so a
-// request cannot name a path outside the store directory.
-func ValidDigest(d string) bool {
-	if len(d) != 32 {
-		return false
-	}
-	for _, c := range d {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
+// DesignDigest is a.Digest(). It is kept only for perfbench/traced.go and
+// perfbench/plan_test.go, which a benchmark change moves onto a.Digest().
+func DesignDigest(a *core.Analysis) string { return a.Digest() }
 
 // New creates an empty registry bound to the analysed design.
 func New(a *core.Analysis) *Registry {
-	r := &Registry{
-		Design: a.Circuit.Name,
-		Digest: DesignDigest(a),
-	}
-	// a has just been hashed: its first check need not hash it again.
-	r.checked.Store(a.ID())
-	return r
+	return &Registry{Design: a.Circuit.Name, Digest: a.Digest()}
 }
 
 // deriveValue is the deterministic buyer→fingerprint derivation: a keyed
@@ -392,7 +329,7 @@ func (r *Registry) reserveBatch(buyers []string, combos *big.Int) ([]BatchItem, 
 		}
 		v := r.deriveValue(buyer, combos)
 		dec := v.String()
-		idx := r.valueIndex()
+		idx := r.valueIndex(len(buyers))
 		if other, ok := idx[dec]; ok {
 			return rollback(fmt.Errorf("registry: fingerprint collision between %q and %q", buyer, other))
 		}
@@ -416,34 +353,29 @@ func (r *Registry) Adopt(buyer, value string) error {
 	return r.AdoptAll([]Record{{Buyer: buyer, Value: value}})
 }
 
-// AdoptAll installs externally persisted issuance records — the replicated
-// store's WAL-replay and peer-catch-up path — in any order, sorting them
-// once and merging them in at once. Adopting a record identical to an
-// existing one (or twice) is a no-op; two values for one buyer, a value
-// colliding with another buyer's, an empty buyer or a non-decimal value is
-// corruption and errors without mutating the registry. Because issuance is
-// deterministic per (digest, buyer), adopted records are byte-identical to
-// the ones local issuance would have derived.
+// AdoptAll installs externally persisted issuance records — WAL replay,
+// peer catch-up and snapshot Load — in any order, sorting them once and
+// merging them in at once. Adopting a record identical to an existing one
+// (or twice) is a no-op; two values for one buyer, a value colliding with
+// another buyer's, an empty buyer or a value that is not a plain run of
+// decimal digits is corruption and errors without mutating the registry.
+// Because issuance is deterministic per (digest, buyer), adopted records
+// are byte-identical to the ones local issuance would have derived.
 func (r *Registry) AdoptAll(recs []Record) error {
 	add := make([]entry, len(recs))
 	for i, rec := range recs {
+		if rec.Buyer == "" {
+			return fmt.Errorf("registry: empty buyer name")
+		}
+		if !decimal(rec.Value) {
+			return fmt.Errorf("registry: adopting corrupt value for %q", rec.Buyer)
+		}
 		add[i].Record = rec
 	}
 	slices.SortFunc(add, compareEntries)
-	vals := make([]*big.Int, len(add)) // vals[i] is add[i].Value, decoded
-	for i, e := range add {
-		if e.Buyer == "" {
-			return fmt.Errorf("registry: empty buyer name")
-		}
-		v, ok := new(big.Int).SetString(e.Value, 10)
-		if !ok {
-			return fmt.Errorf("registry: adopting corrupt value for %q", e.Buyer)
-		}
-		vals[i] = v
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	idx := r.valueIndex()
+	idx := r.valueIndex(len(add))
 	n := 0 // add[:n] are the new records, already in idx
 	fail := func(err error) error {
 		for _, e := range add[:n] {
@@ -451,7 +383,7 @@ func (r *Registry) AdoptAll(recs []Record) error {
 		}
 		return err
 	}
-	for i, e := range add {
+	for _, e := range add {
 		prev, seen := "", false
 		if j, ok := search(r.records, e.Buyer); ok {
 			prev, seen = r.records[j].Value, true
@@ -468,14 +400,31 @@ func (r *Registry) AdoptAll(recs []Record) error {
 			return fail(fmt.Errorf("registry: fingerprint collision between %q and %q", e.Buyer, other))
 		}
 		idx[e.Value] = e.Buyer
-		add[n], vals[n] = e, vals[i]
+		add[n] = e
 		n++
 	}
-	for k := range add[:n] {
-		r.addRow(&add[k], vals[k])
+	if r.table != nil {
+		for k := range add[:n] {
+			v, _ := new(big.Int).SetString(add[k].Value, 10) // decimal, checked above
+			r.addRow(&add[k], v)
+		}
 	}
 	r.insert(add[:n])
 	return nil
+}
+
+// decimal reports whether s is a non-empty run of ASCII digits: the form
+// of every value issuance records (a non-negative big.Int's String).
+func decimal(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // ReleaseItems drops the records IssueBatch created (Fresh items only —
@@ -561,7 +510,7 @@ func (r *Registry) TraceExact(a *core.Analysis, suspect *circuit.Circuit) (strin
 	r.mu.RUnlock()
 	if idx == nil {
 		r.mu.Lock()
-		buyer, ok = r.valueIndex()[dec]
+		buyer, ok = r.valueIndex(0)[dec]
 		r.mu.Unlock()
 	}
 	if !ok {
@@ -601,15 +550,11 @@ func (r *Registry) TraceScores(a *core.Analysis, suspect *circuit.Circuit) ([]Sc
 	return scores, nil
 }
 
+// check rejects an analysis of another design than the registry's.
 func (r *Registry) check(a *core.Analysis) error {
-	id := a.ID()
-	if r.checked.Load() == id {
-		return nil
-	}
-	if got := DesignDigest(a); got != r.Digest {
+	if got := a.Digest(); got != r.Digest {
 		return fmt.Errorf("registry: design digest mismatch (registry %s, analysis %s)", r.Digest, got)
 	}
-	r.checked.Store(id)
 	return nil
 }
 
@@ -650,23 +595,27 @@ func (r *Registry) Save(w io.Writer) error {
 	return err
 }
 
-// Load reads a registry snapshot and validates it against the analysis.
-// The records are sorted once, after decoding.
+// Load reads a registry snapshot of the analysed design. Its records go
+// through AdoptAll, so a snapshot holding a record AdoptAll rejects (an
+// empty buyer, a non-decimal value, two buyers with one value) fails to
+// load rather than loading a registry that traces ambiguously.
 func Load(rd io.Reader, a *core.Analysis) (*Registry, error) {
 	var w struct {
-		Design string            `json:"design"`
 		Digest string            `json:"digest"`
 		Issued map[string]string `json:"issued"`
 	}
 	if err := json.NewDecoder(rd).Decode(&w); err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
 	}
-	r := &Registry{Design: w.Design, Digest: w.Digest, records: make([]entry, 0, len(w.Issued))}
-	for buyer, value := range w.Issued {
-		r.records = append(r.records, entry{Record: Record{Buyer: buyer, Value: value}})
+	r := New(a)
+	if w.Digest != r.Digest {
+		return nil, fmt.Errorf("registry: design digest mismatch (snapshot %s, analysis %s)", w.Digest, r.Digest)
 	}
-	slices.SortFunc(r.records, compareEntries)
-	if err := r.check(a); err != nil {
+	recs := make([]Record, 0, len(w.Issued))
+	for buyer, value := range w.Issued {
+		recs = append(recs, Record{Buyer: buyer, Value: value})
+	}
+	if err := r.AdoptAll(recs); err != nil {
 		return nil, err
 	}
 	return r, nil

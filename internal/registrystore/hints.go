@@ -25,7 +25,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/registry"
+	"repro/internal/core"
 )
 
 // hintMagic opens every hint log file.
@@ -125,7 +125,7 @@ func openHintLog(dir, node string) (*hintLog, error) {
 // parseHint decodes one replayed frame back into (digest, range).
 func parseHint(rec Record) (string, hintRange, error) {
 	lo, hi, ok := strings.Cut(rec.Value, "-")
-	if !registry.ValidDigest(rec.Buyer) || !ok {
+	if !core.ValidDigest(rec.Buyer) || !ok {
 		return "", hintRange{}, fmt.Errorf("registrystore: hints: malformed hint %q=%q", rec.Buyer, rec.Value)
 	}
 	l, err1 := strconv.ParseUint(lo, 10, 64)

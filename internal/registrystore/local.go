@@ -3,7 +3,6 @@ package registrystore
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/atomicfile"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/registry"
 )
 
@@ -81,7 +79,7 @@ func (l *Local) path(digest string) string {
 // Load reads the design's snapshot, validating it against the analysis. A
 // missing file is a fresh empty registry (stored design, nothing issued).
 func (l *Local) Load(digest string, a *core.Analysis) (*registry.Registry, uint64, error) {
-	if !registry.ValidDigest(digest) {
+	if !core.ValidDigest(digest) {
 		return nil, 0, fmt.Errorf("registrystore: local: invalid digest %q", digest)
 	}
 	f, err := os.Open(l.path(digest))
@@ -105,7 +103,7 @@ func (l *Local) Load(digest string, a *core.Analysis) (*registry.Registry, uint6
 // every acknowledged issuance even when an earlier Append failed after the
 // in-memory reservation.
 func (l *Local) Append(ctx context.Context, digest string, reg *registry.Registry, recs []Record) (uint64, error) {
-	if !registry.ValidDigest(digest) {
+	if !core.ValidDigest(digest) {
 		return 0, fmt.Errorf("registrystore: local: invalid digest %q", digest)
 	}
 	var buf []byte
@@ -114,7 +112,7 @@ func (l *Local) Append(ctx context.Context, digest string, reg *registry.Registr
 	default:
 	}
 	buf = reg.AppendJSON(buf[:0])
-	err := l.atomicWrite(l.path(digest), buf)
+	err := atomicfile.WriteFile(l.path(digest), buf)
 	select {
 	case l.bufs <- buf:
 	default:
@@ -143,19 +141,3 @@ func (l *Local) Seq(digest string) uint64 {
 
 // Close is a no-op: the local store holds no descriptors between writes.
 func (l *Local) Close() error { return nil }
-
-// atomicWrite writes data to path through atomicfile.Write, honoring the
-// store.write / store.fsync fault points exactly like the design store —
-// injected failures surface as transient errors the serve layer retries.
-func (l *Local) atomicWrite(path string, data []byte) error {
-	if err := fault.Err(fault.StoreWrite); err != nil {
-		return err
-	}
-	return atomicfile.Write(path, 0o600, func(w io.Writer) error {
-		if _, err := w.Write(data); err != nil {
-			return err
-		}
-		fault.Stall(fault.StoreFsync)
-		return nil
-	})
-}

@@ -256,10 +256,10 @@ func OpenReplicated(cfg ReplicatedConfig) (*Replicated, error) {
 
 // Load rebuilds the design's registry by replaying its WAL segment.
 func (r *Replicated) Load(digest string, a *core.Analysis) (*registry.Registry, uint64, error) {
-	if got := registry.DesignDigest(a); got != digest {
-		return nil, 0, fmt.Errorf("registrystore: replicated: design digest mismatch (want %s, analysis %s)", digest, got)
-	}
 	reg := registry.New(a)
+	if reg.Digest != digest {
+		return nil, 0, fmt.Errorf("registrystore: replicated: design digest mismatch (want %s, analysis %s)", digest, reg.Digest)
+	}
 	recs := r.wal.Records(digest)
 	// The WAL holds records in arrival order; one AdoptAll sorts them once.
 	if err := reg.AdoptAll(recs); err != nil {
@@ -393,20 +393,28 @@ func (r *Replicated) replicateOnce(node, digest string, recs []Record, total uin
 	return nil
 }
 
-// pull fetches a peer's record list and unions it into the local WAL.
-func (r *Replicated) pull(node, digest string) {
-	if fault.Link(r.self, node) != nil {
-		mReplErrors.Inc()
-		return
+// fetch is every peer fetch: the peer's committed record list for the
+// digest, bounded by AckTimeout within ctx. A failure, a cut link
+// included, counts in repl_errors and in the peer's peer_errors{node}.
+func (r *Replicated) fetch(ctx context.Context, node, digest string) ([]Record, error) {
+	err := fault.Link(r.self, node)
+	var recs []Record
+	if err == nil {
+		fctx, cancel := context.WithTimeout(ctx, r.ackTimeout)
+		recs, err = r.tr.Fetch(fctx, node, digest)
+		cancel()
 	}
-	ctx, cancel := context.WithTimeout(r.bg, r.ackTimeout)
-	defer cancel()
-	recs, err := r.tr.Fetch(ctx, node, digest)
 	if err != nil {
 		mReplErrors.Inc()
-		return
+		peerErrCounter(node).Inc()
 	}
-	if len(recs) == 0 {
+	return recs, err
+}
+
+// pull fetches a peer's record list and unions it into the local WAL.
+func (r *Replicated) pull(node, digest string) {
+	recs, err := r.fetch(r.bg, node, digest)
+	if err != nil || len(recs) == 0 {
 		return
 	}
 	if _, _, err := r.wal.Append(digest, recs); err != nil {
@@ -555,17 +563,7 @@ func (r *Replicated) fetchPeers(digest string) []Record {
 	var out []Record
 	seen := make(map[string]bool)
 	for _, node := range r.peers {
-		if fault.Link(r.self, node) != nil {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(r.bg, r.ackTimeout)
-		recs, err := r.tr.Fetch(ctx, node, digest)
-		cancel()
-		if err != nil {
-			mReplErrors.Inc()
-			peerErrCounter(node).Inc()
-			continue
-		}
+		recs, _ := r.fetch(r.bg, node, digest) // a failed peer adds nothing
 		for _, rec := range recs {
 			if !seen[rec.Buyer] {
 				seen[rec.Buyer] = true
@@ -625,7 +623,7 @@ func (r *Replicated) Handoff() HandoffStats {
 func (r *Replicated) Sync(ctx context.Context, digests []string) (adopted int, err error) {
 	seen := make(map[string]bool, len(digests))
 	for _, digest := range digests {
-		if seen[digest] || !registry.ValidDigest(digest) {
+		if seen[digest] || !core.ValidDigest(digest) {
 			continue
 		}
 		seen[digest] = true
@@ -633,18 +631,8 @@ func (r *Replicated) Sync(ctx context.Context, digests []string) (adopted int, e
 			if err := ctx.Err(); err != nil {
 				return adopted, err
 			}
-			if fault.Link(r.self, node) != nil {
-				continue
-			}
-			pctx, cancel := context.WithTimeout(ctx, r.ackTimeout)
-			recs, ferr := r.tr.Fetch(pctx, node, digest)
-			cancel()
-			if ferr != nil {
-				mReplErrors.Inc()
-				peerErrCounter(node).Inc()
-				continue
-			}
-			if len(recs) == 0 {
+			recs, ferr := r.fetch(ctx, node, digest)
+			if ferr != nil || len(recs) == 0 {
 				continue
 			}
 			added, _, aerr := r.wal.Append(digest, recs)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/cell"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/registry"
 )
 
@@ -327,7 +328,7 @@ func TestRegistryOrderIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest := registry.DesignDigest(a)
+	digest := a.Digest()
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
 	shuffled := func(recs []Record) []Record {
@@ -398,5 +399,87 @@ func TestRegistryOrderIndependent(t *testing.T) {
 	}
 	if !slices.IsSortedFunc(recs, func(x, y Record) int { return strings.Compare(x.Buyer, y.Buyer) }) {
 		t.Error("Records is not sorted by buyer")
+	}
+}
+
+// TestReplicatedFetchFailuresCount: every peer fetch — the behind-peer
+// pull, the scrubber's source and Sync — counts a failed fetch once in
+// repl_errors and once in the peer's peer_errors{node}.
+func TestReplicatedFetchFailuresCount(t *testing.T) {
+	ft := newFakeTransport(t, "n2")
+	ft.setDown("n2", true)
+	r := openTestReplicated(t, ft, "n1", []string{"n1", "n2"}, 2)
+	for _, fetch := range []struct {
+		name string
+		run  func()
+	}{
+		{"pull", func() { r.pull("n2", replTestDigest) }},
+		{"fetchPeers", func() { r.fetchPeers(replTestDigest) }},
+		{"Sync", func() { r.Sync(context.Background(), []string{replTestDigest}) }},
+	} {
+		repl, peer := mReplErrors.Value(), peerErrCounter("n2").Value()
+		fetch.run()
+		if n := mReplErrors.Value() - repl; n != 1 {
+			t.Errorf("%s: a failed fetch added %d to repl_errors, want 1", fetch.name, n)
+		}
+		if n := peerErrCounter("n2").Value() - peer; n != 1 {
+			t.Errorf("%s: a failed fetch added %d to peer_errors{n2}, want 1", fetch.name, n)
+		}
+	}
+}
+
+// coreDigests reads core.digests: how many times a netlist was hashed.
+func coreDigests() int64 {
+	for _, m := range obs.Snapshot(false) {
+		if m.Name == "core.digests" {
+			return m.Value
+		}
+	}
+	return 0
+}
+
+// TestOneAnalysisHashesOnce: Load, New, IssueBatch, TraceExact and
+// TraceScores against one analysis hash its netlist once in total; a
+// reload after an append, as a follower makes when a peer's records
+// arrive, hashes nothing.
+func TestOneAnalysisHashesOnce(t *testing.T) {
+	spec, err := bench.ByName("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := core.Analyze(spec.Build(), core.DefaultOptions(cell.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := openTestReplicated(t, newFakeTransport(t), "n1", []string{"n1"}, 1)
+	base := coreDigests()
+	reg, _, err := r.Load(a.Digest(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	registry.New(a)
+	items, err := reg.IssueBatch(context.Background(), a, []string{"x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.TraceExact(a, items[0].Circuit); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.TraceScores(a, items[0].Circuit); err != nil {
+		t.Fatal(err)
+	}
+	if n := coreDigests() - base; n != 1 {
+		t.Errorf("one analysis hashed %d times, want 1", n)
+	}
+	if _, err := r.ApplyReplica(a.Digest(), []Record{{Buyer: "peer", Value: "1"}}); err != nil {
+		t.Fatal(err)
+	}
+	base = coreDigests()
+	reg, seq, err := r.Load(a.Digest(), a)
+	if err != nil || seq != 1 || reg.NumIssued() != 1 {
+		t.Fatalf("reload: seq %d, %d records, err %v; want 1, 1, nil", seq, reg.NumIssued(), err)
+	}
+	if n := coreDigests() - base; n != 0 {
+		t.Errorf("a reload hashed %d times, want 0", n)
 	}
 }

@@ -27,8 +27,8 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/registry"
 )
 
 // walMagic opens every segment file; a version bump changes the final byte.
@@ -102,7 +102,7 @@ func OpenWAL(dir string) (*WAL, error) {
 			continue
 		}
 		digest := strings.TrimSuffix(name, walSuffix)
-		if !registry.ValidDigest(digest) {
+		if !core.ValidDigest(digest) {
 			continue
 		}
 		seg, err := openSegment(filepath.Join(dir, name), digest)
@@ -116,7 +116,7 @@ func OpenWAL(dir string) (*WAL, error) {
 
 // segmentFor returns (creating if needed) the digest's open segment.
 func (w *WAL) segmentFor(digest string) (*segment, error) {
-	if !registry.ValidDigest(digest) {
+	if !core.ValidDigest(digest) {
 		return nil, fmt.Errorf("registrystore: wal: invalid digest %q", digest)
 	}
 	w.mu.Lock()
@@ -241,7 +241,7 @@ func createSegment(path, dir, digest string) (*segment, error) {
 
 // segmentHeader renders the 24-byte header for a digest.
 func segmentHeader(digest string) []byte {
-	raw, _ := hex.DecodeString(digest) // registry.ValidDigest guarantees 32 hex chars
+	raw, _ := hex.DecodeString(digest) // core.ValidDigest guarantees 32 hex chars
 	return append([]byte(walMagic), raw...)
 }
 

@@ -25,9 +25,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/registry"
 	"repro/internal/registrystore"
 )
 
@@ -317,7 +317,7 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request, node string, bo
 // replicated registry records) from the first peer that has them, persists
 // them locally and registers the design for serving.
 func (s *Server) adoptDesignFromPeers(ctx context.Context, digest string) *design {
-	if !registry.ValidDigest(digest) {
+	if !core.ValidDigest(digest) {
 		return nil
 	}
 	cs := s.cluster
@@ -441,7 +441,7 @@ type registryFetchResponse struct {
 // peer compares totals to decide whether to stream a full catch-up).
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
-	if !registry.ValidDigest(digest) {
+	if !core.ValidDigest(digest) {
 		writeError(w, http.StatusNotFound, "unknown design "+digest)
 		return
 	}
@@ -470,7 +470,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // committed record list, the serving side of peer catch-up pulls.
 func (s *Server) handleRegistryFetch(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
-	if !registry.ValidDigest(digest) {
+	if !core.ValidDigest(digest) {
 		writeError(w, http.StatusNotFound, "unknown design "+digest)
 		return
 	}
@@ -485,7 +485,7 @@ func (s *Server) handleRegistryFetch(w http.ResponseWriter, r *http.Request) {
 // them verbatim; analysis stays lazy (first use).
 func (s *Server) handleDesignPush(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
-	if !registry.ValidDigest(digest) {
+	if !core.ValidDigest(digest) {
 		writeError(w, http.StatusNotFound, "invalid digest "+digest)
 		return
 	}

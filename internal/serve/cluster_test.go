@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -183,6 +184,46 @@ func TestClusterRouteAndConverge(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+}
+
+// TestClusterFollowerReloadHashesNothing: a follower whose registry a
+// peer's append made stale reloads it against its cached analysis without
+// hashing the netlist again.
+func TestClusterFollowerReloadHashesNothing(t *testing.T) {
+	bases, servers, _ := startTestCluster(t, 2)
+	info, _ := uploadDesign(t, bases[0], benchBytes(t, "c432"))
+	leader := slices.Index(bases, servers[0].cluster.ring.Order(info.Digest)[0])
+	f := servers[1-leader]
+	var d *design
+	waitUntil(t, "design broadcast", 5*time.Second, func() bool {
+		d = f.lookupDesign(info.Digest)
+		return d != nil
+	})
+	a, err := f.analysis(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := f.registryOf(d, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := issueVia(t, bases[leader], info.Digest, "peer"); err != nil {
+		t.Fatal(err)
+	}
+	if f.regstore.Seq(info.Digest) != 1 {
+		t.Fatalf("follower at seq %d after the acknowledged append, want 1", f.regstore.Seq(info.Digest))
+	}
+	base := coreDigests()
+	reloaded, err := f.registryOf(d, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reloaded == reg || reloaded.NumIssued() != 1 {
+		t.Fatalf("follower registry not reloaded (%d records)", reloaded.NumIssued())
+	}
+	if n := coreDigests() - base; n != 0 {
+		t.Errorf("the follower's reload hashed %d times, want 0", n)
 	}
 }
 

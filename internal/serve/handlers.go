@@ -25,7 +25,7 @@ import (
 
 // DesignInfo is the JSON summary of one analysed design.
 type DesignInfo struct {
-	// Digest identifies the analysed design (registry.DesignDigest).
+	// Digest identifies the analysed design (core.Analysis.Digest).
 	Digest string `json:"digest"`
 	// Design is the circuit name from the netlist.
 	Design string `json:"design"`
@@ -413,7 +413,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 			}
 			return apiErrorf(http.StatusUnprocessableEntity, "analysis failed: %v", err)
 		}
-		digest := registry.DesignDigest(a)
+		digest := a.Digest()
 
 		s.mu.Lock()
 		d, existed := s.designs[digest]

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // postBatch submits a batch issue request and returns the raw outcome.
@@ -30,11 +31,19 @@ func postBatch(t testing.TB, base, digest, query string, req BatchIssueRequest) 
 	return resp.StatusCode, resp.Header, b
 }
 
-// pollJob polls GET /jobs/{id} until the job reaches a terminal state.
+// pollJob polls GET /jobs/{id} until the job reaches a terminal state,
+// within 2 s.
 func pollJob(t testing.TB, base, id string) jobStatus {
 	t.Helper()
+	return pollJobWithin(t, base, id, 2*time.Second)
+}
+
+// pollJobWithin is pollJob with its own time budget, for a job whose pace
+// its test does not assert.
+func pollJobWithin(t testing.TB, base, id string, timeout time.Duration) jobStatus {
+	t.Helper()
 	var st jobStatus
-	waitFor(t, "job "+id+" terminal", func() bool {
+	waitUntil(t, "job "+id+" terminal", timeout, func() bool {
 		resp, err := http.Get(base + "/jobs/" + id + "?buyers=1")
 		if err != nil {
 			t.Fatal(err)
@@ -294,7 +303,9 @@ func TestJobCommitFixedSize(t *testing.T) {
 	}
 	id = submitAsync(t, ts.URL, info.Digest, BatchIssueRequest{Count: total, Prefix: "fixed-"})
 	close(known)
-	st := pollJob(t, ts.URL, id)
+	// 1000 copies take ≈1 s under -race; the test asserts the files, not
+	// the pace, so it does not share pollJob's 2 s.
+	st := pollJobWithin(t, ts.URL, id, time.Minute)
 	if st.State != JobDone || st.Acknowledged != total {
 		t.Fatalf("job %s with %d/%d acknowledged (%s)", st.State, st.Acknowledged, total, st.Error)
 	}

@@ -378,7 +378,7 @@ func (s *Server) analysis(ctx context.Context, d *design) (*core.Analysis, error
 		if err != nil {
 			return nil, fmt.Errorf("serve: stored design %s: %w", d.digest, err)
 		}
-		if got := registry.DesignDigest(a); got != d.digest {
+		if got := a.Digest(); got != d.digest {
 			return nil, fmt.Errorf("serve: stored design %s re-analyses to digest %s (store corrupted?)", d.digest, got)
 		}
 		return a, nil

@@ -269,6 +269,29 @@ func TestServeReuploadKeepsWarmAnalysis(t *testing.T) {
 	}
 }
 
+// coreDigests reads core.digests: how many times a netlist was hashed.
+func coreDigests() int64 {
+	for _, m := range obs.Snapshot(false) {
+		if m.Name == "core.digests" {
+			return m.Value
+		}
+	}
+	return 0
+}
+
+// TestUploadIssueHashesOnce: uploading a new design and making a verified
+// issue hash its netlist once, at upload. The registry's creation, its
+// check and the verifier compare the digest the analysis keeps.
+func TestUploadIssueHashesOnce(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	base := coreDigests()
+	info, _ := uploadDesign(t, ts.URL, benchBytes(t, "c432"))
+	issueCopy(t, ts.URL, info.Digest, "once", "&verify=1")
+	if n := coreDigests() - base; n != 1 {
+		t.Errorf("upload and verified issue hashed %d times, want 1", n)
+	}
+}
+
 // TestServeRestartLosesNothing: issued fingerprints and designs survive a
 // daemon restart on the same store directory — the acceptance criterion
 // that an acknowledged issuance is never lost.

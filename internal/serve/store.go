@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -12,9 +11,8 @@ import (
 	"strings"
 
 	"repro/internal/atomicfile"
-	"repro/internal/fault"
+	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/registry"
 )
 
 // Store metrics: saves/loads are workload-determined; recovered temp files
@@ -84,22 +82,10 @@ func OpenStore(dir string) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// atomicWrite writes data to path through atomicfile.Write. The fault
-// points model a flaky disk: store.write fails the whole write before any
-// byte lands (transient, so the serve layer's retry policy applies);
-// store.fsync stalls the sync.
+// atomicWrite writes data to path (atomicfile.WriteFile, with the
+// store.write and store.fsync fault points) and counts the save.
 func (s *Store) atomicWrite(path string, data []byte) error {
-	if err := fault.Err(fault.StoreWrite); err != nil {
-		return err
-	}
-	err := atomicfile.Write(path, 0o600, func(w io.Writer) error {
-		if _, err := w.Write(data); err != nil {
-			return err
-		}
-		fault.Stall(fault.StoreFsync)
-		return nil
-	})
-	if err != nil {
+	if err := atomicfile.WriteFile(path, data); err != nil {
 		return err
 	}
 	mStoreSaves.Inc()
@@ -112,7 +98,7 @@ func (s *Store) metaPath(digest string) string   { return filepath.Join(s.dir, d
 // PutDesign durably records a design's raw netlist bytes and metadata.
 // The netlist is stored verbatim so reloading replays the exact upload.
 func (s *Store) PutDesign(digest string, meta DesignMeta, netlist []byte) error {
-	if !registry.ValidDigest(digest) {
+	if !core.ValidDigest(digest) {
 		return fmt.Errorf("serve: store: invalid digest %q", digest)
 	}
 	mb, err := json.Marshal(meta)
@@ -130,7 +116,7 @@ func (s *Store) PutDesign(digest string, meta DesignMeta, netlist []byte) error 
 
 // HasDesign reports whether a complete design record exists for digest.
 func (s *Store) HasDesign(digest string) bool {
-	if !registry.ValidDigest(digest) {
+	if !core.ValidDigest(digest) {
 		return false
 	}
 	if _, err := os.Stat(s.metaPath(digest)); err != nil {
@@ -143,7 +129,7 @@ func (s *Store) HasDesign(digest string) bool {
 // LoadDesign returns the stored metadata and raw netlist bytes for digest.
 func (s *Store) LoadDesign(digest string) (DesignMeta, []byte, error) {
 	var meta DesignMeta
-	if !registry.ValidDigest(digest) {
+	if !core.ValidDigest(digest) {
 		return meta, nil, fmt.Errorf("serve: store: invalid digest %q", digest)
 	}
 	mb, err := os.ReadFile(s.metaPath(digest))
@@ -165,7 +151,7 @@ func (s *Store) LoadDesign(digest string) (DesignMeta, []byte, error) {
 // avoids touching the netlist bytes until first use).
 func (s *Store) LoadMeta(digest string) (DesignMeta, error) {
 	var meta DesignMeta
-	if !registry.ValidDigest(digest) {
+	if !core.ValidDigest(digest) {
 		return meta, fmt.Errorf("serve: store: invalid digest %q", digest)
 	}
 	mb, err := os.ReadFile(s.metaPath(digest))

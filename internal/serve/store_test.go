@@ -147,7 +147,7 @@ func TestStoreRegistryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := analyzed(t, "c880")
-	digest := registry.DesignDigest(a)
+	digest := a.Digest()
 
 	empty, seq0, err := st.Load(digest, a)
 	if err != nil {
