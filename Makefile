@@ -10,11 +10,8 @@ all: build vet test
 # full race-enabled test suite, vet and tests of the separate perfbench
 # module (it builds against this module's packages), one iteration of the
 # root verification, simulation, tracing, analysis, .bench codec and
-# async job benchmarks, a short fuzz pass over the three netlist parsers (and the
-# .bench codec against its legacy oracle), the red-team spec reader, the
-# hand-written JSON appenders and registry snapshots (against
-# encoding/json) and the SAT solver (against brute force, and Reset
-# against New), the fault-injected chaos smoke, the daemon, cluster and
+# async job benchmarks, a 10-second pass over every fuzz target (make
+# fuzz), the fault-injected chaos smoke, the daemon, cluster and
 # partition process-level smokes, and the red-team attack smoke.
 ci: doccheck
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -24,14 +21,7 @@ ci: doccheck
 	$(GO) test -race ./...
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) bench-smoke
-	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/blif/
-	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/benchfmt/
-	$(GO) test -fuzz='^FuzzParseMatchesLegacy$$' -fuzztime=10s ./internal/benchfmt/
-	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/verilog/
-	$(GO) test -fuzz=FuzzParseSpec -fuzztime=10s ./internal/redteam/
-	$(GO) test -run '^FuzzAppendJSON$$' -fuzz='^FuzzAppendJSON$$' -fuzztime=10s ./internal/serve/
-	$(GO) test -run '^FuzzSnapshotJSON$$' -fuzz='^FuzzSnapshotJSON$$' -fuzztime=10s ./internal/registry/
-	$(GO) test -run '^FuzzSolve$$' -fuzz='^FuzzSolve$$' -fuzztime=10s ./internal/sat/
+	$(MAKE) fuzz FUZZTIME=10s
 	$(MAKE) chaos
 	$(MAKE) serve-smoke
 	$(MAKE) cluster-smoke
@@ -166,17 +156,31 @@ bench-analyze-smoke:
 cover:
 	$(GO) test -cover ./...
 
-# Short fuzz session over the three netlist parsers, the .bench codec
-# against its legacy oracle, the red-team
-# campaign-spec reader, the registry snapshot encoder and the SAT solver.
+# Every fuzz target, as package:target: the three netlist parsers, the
+# .bench codec against its legacy oracle, the netlist text writer, the
+# red-team campaign-spec reader, the hand-written trace JSON appender and
+# registry snapshots (against encoding/json) and the SAT solver (against
+# brute force, and Reset against New). This is the one list; make ci and
+# the CI workflow run it through make fuzz FUZZTIME=10s.
+FUZZ_TARGETS = \
+	internal/blif:FuzzParse \
+	internal/verilog:FuzzParse \
+	internal/benchfmt:FuzzParse \
+	internal/benchfmt:FuzzParseMatchesLegacy \
+	internal/circuit:FuzzText \
+	internal/redteam:FuzzParseSpec \
+	internal/serve:FuzzAppendJSON \
+	internal/registry:FuzzSnapshotJSON \
+	internal/sat:FuzzSolve
+FUZZTIME ?= 30s
+
+# Fuzz every target in FUZZ_TARGETS for FUZZTIME each.
 fuzz:
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/blif/
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/verilog/
-	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/benchfmt/
-	$(GO) test -fuzz='^FuzzParseMatchesLegacy$$' -fuzztime=30s ./internal/benchfmt/
-	$(GO) test -fuzz=FuzzParseSpec -fuzztime=30s ./internal/redteam/
-	$(GO) test -run '^FuzzSnapshotJSON$$' -fuzz='^FuzzSnapshotJSON$$' -fuzztime=30s ./internal/registry/
-	$(GO) test -run '^FuzzSolve$$' -fuzz='^FuzzSolve$$' -fuzztime=30s ./internal/sat/
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "$(GO) test -run '^$$fn\$$' -fuzz '^$$fn\$$' -fuzztime=$(FUZZTIME) ./$$pkg/"; \
+		$(GO) test -run "^$$fn\$$" -fuzz "^$$fn\$$" -fuzztime=$(FUZZTIME) ./$$pkg/; \
+	done
 
 # Removes only untracked run artifacts. The BENCH_*.json baselines and the
 # seed corpora under internal/*/testdata/fuzz are committed and stay.

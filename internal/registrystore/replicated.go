@@ -411,17 +411,30 @@ func (r *Replicated) fetch(ctx context.Context, node, digest string) ([]Record, 
 	return recs, err
 }
 
-// pull fetches a peer's record list and unions it into the local WAL.
+// pull unions a peer's records into the local WAL off the ack path, when a
+// replicate ack showed the peer ahead.
 func (r *Replicated) pull(node, digest string) {
-	recs, err := r.fetch(r.bg, node, digest)
+	r.pullFrom(r.bg, node, digest)
+}
+
+// pullFrom is every per-peer pull: it fetches node's record list for the
+// digest and unions it into the local WAL, returning how many records were
+// new. A failed fetch adds nothing and is no error here (fetch counts it);
+// a failed local append counts in repl_errors and is returned.
+func (r *Replicated) pullFrom(ctx context.Context, node, digest string) (int, error) {
+	recs, err := r.fetch(ctx, node, digest)
 	if err != nil || len(recs) == 0 {
-		return
+		return 0, nil
 	}
-	if _, _, err := r.wal.Append(digest, recs); err != nil {
+	added, _, err := r.wal.Append(digest, recs)
+	if err != nil {
 		mReplErrors.Inc()
-		return
+		return 0, err
 	}
-	mCatchups.Inc()
+	if added > 0 {
+		mCatchups.Inc()
+	}
+	return added, nil
 }
 
 // queueHint durably records that node missed the digest's [lo, hi) records
@@ -557,19 +570,15 @@ func (r *Replicated) Scrub() ScrubReport {
 	return rep
 }
 
-// fetchPeers unions every reachable peer's record list for the digest —
-// the scrubber's source for records a damaged segment lost.
+// fetchPeers returns every reachable peer's record list for the digest,
+// concatenated — the scrubber's source for records a damaged segment lost.
+// The scrubber rebuilds under the segment's lock, so this cannot append to
+// the WAL itself; mergeRecords drops the repeats.
 func (r *Replicated) fetchPeers(digest string) []Record {
 	var out []Record
-	seen := make(map[string]bool)
 	for _, node := range r.peers {
 		recs, _ := r.fetch(r.bg, node, digest) // a failed peer adds nothing
-		for _, rec := range recs {
-			if !seen[rec.Buyer] {
-				seen[rec.Buyer] = true
-				out = append(out, rec)
-			}
-		}
+		out = append(out, recs...)
 	}
 	return out
 }
@@ -631,19 +640,12 @@ func (r *Replicated) Sync(ctx context.Context, digests []string) (adopted int, e
 			if err := ctx.Err(); err != nil {
 				return adopted, err
 			}
-			recs, ferr := r.fetch(ctx, node, digest)
-			if ferr != nil || len(recs) == 0 {
-				continue
-			}
-			added, _, aerr := r.wal.Append(digest, recs)
-			if aerr != nil {
-				return adopted, aerr
-			}
+			added, err := r.pullFrom(ctx, node, digest)
 			adopted += added
+			if err != nil {
+				return adopted, err
+			}
 		}
-	}
-	if adopted > 0 {
-		mCatchups.Inc()
 	}
 	return adopted, nil
 }
@@ -663,6 +665,9 @@ func (r *Replicated) Records(digest string) []Record { return r.wal.Records(dige
 
 // Total returns the design's committed record count.
 func (r *Replicated) Total(digest string) uint64 { return r.wal.Total(digest) }
+
+// AckTimeout is the resolved bound on one peer exchange.
+func (r *Replicated) AckTimeout() time.Duration { return r.ackTimeout }
 
 // Digests lists every design with a WAL segment.
 func (r *Replicated) Digests() []string { return r.wal.Digests() }

@@ -27,6 +27,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/atomicfile"
 	"repro/internal/core"
 	"repro/internal/fault"
 )
@@ -229,10 +230,7 @@ func createSegment(path, dir, digest string) (*segment, error) {
 		os.Remove(path)
 		return nil, fmt.Errorf("registrystore: wal: %s: %w", path, err)
 	}
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
+	atomicfile.SyncDir(dir)
 	return &segment{
 		f: f, path: path, digest: digest, size: int64(len(hdr)),
 		byBuyer: make(map[string]string), pending: make(map[string]string),
@@ -379,10 +377,7 @@ func rebuildSegmentFile(path, digest string, recs []Record) (*os.File, int64, er
 		f.Close()
 		return nil, 0, fmt.Errorf("registrystore: wal: rebuild %s: %w", path, err)
 	}
-	if d, derr := os.Open(filepath.Dir(path)); derr == nil {
-		d.Sync()
-		d.Close()
-	}
+	atomicfile.SyncDir(filepath.Dir(path))
 	return f, int64(len(buf)), nil
 }
 

@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -73,7 +72,9 @@ type ClusterConfig struct {
 	// issuance acknowledges only once W replicas hold its record durably.
 	// 0 means 2, capped at len(Nodes).
 	ReplicationFactor int
-	// AckTimeout bounds one peer replication attempt (0 means 5s).
+	// AckTimeout bounds every peer exchange except a forwarded client
+	// request, which RequestTimeout bounds: replication, catch-up pulls,
+	// design push and fetch, and job probes (0 means 5s).
 	AckTimeout time.Duration
 	// HintRetry is the base interval between hinted-handoff redelivery
 	// attempts (0 means 500ms).
@@ -85,26 +86,17 @@ type ClusterConfig struct {
 
 // clusterState is the server's runtime cluster machinery.
 type clusterState struct {
-	cfg    ClusterConfig
-	ring   *registrystore.Ring
-	store  *registrystore.Replicated
+	cfg   ClusterConfig
+	ring  *registrystore.Ring
+	store *registrystore.Replicated
+	// client sends every peer exchange. It has no timeout of its own:
+	// exchange bounds each call.
 	client *http.Client
 
 	mu       sync.Mutex
 	breakers map[string]*breaker
 
 	wg sync.WaitGroup // background broadcasts
-}
-
-// linkFault consults the armed fault plan (if any) for the self→node
-// network link: a severed or dropped link fails the exchange before any
-// bytes move, and a delayed one stalls it — how -faults plans partition and
-// degrade specific replica links deterministically (net.partition,
-// net.drop, net.delay). The registrystore replication paths run the same
-// check; this covers the serve-layer peer exchanges (forwarding, design
-// push/fetch, job probes).
-func (cs *clusterState) linkFault(node string) error {
-	return fault.Link(cs.cfg.Self, node)
 }
 
 // breakerFor returns the peer's routing breaker, creating it on first use.
@@ -146,7 +138,7 @@ func (s *Server) openRegistryStore() error {
 		Self:          cc.Self,
 		Nodes:         cc.Nodes,
 		W:             cc.ReplicationFactor,
-		Transport:     &peerTransport{cs: cs},
+		Transport:     cs,
 		AckTimeout:    cc.AckTimeout,
 		HintRetry:     cc.HintRetry,
 		ScrubInterval: cc.ScrubInterval,
@@ -264,11 +256,8 @@ func (s *Server) routeToLeader(w http.ResponseWriter, r *http.Request, digest st
 			continue
 		}
 		if !bodyRead {
-			data, err := s.readBody(w, r)
-			if err != nil {
-				var ae *apiError
-				errors.As(err, &ae)
-				writeError(w, ae.status, ae.msg)
+			data, ok := s.readBody(w, r)
+			if !ok {
 				return true
 			}
 			body, bodyRead = data, true
@@ -286,31 +275,16 @@ func (s *Server) routeToLeader(w http.ResponseWriter, r *http.Request, digest st
 
 // forward replays the request against node and streams the response back.
 // Any HTTP response — including an error status — counts as handled; only
-// a transport failure (the node is down) returns false so the caller can
-// fail over to the next replica in the preference order.
+// a transport failure (the node is down, or it did not answer within
+// RequestTimeout) returns false so the caller can fail over to the next
+// replica in the preference order.
 func (s *Server) forward(w http.ResponseWriter, r *http.Request, node string, body []byte) bool {
-	if s.cluster.linkFault(node) != nil {
-		return false
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, node+r.URL.RequestURI(), bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
-	req.Header = r.Header.Clone()
-	req.Header.Set(forwardedHeader, s.cluster.cfg.Self)
-	resp, err := s.cluster.client.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	mForwards.Inc()
-	hdr := w.Header()
-	for k, vs := range resp.Header {
-		hdr[k] = vs
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-	return true
+	hdr := r.Header.Clone()
+	hdr.Set(forwardedHeader, s.cluster.cfg.Self)
+	return s.cluster.exchange(r.Context(), node, peerCall{
+		method: r.Method, uri: r.URL.RequestURI(), header: hdr, body: body,
+		timeout: s.cfg.RequestTimeout, anyStatus: true,
+	}, relayTo(w)) == nil
 }
 
 // adoptDesignFromPeers fetches an unknown design's bytes (and its
@@ -325,7 +299,7 @@ func (s *Server) adoptDesignFromPeers(ctx context.Context, digest string) *desig
 		if node == cs.cfg.Self {
 			continue
 		}
-		meta, data, err := cs.fetchDesign(ctx, node, digest)
+		meta, data, err := s.fetchDesign(ctx, node, digest)
 		if err != nil {
 			continue
 		}
@@ -370,9 +344,12 @@ func (s *Server) broadcastDesign(digest string, meta DesignMeta, data []byte) {
 		cs.wg.Add(1)
 		go func(node string) {
 			defer cs.wg.Done()
-			ctx, cancel := context.WithTimeout(s.bgCtx, defaultPeerTimeout)
-			defer cancel()
-			cs.pushDesign(ctx, node, digest, meta, data)
+			cs.exchange(s.bgCtx, node, peerCall{
+				method: http.MethodPut, uri: "/cluster/designs/" + digest,
+				header:  http.Header{designHeader: {meta.Design}, formatHeader: {meta.Format}},
+				body:    data,
+				timeout: cs.store.AckTimeout(),
+			}, nil)
 		}(node)
 	}
 }
@@ -386,38 +363,18 @@ func (s *Server) probeJobPeers(w http.ResponseWriter, r *http.Request) bool {
 	if cs == nil || r.Header.Get(forwardedHeader) != "" {
 		return false
 	}
+	probe := peerCall{
+		method: http.MethodGet, uri: r.URL.RequestURI(),
+		header:  http.Header{forwardedHeader: {cs.cfg.Self}},
+		timeout: cs.store.AckTimeout(),
+	}
 	for _, node := range cs.cfg.Nodes {
-		if node == cs.cfg.Self || cs.linkFault(node) != nil {
-			continue
+		if node != cs.cfg.Self && cs.exchange(r.Context(), node, probe, relayTo(w)) == nil {
+			return true
 		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, node+r.URL.RequestURI(), nil)
-		if err != nil {
-			continue
-		}
-		req.Header.Set(forwardedHeader, cs.cfg.Self)
-		resp, err := cs.client.Do(req)
-		if err != nil {
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			continue
-		}
-		mForwards.Inc()
-		hdr := w.Header()
-		for k, vs := range resp.Header {
-			hdr[k] = vs
-		}
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
-		resp.Body.Close()
-		return true
 	}
 	return false
 }
-
-// defaultPeerTimeout bounds one peer-to-peer HTTP exchange.
-const defaultPeerTimeout = 5 * time.Second
 
 // replicatePayload is the JSON body of POST /cluster/replicate/{digest}.
 type replicatePayload struct {
@@ -445,11 +402,8 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown design "+digest)
 		return
 	}
-	data, err := s.readBody(w, r)
-	if err != nil {
-		var ae *apiError
-		errors.As(err, &ae)
-		writeError(w, ae.status, ae.msg)
+	data, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	var req replicatePayload
@@ -489,20 +443,11 @@ func (s *Server) handleDesignPush(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "invalid digest "+digest)
 		return
 	}
-	data, err := s.readBody(w, r)
-	if err != nil {
-		var ae *apiError
-		errors.As(err, &ae)
-		writeError(w, ae.status, ae.msg)
+	data, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
-	meta := DesignMeta{
-		Design: r.Header.Get(designHeader),
-		Format: r.Header.Get(formatHeader),
-	}
-	if meta.Format == "" {
-		meta.Format = detectFormat(data)
-	}
+	meta := designMeta(r.Header, data)
 	if !s.store.HasDesign(digest) {
 		if err := s.store.PutDesign(digest, meta, data); err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
@@ -570,109 +515,118 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// peerTransport is the registrystore.Transport over the cluster HTTP
-// endpoints.
-type peerTransport struct {
-	cs *clusterState
+// peerCall is one exchange with a peer replica.
+type peerCall struct {
+	method, uri string      // uri is the path and query on the peer
+	header      http.Header // sent as is; nil sends none
+	body        []byte
+	// timeout bounds the whole exchange, reply body included. Zero marks
+	// a registrystore Transport leg: Replicated has already consulted
+	// fault.Link and bounded ctx by AckTimeout, so exchange does neither.
+	timeout time.Duration
+	// anyStatus hands read every reply, as a forward relays them all;
+	// otherwise a reply other than 200 is an error read never sees.
+	anyStatus bool
+}
+
+// exchange is the one way serve calls a peer: it consults the link fault
+// plan for the self→node link (net.partition, net.drop, net.delay), bounds
+// the call, sends it on the shared client and hands the reply to read, if
+// any, while the deadline still holds.
+func (cs *clusterState) exchange(ctx context.Context, node string, c peerCall, read func(*http.Response) error) error {
+	if c.timeout > 0 {
+		if err := fault.Link(cs.cfg.Self, node); err != nil {
+			return err
+		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
+		defer cancel()
+	}
+	req, err := http.NewRequestWithContext(ctx, c.method, node+c.uri, bytes.NewReader(c.body))
+	if err != nil {
+		return err
+	}
+	if c.header != nil {
+		req.Header = c.header
+	}
+	resp, err := cs.client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK && !c.anyStatus {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return fmt.Errorf("serve: cluster: peer %s: %s %s: status %d: %s",
+			node, c.method, c.uri, resp.StatusCode, strings.TrimSpace(string(msg)))
+	}
+	if read == nil {
+		return nil
+	}
+	return read(resp)
+}
+
+// relayTo streams a peer's reply — headers, status and body — back to the
+// client, for forwards and job probes.
+func relayTo(w http.ResponseWriter) func(*http.Response) error {
+	return func(resp *http.Response) error {
+		mForwards.Inc()
+		hdr := w.Header()
+		for k, vs := range resp.Header {
+			hdr[k] = vs
+		}
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+		return nil
+	}
 }
 
 // Replicate implements registrystore.Transport.
-func (t *peerTransport) Replicate(ctx context.Context, node, digest string, recs []registrystore.Record, total uint64) (uint64, error) {
+func (cs *clusterState) Replicate(ctx context.Context, node, digest string, recs []registrystore.Record, total uint64) (uint64, error) {
 	body, err := json.Marshal(replicatePayload{Records: recs, Total: total})
 	if err != nil {
 		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		node+"/cluster/replicate/"+digest, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
 	var resp registryFetchResponse
-	if err := t.do(req, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Total, nil
+	err = cs.exchange(ctx, node, peerCall{
+		method: http.MethodPost, uri: "/cluster/replicate/" + digest,
+		header: http.Header{"Content-Type": {"application/json"}}, body: body,
+	}, decodeJSON(&resp))
+	return resp.Total, err
 }
 
 // Fetch implements registrystore.Transport.
-func (t *peerTransport) Fetch(ctx context.Context, node, digest string) ([]registrystore.Record, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/cluster/registry/"+digest, nil)
-	if err != nil {
-		return nil, err
-	}
+func (cs *clusterState) Fetch(ctx context.Context, node, digest string) ([]registrystore.Record, error) {
 	var resp registryFetchResponse
-	if err := t.do(req, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Records, nil
+	err := cs.exchange(ctx, node, peerCall{method: http.MethodGet, uri: "/cluster/registry/" + digest}, decodeJSON(&resp))
+	return resp.Records, err
 }
 
-// do executes a peer request and decodes its JSON answer.
-func (t *peerTransport) do(req *http.Request, out any) error {
-	resp, err := t.cs.client.Do(req)
-	if err != nil {
+// decodeJSON reads a peer's JSON reply into out.
+func decodeJSON(out any) func(*http.Response) error {
+	return func(resp *http.Response) error { return json.NewDecoder(resp.Body).Decode(out) }
+}
+
+// fetchDesign pulls one design's meta and bytes from a peer, reading at
+// most MaxRequestBytes, the bound a pushed design has too.
+func (s *Server) fetchDesign(ctx context.Context, node, digest string) (meta DesignMeta, data []byte, err error) {
+	cs := s.cluster
+	err = cs.exchange(ctx, node, peerCall{
+		method: http.MethodGet, uri: "/cluster/designs/" + digest,
+		timeout: cs.store.AckTimeout(),
+	}, func(resp *http.Response) error {
+		data, err = io.ReadAll(http.MaxBytesReader(nil, resp.Body, s.cfg.MaxRequestBytes))
+		meta = designMeta(resp.Header, data)
 		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("serve: cluster: peer %s: %s", req.URL.Host, strings.TrimSpace(string(msg)))
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	})
+	return meta, data, err
 }
 
-// fetchDesign pulls one design's meta and bytes from a peer.
-func (cs *clusterState) fetchDesign(ctx context.Context, node, digest string) (DesignMeta, []byte, error) {
-	var meta DesignMeta
-	if err := cs.linkFault(node); err != nil {
-		return meta, nil, err
-	}
-	pctx, cancel := context.WithTimeout(ctx, defaultPeerTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, node+"/cluster/designs/"+digest, nil)
-	if err != nil {
-		return meta, nil, err
-	}
-	resp, err := cs.client.Do(req)
-	if err != nil {
-		return meta, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return meta, nil, fmt.Errorf("serve: cluster: peer %s: design %s: status %d", node, digest, resp.StatusCode)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return meta, nil, err
-	}
-	meta.Design = resp.Header.Get(designHeader)
-	meta.Format = resp.Header.Get(formatHeader)
+// designMeta reads a design's meta from the headers it travels with on a
+// push or fetch, sniffing the format when the sender named none.
+func designMeta(h http.Header, data []byte) DesignMeta {
+	meta := DesignMeta{Design: h.Get(designHeader), Format: h.Get(formatHeader)}
 	if meta.Format == "" {
 		meta.Format = detectFormat(data)
 	}
-	return meta, data, nil
-}
-
-// pushDesign delivers one design's bytes to a peer.
-func (cs *clusterState) pushDesign(ctx context.Context, node, digest string, meta DesignMeta, data []byte) error {
-	if err := cs.linkFault(node); err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut,
-		node+"/cluster/designs/"+digest, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set(designHeader, meta.Design)
-	req.Header.Set(formatHeader, meta.Format)
-	resp, err := cs.client.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("serve: cluster: peer %s: design push status %d", node, resp.StatusCode)
-	}
-	return nil
+	return meta
 }

@@ -16,7 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/benchfmt"
 	"repro/internal/fault"
+	"repro/internal/registrystore"
 )
 
 // startTestCluster boots n cluster replicas on loopback listeners. The
@@ -24,8 +26,9 @@ import (
 // full URL set up front (the ring is a pure function of it). kill[i]
 // severs node i abruptly — listener closed, live connections cut, no drain
 // — approximating a process kill as closely as one process allows; the
-// graceful cleanup still runs at test end.
-func startTestCluster(t *testing.T, n int) (bases []string, servers []*Server, kill []func()) {
+// graceful cleanup still runs at test end. Each tweak may change node i's
+// config before it is built.
+func startTestCluster(t *testing.T, n int, tweak ...func(i int, cfg *Config)) (bases []string, servers []*Server, kill []func()) {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	bases = make([]string, n)
@@ -40,7 +43,7 @@ func startTestCluster(t *testing.T, n int) (bases []string, servers []*Server, k
 	servers = make([]*Server, n)
 	kill = make([]func(), n)
 	for i := range servers {
-		s, err := New(Config{
+		cfg := Config{
 			StoreDir: t.TempDir(),
 			Cluster: &ClusterConfig{
 				Self: bases[i], Nodes: bases,
@@ -50,7 +53,11 @@ func startTestCluster(t *testing.T, n int) (bases []string, servers []*Server, k
 				// directly for determinism).
 				HintRetry: 20 * time.Millisecond, ScrubInterval: -1,
 			},
-		})
+		}
+		for _, f := range tweak {
+			f(i, &cfg)
+		}
+		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -525,5 +532,174 @@ func TestChaosClusterKillNode(t *testing.T) {
 				t.Errorf("acknowledged %s traced to %q via survivor %d — issuance lost", buyer, tr.Exact, i)
 			}
 		}
+	}
+}
+
+// TestClusterHungPeerIsBounded: a peer that accepts connections and never
+// answers holds no exchange past its deadline. An issue whose leader is the
+// hung peer fails over to this node once the forward has waited
+// RequestTimeout, and counts against the peer; a job probe gives up after
+// AckTimeout; and the node still drains within its shutdown deadline. The
+// client's own timeout makes a hang fail the test rather than stall it.
+func TestClusterHungPeerIsBounded(t *testing.T) {
+	const (
+		requestTimeout = time.Second
+		ackTimeout     = 300 * time.Millisecond
+		slack          = time.Second
+		drain          = 3 * time.Second
+	)
+	netlist := benchBytes(t, "c432")
+	c, err := benchfmt.Parse(bytes.NewReader(netlist))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := analyzeUpload(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := a.Digest()
+
+	listen := func() (net.Listener, string) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ln, "http://" + ln.Addr().String()
+	}
+	ln, self := listen()
+	// The ring is a pure function of the node URLs: bind until the hung
+	// node's URL leads the design.
+	var hung net.Listener
+	var hungURL string
+	for i := 0; hung == nil; i++ {
+		if i == 64 {
+			t.Fatal("no listener address led the design in 64 tries")
+		}
+		l, u := listen()
+		if registrystore.NewRing([]string{self, u}).Order(digest)[0] == u {
+			hung, hungURL = l, u
+		} else {
+			l.Close()
+		}
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			conn, err := hung.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		hung.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, conn := range conns {
+			conn.Close()
+		}
+	})
+
+	s, err := New(Config{
+		StoreDir:       t.TempDir(),
+		RequestTimeout: requestTimeout,
+		Cluster: &ClusterConfig{
+			Self: self, Nodes: []string{self, hungURL},
+			ReplicationFactor: 1, AckTimeout: ackTimeout, ScrubInterval: -1,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln) }()
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	client := &http.Client{Timeout: 5 * time.Second}
+
+	resp, err := client.Post(self+"/designs", "text/plain", bytes.NewReader(netlist))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: status %d", resp.StatusCode)
+	}
+
+	fails := mForwardFails.Value()
+	start := time.Now()
+	resp, err = client.Post(self+"/designs/"+digest+"/issue?buyer=hung", "text/plain", nil)
+	if err != nil {
+		t.Fatalf("issue led by the hung peer: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if took := time.Since(start); took > requestTimeout+slack {
+		t.Errorf("issue took %v, want at most RequestTimeout %v + %v", took, requestTimeout, slack)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(nodeHeader) != self {
+		t.Fatalf("issue: status %d from node %q, want 200 from %s: %s",
+			resp.StatusCode, resp.Header.Get(nodeHeader), self, body)
+	}
+	if mForwardFails.Value() <= fails {
+		t.Error("the timed-out forward did not count in serve.cluster_forward_errors")
+	}
+
+	start = time.Now()
+	resp, err = client.Get(self + "/jobs/no-such-job")
+	if err != nil {
+		t.Fatalf("job probe of the hung peer: %v", err)
+	}
+	resp.Body.Close()
+	if took := time.Since(start); took > ackTimeout+slack {
+		t.Errorf("job probe took %v, want at most AckTimeout %v + %v", took, ackTimeout, slack)
+	}
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	start = time.Now()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Errorf("shutdown after %v: %v", time.Since(start), err)
+	}
+	if err := <-served; err != nil {
+		t.Errorf("serve: %v", err)
+	}
+}
+
+// TestClusterFetchedDesignIsBounded: a node adopting a design from a peer
+// reads the design body under its own MaxRequestBytes, the bound an upload
+// and a pushed design have, so a design too large to push to it is not
+// adopted either.
+func TestClusterFetchedDesignIsBounded(t *testing.T) {
+	netlist := benchBytes(t, "c432")
+	bases, servers, _ := startTestCluster(t, 2, func(i int, cfg *Config) {
+		if i == 1 {
+			cfg.MaxRequestBytes = int64(len(netlist) / 2)
+		}
+	})
+	info, _ := uploadDesign(t, bases[0], netlist)
+	// The forwarded header makes node 1 serve the request itself, so it
+	// must fetch the design it refused as a push.
+	req, err := http.NewRequest(http.MethodGet, bases[1]+"/designs/"+info.Digest, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(forwardedHeader, bases[0])
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("info for a design over node 1's MaxRequestBytes: status %d, want 404", resp.StatusCode)
+	}
+	if servers[1].store.HasDesign(info.Digest) {
+		t.Error("node 1 stored a fetched design larger than its MaxRequestBytes")
 	}
 }

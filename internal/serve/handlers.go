@@ -297,19 +297,22 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
-// readBody reads the request body under the configured size limit.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// readBody reads the request body under the configured size limit. On
+// failure it writes the error response itself and reports false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return nil, apiErrorf(http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooBig.Limit)
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+		} else {
+			writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		}
-		return nil, apiErrorf(http.StatusBadRequest, "reading body: %v", err)
+		return nil, false
 	}
-	return data, nil
+	return data, true
 }
 
 // withWorker admits fn to the bounded pool under the per-request timeout
@@ -352,39 +355,26 @@ func (s *Server) withWorker(w http.ResponseWriter, r *http.Request, kind string,
 	}
 }
 
-// info builds the DesignInfo summary (buyer count 0 until the registry has
-// been touched — counting it would force a registry load on listing).
-func (s *Server) info(d *design, a *registryView) DesignInfo {
+// designInfo builds the DesignInfo summary from the design, its analysis
+// and its registry.
+func designInfo(d *design, a *core.Analysis, reg *registry.Registry) DesignInfo {
 	return DesignInfo{
 		Digest:       d.digest,
-		Design:       a.design,
+		Design:       a.Circuit.Name,
 		Format:       d.meta.Format,
-		Gates:        a.gates,
-		Locations:    a.locations,
-		Slots:        a.slots,
-		CapacityBits: a.capacityBits,
-		Buyers:       a.buyers,
+		Gates:        a.Circuit.NumGates(),
+		Locations:    a.NumLocations(),
+		Slots:        a.TotalTargets(),
+		CapacityBits: a.Capacity().Log2Combos,
+		Buyers:       reg.NumIssued(),
 	}
-}
-
-// registryView is the subset of analysis+registry state DesignInfo needs.
-type registryView struct {
-	design       string
-	gates        int
-	locations    int
-	slots        int
-	capacityBits float64
-	buyers       int
 }
 
 // handleUpload implements POST /designs: parse, analyse once, persist, and
 // return the digest clients use for every later issue/trace call.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	data, err := s.readBody(w, r)
-	if err != nil {
-		var ae *apiError
-		errors.As(err, &ae)
-		writeError(w, ae.status, ae.msg)
+	data, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	if len(bytes.TrimSpace(data)) == 0 {
@@ -448,19 +438,11 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
-		cap := a.Capacity()
 		status := http.StatusCreated
 		if existed {
 			status = http.StatusOK
 		}
-		writeJSON(w, status, s.info(d, &registryView{
-			design:       a.Circuit.Name,
-			gates:        a.Circuit.NumGates(),
-			locations:    a.NumLocations(),
-			slots:        a.TotalTargets(),
-			capacityBits: cap.Log2Combos,
-			buyers:       reg.NumIssued(),
-		}))
+		writeJSON(w, status, designInfo(d, a, reg))
 		return nil
 	})
 }
@@ -496,16 +478,8 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
-		cap := a.Capacity()
 		writeJSON(w, http.StatusOK, map[string]any{
-			"info": s.info(d, &registryView{
-				design:       a.Circuit.Name,
-				gates:        a.Circuit.NumGates(),
-				locations:    a.NumLocations(),
-				slots:        a.TotalTargets(),
-				capacityBits: cap.Log2Combos,
-				buyers:       reg.NumIssued(),
-			}),
+			"info":   designInfo(d, a, reg),
 			"buyers": reg.Buyers(),
 		})
 		return nil
@@ -524,11 +498,8 @@ func (s *Server) handleIssue(w http.ResponseWriter, r *http.Request) {
 	}
 	buyer := r.URL.Query().Get("buyer")
 	if buyer == "" {
-		data, err := s.readBody(w, r)
-		if err != nil {
-			var ae *apiError
-			errors.As(err, &ae)
-			writeError(w, ae.status, ae.msg)
+		data, ok := s.readBody(w, r)
+		if !ok {
 			return
 		}
 		if len(bytes.TrimSpace(data)) > 0 {
@@ -587,11 +558,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if d == nil {
 		return
 	}
-	data, err := s.readBody(w, r)
-	if err != nil {
-		var ae *apiError
-		errors.As(err, &ae)
-		writeError(w, ae.status, ae.msg)
+	data, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	if len(bytes.TrimSpace(data)) == 0 {

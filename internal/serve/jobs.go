@@ -27,7 +27,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -308,11 +307,8 @@ func (s *Server) handleBatchIssue(w http.ResponseWriter, r *http.Request) {
 	if d == nil {
 		return
 	}
-	data, err := s.readBody(w, r)
-	if err != nil {
-		var ae *apiError
-		errors.As(err, &ae)
-		writeError(w, ae.status, ae.msg)
+	data, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	var req BatchIssueRequest
@@ -325,7 +321,7 @@ func (s *Server) handleBatchIssue(w http.ResponseWriter, r *http.Request) {
 	if req.Format != "" {
 		format = req.Format
 	}
-	format, err = outputFormat(format, d.meta.Format)
+	format, err := outputFormat(format, d.meta.Format)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
