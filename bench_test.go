@@ -603,6 +603,36 @@ func BenchmarkVerifyWindows(b *testing.B) {
 	b.ReportMetric(64, "copies/op")
 }
 
+// BenchmarkCertifierCompose is the bookkeeping half of a fresh design's
+// certificates: cec.NewCertifier on c5315, which orders the union graph
+// and composes the location windows (198 after 384 merges) without any SAT
+// work. The slots and windows are built outside the timer.
+func BenchmarkCertifierCompose(b *testing.B) {
+	a, _ := verifyFixture(b, "c5315", 0)
+	slots, windows := a.Slots(), a.Windows()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := cec.NewCertifier(a.Circuit, slots, windows, cec.DefaultOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSweepWorking is the sweep inside every issued copy (core.Embed):
+// the working circuit of c5315 under its full assignment, swept into a new
+// circuit.
+func BenchmarkSweepWorking(b *testing.B) {
+	a, _ := verifyFixture(b, "c5315", 0)
+	w, err := core.NewWorking(a, core.FullAssignment(a))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		w.C.Sweep()
+	}
+}
+
 // BenchmarkVerifySession verifies 64 fingerprint copies of one analysis on
 // a persistent cec.Session, built directly so that it keeps measuring the
 // verifier's fallback path: the miter is encoded once per iteration and

@@ -183,7 +183,7 @@ func NewSession(master *circuit.Circuit, slots []Slot, opts Options) (*Session, 
 }
 
 func validateSlots(master *circuit.Circuit, slots []Slot) error {
-	seen := make(map[circuit.NodeID]bool, len(slots))
+	seen := make([]bool, len(master.Nodes))
 	for i, sl := range slots {
 		if int(sl.Gate) < 0 || int(sl.Gate) >= len(master.Nodes) {
 			return fmt.Errorf("cec: slot %d: gate %d out of range", i, sl.Gate)
@@ -212,58 +212,98 @@ func validateSlots(master *circuit.Circuit, slots []Slot) error {
 	return nil
 }
 
+// unionGraph is the union graph's successor lists in CSR form: node x's
+// successors are succ[start[x]:start[x+1]] — the gates reading x as a fanin,
+// in ascending ID order and once per pin, then the slot gates reading x as
+// a modification literal, in slot, option and literal order.
+type unionGraph struct {
+	start []int32
+	succ  []circuit.NodeID
+}
+
+func (g *unionGraph) succs(x circuit.NodeID) []circuit.NodeID {
+	return g.succ[g.start[x]:g.start[x+1]]
+}
+
 // unionTopo computes a topological order of the union graph: all master
 // fanin edges plus one edge lit.Node → slot.Gate for every modification
 // literal. The instrumented instance reads its literals from the instance
 // netlist, so a literal lying in the fanout cone of another slot makes the
 // master's own topological order insufficient. A cycle in the union graph
 // means some choice combination would be combinational-cyclic; the session
-// refuses it.
-func unionTopo(c *circuit.Circuit, slots []Slot) ([]circuit.NodeID, error) {
+// refuses it. It also returns the graph, and slots must be valid
+// (validateSlots).
+//
+// The order is Kahn's: PIs, then the other sources in ID order, then each
+// node as its last predecessor is taken, in first-in first-out order.
+func unionTopo(c *circuit.Circuit, slots []Slot) ([]circuit.NodeID, unionGraph, error) {
 	n := len(c.Nodes)
-	indeg := make([]int, n)
-	adj := make([][]circuit.NodeID, n)
+	indeg := make([]int32, n)
+	// start[x+1] counts x's successors, then a prefix sum ends each list.
+	start := make([]int32, n+1)
 	for i := range c.Nodes {
 		for _, f := range c.Nodes[i].Fanin {
-			adj[f] = append(adj[f], circuit.NodeID(i))
-			indeg[i]++
+			start[f+1]++
+		}
+		indeg[i] = int32(len(c.Nodes[i].Fanin))
+	}
+	for _, sl := range slots {
+		for _, m := range sl.Options {
+			for _, l := range m.Lits {
+				start[l.Node+1]++
+				indeg[sl.Gate]++
+			}
+		}
+	}
+	for x := range n {
+		start[x+1] += start[x]
+	}
+	// Fill each list from its start, in the order the edges are listed;
+	// that leaves start[x] at x's end, so the starts then shift back.
+	succ := make([]circuit.NodeID, start[n])
+	for i := range c.Nodes {
+		for _, f := range c.Nodes[i].Fanin {
+			succ[start[f]] = circuit.NodeID(i)
+			start[f]++
 		}
 	}
 	for _, sl := range slots {
 		for _, m := range sl.Options {
 			for _, l := range m.Lits {
-				adj[l.Node] = append(adj[l.Node], sl.Gate)
-				indeg[sl.Gate]++
+				succ[start[l.Node]] = sl.Gate
+				start[l.Node]++
 			}
 		}
 	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	g := unionGraph{start: start, succ: succ}
+
+	// order is its own queue: order[head:] are the nodes taken but not yet
+	// expanded.
 	order := make([]circuit.NodeID, 0, n)
-	queue := make([]circuit.NodeID, 0, n)
 	for _, pi := range c.PIs {
 		if indeg[pi] == 0 {
-			queue = append(queue, pi)
+			order = append(order, pi)
 		}
 	}
 	for i := range c.Nodes {
 		if !c.Nodes[i].IsPI && indeg[i] == 0 {
-			queue = append(queue, circuit.NodeID(i))
+			order = append(order, circuit.NodeID(i))
 		}
 	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, s := range adj[id] {
+	for head := 0; head < len(order); head++ {
+		for _, s := range g.succs(order[head]) {
 			indeg[s]--
 			if indeg[s] == 0 {
-				queue = append(queue, s)
+				order = append(order, s)
 			}
 		}
 	}
 	if len(order) != n {
-		return nil, fmt.Errorf("cec: modification literals create a combinational cycle (%d of %d nodes ordered); fall back to one-shot Check", len(order), n)
+		return nil, unionGraph{}, fmt.Errorf("cec: modification literals create a combinational cycle (%d of %d nodes ordered); fall back to one-shot Check", len(order), n)
 	}
-	return order, nil
+	return order, g, nil
 }
 
 // structKey builds a canonical key for (kind, input literals): inputs are
@@ -413,7 +453,7 @@ func (sess *Session) encodeHashed(table map[string]int, keyBuf *[]byte, kind log
 // disjunction.
 func (sess *Session) build() error {
 	c := sess.master
-	order, err := unionTopo(c, sess.slots)
+	order, g, err := unionTopo(c, sess.slots)
 	if err != nil {
 		return err
 	}
@@ -425,19 +465,6 @@ func (sess *Session) build() error {
 	enc := newRegionEncoder(c, sess.slots)
 	affected := make([]bool, len(c.Nodes))
 	{
-		adj := make([][]circuit.NodeID, len(c.Nodes))
-		for i := range c.Nodes {
-			for _, f := range c.Nodes[i].Fanin {
-				adj[f] = append(adj[f], circuit.NodeID(i))
-			}
-		}
-		for _, sl := range sess.slots {
-			for _, m := range sl.Options {
-				for _, l := range m.Lits {
-					adj[l.Node] = append(adj[l.Node], sl.Gate)
-				}
-			}
-		}
 		stack := make([]circuit.NodeID, 0, len(sess.slots))
 		for _, sl := range sess.slots {
 			if !affected[sl.Gate] {
@@ -448,7 +475,7 @@ func (sess *Session) build() error {
 		for len(stack) > 0 {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, s := range adj[n] {
+			for _, s := range g.succs(n) {
 				if !affected[s] {
 					affected[s] = true
 					stack = append(stack, s)

@@ -3,7 +3,6 @@ package cec
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/circuit"
@@ -292,7 +291,7 @@ func NewCertifier(master *circuit.Circuit, slots []Slot, windows [][]circuit.Nod
 	if err := validateSlots(master, slots); err != nil {
 		return nil, err
 	}
-	order, err := unionTopo(master, slots)
+	order, g, err := unionTopo(master, slots)
 	if err != nil {
 		return nil, err
 	}
@@ -302,37 +301,37 @@ func NewCertifier(master *circuit.Circuit, slots []Slot, windows [][]circuit.Nod
 		opts:    opts,
 		enc:     newRegionEncoder(master, slots),
 	}
-	if err := ct.compose(order, windows); err != nil {
+	if err := ct.compose(order, &g, windows); err != nil {
 		return nil, err
 	}
 	return ct, nil
 }
 
 // compose merges windows with union-find until the composition rule holds,
-// then records each window's classification. Every pass is linear in the
-// windows' total size plus the edges they touch; a pass that merges nothing
-// ends the loop.
-func (ct *Certifier) compose(order []circuit.NodeID, init [][]circuit.NodeID) error {
+// then records each window's classification.
+//
+// It works on flat arrays. Once per call it builds node → initial windows
+// in CSR form (the union graph g already lists each node's fanin and
+// literal readers) and the window nodes in union topological order. Each
+// pass numbers the roots in ascending order (a root is the least index in
+// its set), then fills every root's node list in one walk of those nodes:
+// count, prefix sum, fill into one slab, each node joining a root's list
+// once. The lists come out in union topological order with no sort, and
+// each window's maybe-different nodes and outputs are cut from two more
+// slabs. So every pass is linear in the windows' total size plus the edges
+// they touch; a pass that merges nothing ends the loop.
+func (ct *Certifier) compose(order []circuit.NodeID, g *unionGraph, init [][]circuit.NodeID) error {
 	c, e := ct.master, ct.enc
 	n := len(c.Nodes)
-	pos := make([]int32, n)
-	for i, id := range order {
-		pos[id] = int32(i)
-	}
 	poDriver := make([]bool, n)
 	for _, po := range c.POs {
 		poDriver[po.Driver] = true
 	}
-	// litReaders[x]: slot gates reading x as a literal of some option.
-	litReaders := make(map[circuit.NodeID][]circuit.NodeID)
-	for _, sl := range e.slots {
-		for _, m := range sl.Options {
-			for _, l := range m.Lits {
-				litReaders[l.Node] = append(litReaders[l.Node], sl.Gate)
-			}
-		}
-	}
+	// winOf[winStart[x]:winStart[x+1]]: the initial windows listing node x,
+	// once per listing.
 	covered := make([]bool, len(e.slots))
+	winStart := make([]int32, n+1)
+	total := 0
 	for _, w := range init {
 		for _, id := range w {
 			if int(id) < 0 || int(id) >= n {
@@ -341,11 +340,33 @@ func (ct *Certifier) compose(order []circuit.NodeID, init [][]circuit.NodeID) er
 			if si := e.slotOf[id]; si >= 0 {
 				covered[si] = true
 			}
+			winStart[id+1]++
 		}
+		total += len(w)
 	}
 	for si, ok := range covered {
 		if !ok {
 			return fmt.Errorf("cec: slot %d (gate %q) lies in no window", si, c.Nodes[e.slots[si].Gate].Name)
+		}
+	}
+	for x := range n {
+		winStart[x+1] += winStart[x]
+	}
+	winOf := make([]int32, total)
+	for i, w := range init {
+		for _, id := range w {
+			winOf[winStart[id]] = int32(i)
+			winStart[id]++
+		}
+	}
+	copy(winStart[1:], winStart[:n])
+	winStart[0] = 0
+	// inWin: the nodes some window lists, in union topological order. The
+	// per-node scratch below is only ever set on them.
+	inWin := make([]circuit.NodeID, 0, min(n, total))
+	for _, id := range order {
+		if winStart[id+1] > winStart[id] {
+			inWin = append(inWin, id)
 		}
 	}
 
@@ -368,45 +389,81 @@ func (ct *Certifier) compose(order []circuit.NodeID, init [][]circuit.NodeID) er
 		}
 	}
 
-	// Per-pass scratch: stamp marks the nodes of the window being examined,
-	// mdStamp its maybe-different nodes, interior the window owning each
-	// interior node (-1 for none).
+	// Per-pass scratch. wNum numbers each initial window's root, roots maps
+	// a number back to its root, ends delimits each root's list in slab and
+	// last is the node a root's list took last. stamp marks the nodes of the
+	// window being examined, mdStamp its maybe-different nodes, interior
+	// the window owning each interior node (-1 for none).
+	wNum := make([]int32, len(init))
+	roots := make([]int32, 0, len(init))
+	ends := make([]int32, len(init)+1)
+	last := make([]circuit.NodeID, len(init))
+	slab := make([]circuit.NodeID, total)
+	diffSlab := make([]circuit.NodeID, 0, total)
+	outSlab := make([]circuit.NodeID, 0, total)
 	stamp := make([]int32, n)
 	mdStamp := make([]int32, n)
 	interior := make([]int32, n)
-	var windows []certWindow
-	var roots []int32
+	for i := range stamp {
+		stamp[i], mdStamp[i], interior[i] = -1, -1, -1
+	}
+	windows := make([]certWindow, 0, len(init))
 	for {
 		before := merges
-		// Gather each root's nodes, deduplicated, in union topological order.
-		members := make(map[int32][]int, len(init))
 		roots = roots[:0]
 		for i := range init {
-			r := find(int32(i))
-			if _, ok := members[r]; !ok {
+			if r := find(int32(i)); r == int32(i) {
+				wNum[i] = int32(len(roots))
 				roots = append(roots, r)
+			} else {
+				wNum[i] = wNum[r] // r < i, numbered already
 			}
-			members[r] = append(members[r], i)
 		}
-		for i := range stamp {
-			stamp[i], mdStamp[i], interior[i] = -1, -1, -1
-		}
-		windows = windows[:0]
-		for wi, r := range roots {
-			var nodes []circuit.NodeID
-			for _, m := range members[r] {
-				for _, id := range init[m] {
-					if stamp[id] != int32(wi) {
-						stamp[id] = int32(wi)
-						nodes = append(nodes, id)
+		nw := len(roots)
+		// Gather each root's nodes, deduplicated, in union topological
+		// order: count, prefix sum, then fill each list from its start.
+		clear(ends[:nw+1])
+		for pass := 0; pass < 2; pass++ {
+			for wi := range nw {
+				last[wi] = circuit.None
+			}
+			for _, id := range inWin {
+				for _, m := range winOf[winStart[id]:winStart[id+1]] {
+					wi := wNum[m]
+					if last[wi] == id {
+						continue
+					}
+					last[wi] = id
+					if pass == 0 {
+						ends[wi+1]++
+					} else {
+						slab[ends[wi]] = id
+						ends[wi]++
 					}
 				}
 			}
-			sort.Slice(nodes, func(i, j int) bool { return pos[nodes[i]] < pos[nodes[j]] })
-			w := certWindow{nodes: nodes}
+			if pass == 0 {
+				for wi := range nw {
+					ends[wi+1] += ends[wi]
+				}
+			}
+		}
+		copy(ends[1:nw+1], ends[:nw])
+		ends[0] = 0
+		for _, id := range inWin {
+			stamp[id], mdStamp[id], interior[id] = -1, -1, -1
+		}
+		windows = windows[:0]
+		diffs, outs := diffSlab[:0], outSlab[:0]
+		for wi, r := range roots {
+			nodes := slab[ends[wi]:ends[wi+1]:ends[wi+1]]
+			for _, id := range nodes {
+				stamp[id] = int32(wi)
+			}
 			// Maybe-different nodes: window nodes reachable from a slot gate
 			// along window edges. Walking the topological order once visits
 			// every fanin before its reader.
+			d0 := len(diffs)
 			for _, id := range nodes {
 				md := e.slotOf[id] >= 0
 				for _, f := range c.Nodes[id].Fanin {
@@ -419,18 +476,19 @@ func (ct *Certifier) compose(order []circuit.NodeID, init [][]circuit.NodeID) er
 					continue
 				}
 				mdStamp[id] = int32(wi)
-				w.diff = append(w.diff, id)
+				diffs = append(diffs, id)
 			}
+			w := certWindow{nodes: nodes, diff: diffs[d0:len(diffs):len(diffs)]}
+			// An output is read from outside the window: by a primary output,
+			// or by a gate or a slot literal (a union-graph successor).
+			o0 := len(outs)
 			for _, id := range w.diff {
 				out := poDriver[id]
-				for _, f := range c.Nodes[id].Fanout() {
-					out = out || stamp[f] != int32(wi)
-				}
-				for _, g := range litReaders[id] {
-					out = out || stamp[g] != int32(wi)
+				for _, s := range g.succs(id) {
+					out = out || stamp[s] != int32(wi)
 				}
 				if out {
-					w.outputs = append(w.outputs, id)
+					outs = append(outs, id)
 					continue
 				}
 				if o := interior[id]; o >= 0 {
@@ -438,6 +496,7 @@ func (ct *Certifier) compose(order []circuit.NodeID, init [][]circuit.NodeID) er
 				}
 				interior[id] = r
 			}
+			w.outputs = outs[o0:len(outs):len(outs)]
 			windows = append(windows, w)
 		}
 		// Reading rule: no window may contain, read as a fanin, or read as a

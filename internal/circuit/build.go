@@ -236,25 +236,7 @@ func Build(name string, d *Defs) (*Circuit, error) {
 		}
 		c.Nodes[nIn+pos] = Node{Name: d.Gates[g], Kind: d.Kinds[g], Fanin: pins}
 	}
-	for i := 1; i < len(fanouts); i++ {
-		fanouts[i] += fanouts[i-1]
-	}
-	// Walking the sinks backwards fills each list from its end, leaving
-	// fanouts[i] at list i's start and every list in ascending sink order —
-	// the order AddGate appends them in.
-	fanout := make([]NodeID, len(d.Args))
-	for s := len(c.Nodes) - 1; s >= nIn; s-- {
-		pins := c.Nodes[s].Fanin
-		for j := len(pins) - 1; j >= 0; j-- {
-			fanouts[pins[j]]--
-			fanout[fanouts[pins[j]]] = NodeID(s)
-		}
-	}
-	for i := range c.Nodes {
-		if lo, hi := fanouts[i], fanouts[i+1]; hi > lo {
-			c.Nodes[i].fanout = fanout[lo:hi:hi]
-		}
-	}
+	c.linkFanouts(fanouts, len(d.Args))
 
 	c.POs = make([]PO, len(d.Outputs))
 	for i, po := range d.Outputs {
@@ -272,4 +254,30 @@ func Build(name string, d *Defs) (*Circuit, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// linkFanouts sets every node's fanout list from the fanin lists. On entry
+// counts[i] is node i's number of fanout edges, for len(c.Nodes)+1 entries
+// (the last 0), and edges is their sum. The lists share one slab, each
+// capped at its length.
+func (c *Circuit) linkFanouts(counts []int32, edges int) {
+	for i := 1; i < len(counts); i++ {
+		counts[i] += counts[i-1]
+	}
+	// Walking the sinks backwards fills each list from its end, leaving
+	// counts[i] at list i's start and every list in ascending sink order —
+	// the order AddGate appends them in.
+	fanout := make([]NodeID, edges)
+	for s := len(c.Nodes) - 1; s >= 0; s-- {
+		pins := c.Nodes[s].Fanin
+		for j := len(pins) - 1; j >= 0; j-- {
+			counts[pins[j]]--
+			fanout[counts[pins[j]]] = NodeID(s)
+		}
+	}
+	for i := range c.Nodes {
+		if lo, hi := counts[i], counts[i+1]; hi > lo {
+			c.Nodes[i].fanout = fanout[lo:hi:hi]
+		}
+	}
 }

@@ -13,6 +13,7 @@ package circuit
 import (
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -478,7 +479,7 @@ func (c *Circuit) Clone() *Circuit {
 		Nodes:  make([]Node, len(c.Nodes)),
 		PIs:    append([]NodeID(nil), c.PIs...),
 		POs:    append([]PO(nil), c.POs...),
-		byName: make(map[string]NodeID, len(c.byName)),
+		byName: maps.Clone(c.byName),
 		// The clone has identical node IDs and edges, so the memoized
 		// topological order carries over (the cached slice is never mutated
 		// in place, only replaced on recompute, so sharing is safe).
@@ -499,16 +500,32 @@ func (c *Circuit) Clone() *Circuit {
 		sinksVersion: c.sinksVersion,
 		sinksValid:   c.sinksValid,
 	}
+	// Fanins share one slab and fanouts another, each node's slice capped
+	// at its length, as in Build.
+	nFanin, nFanout := 0, 0
+	for i := range c.Nodes {
+		nFanin += len(c.Nodes[i].Fanin)
+		nFanout += len(c.Nodes[i].fanout)
+	}
+	fanin, fanout := make([]NodeID, nFanin), make([]NodeID, nFanout)
 	for i := range c.Nodes {
 		n := c.Nodes[i]
-		n.Fanin = append([]NodeID(nil), n.Fanin...)
-		n.fanout = append([]NodeID(nil), n.fanout...)
+		n.Fanin, fanin = cloneInto(fanin, n.Fanin)
+		n.fanout, fanout = cloneInto(fanout, n.fanout)
 		out.Nodes[i] = n
 	}
-	for name, id := range c.byName {
-		out.byName[name] = id
-	}
 	return out
+}
+
+// cloneInto copies s to the front of slab and returns the copy, capped at
+// its length (nil when s is empty), and the rest of slab.
+func cloneInto(slab, s []NodeID) ([]NodeID, []NodeID) {
+	k := len(s)
+	if k == 0 {
+		return nil, slab
+	}
+	copy(slab, s)
+	return slab[:k:k], slab[k:]
 }
 
 // FreshName returns a node name starting with prefix that is not yet used in

@@ -142,18 +142,24 @@ func (c *Circuit) TFO(id NodeID) []bool {
 // the mask are dead logic.
 func (c *Circuit) Reachable() []bool {
 	mask := make([]bool, len(c.Nodes))
-	var stack []NodeID
+	// A node is marked as it is pushed, so the stack holds each node at
+	// most once and never outgrows its first allocation.
+	stack := make([]NodeID, 0, len(c.Nodes))
+	push := func(n NodeID) {
+		if !mask[n] {
+			mask[n] = true
+			stack = append(stack, n)
+		}
+	}
 	for _, po := range c.POs {
-		stack = append(stack, po.Driver)
+		push(po.Driver)
 	}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if mask[n] {
-			continue
+		for _, f := range c.Nodes[n].Fanin {
+			push(f)
 		}
-		mask[n] = true
-		stack = append(stack, c.Nodes[n].Fanin...)
 	}
 	return mask
 }

@@ -163,49 +163,72 @@ func sortNodeIDs(s []NodeID) {
 // IDs. It returns a new circuit (the receiver is unchanged) and the number of
 // removed gates. PIs are always kept, even if unused, so that two circuits
 // over the same interface stay comparable.
+//
+// The kept nodes take IDs in the receiver's topological order, and the
+// result — node IDs, names, fanin and fanout order, PIs, POs and version —
+// is the one AddPI, AddGate and AddPOs calls in that order would build.
+// Like Build, it is built in bulk: fanins share one slab and fanouts
+// another, each node's slice capped at its length, so a later edit of one
+// node reallocates rather than writing into its neighbour's pins. The
+// receiver must be valid; so is the result.
 func (c *Circuit) Sweep() (*Circuit, int) {
 	keep := c.Reachable()
 	for _, pi := range c.PIs {
 		keep[pi] = true
 	}
-	out := New(c.Name)
+	order := c.MustTopoOrder()
+	// remap[id] is id's node ID in the result; a kept node's fanins are
+	// kept too and come earlier in order, so they are numbered first.
 	remap := make([]NodeID, len(c.Nodes))
-	for i := range remap {
-		remap[i] = None
-	}
-	removed := 0
-	for _, id := range c.MustTopoOrder() {
+	n, pins, removed := 0, 0, 0
+	for _, id := range order {
 		if !keep[id] {
 			if !c.Nodes[id].IsPI {
 				removed++
 			}
 			continue
 		}
-		nd := &c.Nodes[id]
-		if nd.IsPI {
-			nid, err := out.AddPI(nd.Name)
-			if err != nil {
-				panic(err) // unreachable: names were unique in c
-			}
-			remap[id] = nid
+		remap[id] = NodeID(n)
+		n++
+		pins += len(c.Nodes[id].Fanin)
+	}
+	out := &Circuit{
+		Name:   c.Name,
+		Nodes:  make([]Node, n),
+		PIs:    make([]NodeID, 0, len(c.PIs)),
+		POs:    make([]PO, len(c.POs)),
+		byName: make(map[string]NodeID, n),
+		// One touch per AddPI and AddGate, and one per output, as AddPOs.
+		version: uint64(n + len(c.POs)),
+	}
+	fanin := make([]NodeID, pins)
+	fanouts := make([]int32, n+1) // fanout count, then each list's end
+	at := 0
+	for _, id := range order {
+		if !keep[id] {
 			continue
 		}
-		fanin := make([]NodeID, len(nd.Fanin))
-		for j, f := range nd.Fanin {
-			fanin[j] = remap[f]
+		nd, nid := &c.Nodes[id], remap[id]
+		out.byName[nd.Name] = nid
+		if nd.IsPI {
+			out.Nodes[nid] = Node{Name: nd.Name, IsPI: true}
+			out.PIs = append(out.PIs, nid)
+			continue
 		}
-		nid, err := out.AddGate(nd.Name, nd.Kind, fanin...)
-		if err != nil {
-			panic(err)
+		var pin []NodeID
+		if k := len(nd.Fanin); k > 0 {
+			pin = fanin[at : at+k : at+k]
+			at += k
+			for j, f := range nd.Fanin {
+				pin[j] = remap[f]
+				fanouts[pin[j]]++
+			}
 		}
-		remap[id] = nid
+		out.Nodes[nid] = Node{Name: nd.Name, Kind: nd.Kind, Fanin: pin}
 	}
-	pos := make([]PO, len(c.POs))
+	out.linkFanouts(fanouts, pins)
 	for i, po := range c.POs {
-		pos[i] = PO{Name: po.Name, Driver: remap[po.Driver]}
-	}
-	if err := out.AddPOs(pos); err != nil {
-		panic(err)
+		out.POs[i] = PO{Name: po.Name, Driver: remap[po.Driver]}
 	}
 	return out, removed
 }

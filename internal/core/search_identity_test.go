@@ -53,7 +53,7 @@ func searchWork(t *testing.T, name string) map[string]int64 {
 		t.Fatal(err)
 	}
 	before := solverCounters()
-	ct, err := cec.NewCertifier(a.Circuit, a.Slots(), locationWindows(a), cec.DefaultOptions())
+	ct, err := cec.NewCertifier(a.Circuit, a.Slots(), a.Windows(), cec.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,16 +19,27 @@ import (
 // same order used by SlotChoice. Together they let a caller drive a
 // cec.Session directly, as the session benchmarks do.
 func (a *Analysis) Slots() []cec.Slot {
-	var slots []cec.Slot
+	nSlots, nMods := 0, 0
+	for i := range a.Locations {
+		for j := range a.Locations[i].Targets {
+			nSlots++
+			nMods += len(a.Locations[i].Targets[j].Variants)
+		}
+	}
+	// Every slot's options share one slab, each capped at its length.
+	slots := make([]cec.Slot, 0, nSlots)
+	mods := make([]cec.Mod, nMods)
 	for i := range a.Locations {
 		for j := range a.Locations[i].Targets {
 			tgt := &a.Locations[i].Targets[j]
-			slot := cec.Slot{Gate: tgt.Gate, Options: make([]cec.Mod, len(tgt.Variants))}
+			k := len(tgt.Variants)
+			opts := mods[:k:k]
+			mods = mods[k:]
 			for v, variant := range tgt.Variants {
 				// cec only reads Lits, so the slot shares the catalogue's.
-				slot.Options[v] = cec.Mod{Kind: variant.NewGateKind, Lits: variant.Lits}
+				opts[v] = cec.Mod{Kind: variant.NewGateKind, Lits: variant.Lits}
 			}
-			slots = append(slots, slot)
+			slots = append(slots, cec.Slot{Gate: tgt.Gate, Options: opts})
 		}
 	}
 	return slots
@@ -56,12 +67,13 @@ func (a *Analysis) SlotChoice(asg Assignment) ([]int, error) {
 	return choice, nil
 }
 
-// locationWindows gives each location its certificate window: the primary
-// gate P, the location's cone and, when some variant is a Fig. 5 reroute,
-// the trigger's driver T, whose inputs the reroute literals read. The paper's
-// safety argument (mods.go) is local to exactly these gates: a cone change
-// is the identity whenever the trigger lets it through P.
-func locationWindows(a *Analysis) [][]circuit.NodeID {
+// Windows gives each location its certificate window, in location order:
+// the primary gate P, the location's cone and, when some variant is a
+// Fig. 5 reroute, the trigger's driver T, whose inputs the reroute literals
+// read. The paper's safety argument (mods.go) is local to exactly these
+// gates: a cone change is the identity whenever the trigger lets it through
+// P. With Slots, it lets a caller drive a cec.Certifier directly.
+func (a *Analysis) Windows() [][]circuit.NodeID {
 	windows := make([][]circuit.NodeID, len(a.Locations))
 	for i := range a.Locations {
 		loc := &a.Locations[i]
@@ -114,7 +126,7 @@ type Verifier struct {
 // silently degrades to the one-shot path.
 func NewVerifier(a *Analysis) *Verifier {
 	v := &Verifier{a: a}
-	cert, err := cec.NewCertifier(a.Circuit, a.Slots(), locationWindows(a), cec.DefaultOptions())
+	cert, err := cec.NewCertifier(a.Circuit, a.Slots(), a.Windows(), cec.DefaultOptions())
 	if err == nil {
 		v.cert = cert
 	} else {

@@ -22,7 +22,7 @@ const oracleConflicts = 20000
 // certify runs a's location windows through a fresh certifier.
 func certify(t *testing.T, a *Analysis) (bool, cec.CertifierStats) {
 	t.Helper()
-	ct, err := cec.NewCertifier(a.Circuit, a.Slots(), locationWindows(a), cec.DefaultOptions())
+	ct, err := cec.NewCertifier(a.Circuit, a.Slots(), a.Windows(), cec.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestCertifierRealBudgetFails(t *testing.T) {
 	a := analyzeBench(t, "c5315")
 	opts := cec.DefaultOptions()
 	opts.MaxConflicts = 1
-	ct, err := cec.NewCertifier(a.Circuit, a.Slots(), locationWindows(a), opts)
+	ct, err := cec.NewCertifier(a.Circuit, a.Slots(), a.Windows(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

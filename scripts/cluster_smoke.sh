@@ -7,8 +7,11 @@
 #   2. start REPLICAS daemons on loopback as one cluster (-cluster/-node/-rf)
 #   3. drive a mixed issue/trace load across every replica; each issued copy
 #      is traced back inline, so every acknowledgement is verified
-#   4. with KILL=1, `kill -9` one replica mid-run: the load must finish with
-#      zero failures — acknowledged issuances keep tracing from survivors
+#   4. with KILL=1, `kill -9` one replica mid-run, once the replicas have
+#      served a quarter of the load's request count (their /metrics
+#      serve.requests, summed); a load that finishes first fails the smoke.
+#      The load must finish with zero failures — acknowledged issuances keep
+#      tracing from survivors
 #   5. poll /cluster/status?sync=1 on every survivor until their per-design
 #      totals agree and sum to exactly the records issued (convergence, and
 #      no acknowledged record lost)
@@ -117,19 +120,39 @@ done
 set -- $PIDS
 VICTIM_PID=$(eval echo \${$REPLICAS})
 
+# served — prints serve.requests summed over every replica's /metrics (peer
+# traffic and these polls included; a dead replica counts 0).
+served() {
+    sum=0
+    for node in $(echo "$NODES" | tr ',' ' '); do
+        v=$(curl -sf "$node/metrics" | tr -d ' \n' \
+            | grep -o '"name":"serve.requests"[^}]*' | grep -o '"value":[0-9]*' \
+            | tr -dc '0-9' || true)
+        sum=$((sum + ${v:-0}))
+    done
+    echo "$sum"
+}
+
 ADDRS=$(echo "$NODES" | sed 's|http://||g')
 echo "cluster-smoke: load — $N requests, $C clients, $DESIGNS designs, preseed $PRESEED"
 if [ "$KILL" = "1" ]; then
+    BEFORE=$(served)
     "$WORK/loadgen" -addr "$ADDRS" -designs "$DESIGNS" -preseed "$PRESEED" \
         -n "$N" -c "$C" -min-scale "$MIN_SCALE" -baseline-rps "$BASELINE_RPS" -out "$OUT" &
     LPID=$!
-    sleep 0.5
-    if kill -0 "$LPID" 2>/dev/null; then
-        echo "cluster-smoke: kill -9 replica $REPLICAS (pid $VICTIM_PID) mid-run"
-    else
-        echo "cluster-smoke: warning: load finished before the kill"
+    # Kill once the cluster has served a quarter of the load, so the kill
+    # lands mid-run however fast the load goes.
+    SERVED=0
+    while kill -0 "$LPID" 2>/dev/null && [ "$SERVED" -lt $((N / 4)) ]; do
+        sleep 0.02
+        SERVED=$(($(served) - BEFORE))
+    done
+    if ! kill -0 "$LPID" 2>/dev/null; then
+        echo "cluster-smoke: load finished before the kill ($SERVED requests served, kill due at $((N / 4)))"
+        exit 1
     fi
     kill -9 "$VICTIM_PID"
+    echo "cluster-smoke: killed replica $REPLICAS (pid $VICTIM_PID) mid-run, after $SERVED requests served"
     wait "$LPID" || { echo "cluster-smoke: load failed after node kill"; exit 1; }
 else
     "$WORK/loadgen" -addr "$ADDRS" -designs "$DESIGNS" -preseed "$PRESEED" \
