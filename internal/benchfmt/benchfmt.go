@@ -67,16 +67,60 @@ const maxLine = 1<<20 - 1
 // circuit keeps are copied into one shared string, so the circuit does not
 // hold on to the input.
 func Parse(r io.Reader) (*circuit.Circuit, error) {
+	name, d, err := stage(r)
+	if err != nil {
+		return nil, err
+	}
+	keepNames(d)
+	c, err := circuit.Build(name, d)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
+	}
+	return c, nil
+}
+
+// Stage reads a .bench netlist as Parse does and accepts or rejects it as
+// Parse would, with the same error, but builds no circuit: the result is
+// the staged netlist (circuit.Defs.Check), whose names still slice the
+// input. It is for reading a netlist once, as a trace reads a suspect.
+func Stage(r io.Reader) (*circuit.Staged, error) {
+	name, d, err := stage(r)
+	if err != nil {
+		return nil, err
+	}
+	s, err := d.Check(name)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
+	}
+	return s, nil
+}
+
+// stage reads a .bench netlist into its circuit name and definitions,
+// making the reader's own checks: syntax, known functions, the line
+// length.
+func stage(r io.Reader) (string, *circuit.Defs, error) {
 	var in strings.Builder
 	if _, err := io.Copy(&in, r); err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	src := in.String()
 	name := "bench"
 	sawName := false
-	// The staging arrays grow with the gate lines actually staged, so blank
-	// lines, comments and stray commas reserve nothing.
-	var d circuit.Defs
+	// The staging arrays are reserved up front for the gate lines the text
+	// can hold: each has an "=" and a "(", and takes at least 8 bytes
+	// ("q=GND()" and its newline), and up to four arguments per gate are
+	// reserved; more grow the array as they come. Blank lines, comments
+	// and commas with no "=" reserve nothing, and no input reserves more
+	// than 12 bytes per byte of text.
+	gates := min(strings.Count(src, "="), strings.Count(src, "("), len(src)/8)
+	args := min(strings.Count(src, ",")+gates, 4*gates)
+	d := &circuit.Defs{
+		Gates: make([]string, 0, gates),
+		Kinds: make([]logic.Kind, 0, gates),
+		Args:  make([]string, 0, args),
+		Ends:  make([]int32, 0, gates),
+		Lines: make([]int32, 0, gates),
+	}
 	for lineNo, rest := 1, src; rest != ""; lineNo++ {
 		line := rest
 		if i := strings.IndexByte(rest, '\n'); i >= 0 {
@@ -85,7 +129,7 @@ func Parse(r io.Reader) (*circuit.Circuit, error) {
 			rest = ""
 		}
 		if len(line) > maxLine {
-			return nil, bufio.ErrTooLong
+			return "", nil, bufio.ErrTooLong
 		}
 		line = strings.TrimSpace(line)
 		switch {
@@ -103,22 +147,21 @@ func Parse(r io.Reader) (*circuit.Circuit, error) {
 		case isDecl(line, "INPUT"):
 			sig, err := parenArg(line)
 			if err != nil {
-				return nil, fmt.Errorf("bench line %d: %w", lineNo, err)
+				return "", nil, fmt.Errorf("bench line %d: %w", lineNo, err)
 			}
 			d.Inputs = append(d.Inputs, sig)
 		case isDecl(line, "OUTPUT"):
 			sig, err := parenArg(line)
 			if err != nil {
-				return nil, fmt.Errorf("bench line %d: %w", lineNo, err)
+				return "", nil, fmt.Errorf("bench line %d: %w", lineNo, err)
 			}
 			d.Drivers = append(d.Drivers, sig)
 		default:
-			if err := addGate(&d, line, lineNo); err != nil {
-				return nil, fmt.Errorf("bench line %d: %w", lineNo, err)
+			if err := addGate(d, line, lineNo); err != nil {
+				return "", nil, fmt.Errorf("bench line %d: %w", lineNo, err)
 			}
 		}
 	}
-	keepNames(&d)
 	// .bench allows listing the same signal twice; the repeat is renamed.
 	d.Outputs = make([]string, len(d.Drivers))
 	listed := make(map[string]bool, len(d.Drivers))
@@ -129,11 +172,7 @@ func Parse(r io.Reader) (*circuit.Circuit, error) {
 		}
 		listed[drv] = true
 	}
-	c, err := circuit.Build(name, &d)
-	if err != nil {
-		return nil, fmt.Errorf("bench: %w", err)
-	}
-	return c, nil
+	return name, d, nil
 }
 
 // isDecl reports whether line starts with kw (upper case) and then "(" or

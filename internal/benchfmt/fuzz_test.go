@@ -2,6 +2,7 @@ package benchfmt
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/circuit"
 	"repro/internal/sim"
 )
 
@@ -25,9 +27,14 @@ func FuzzParse(f *testing.F) {
 	f.Add("q = DFF(a)\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := Parse(strings.NewReader(src))
+		s, serr := Stage(strings.NewReader(src))
+		if fmt.Sprint(err) != fmt.Sprint(serr) {
+			t.Fatalf("Parse error %v, Stage error %v", err, serr)
+		}
 		if err != nil {
 			return
 		}
+		sameNetlist(t, s, c)
 		if err := c.Validate(); err != nil {
 			t.Fatalf("accepted circuit invalid: %v", err)
 		}
@@ -154,5 +161,31 @@ func TestParseMatchesLegacyOnFuzzCorpus(t *testing.T) {
 			t.Fatalf("%s: %v", p, err)
 		}
 		checkMatchesLegacy(t, src)
+	}
+}
+
+// sameNetlist fails unless the staged netlist s reads as the built circuit
+// c does through circuit.Netlist: the same signals, each a primary input
+// in both or a gate of the same kind reading the same signals in order.
+func sameNetlist(t *testing.T, s *circuit.Staged, c *circuit.Circuit) {
+	t.Helper()
+	names := func(nl circuit.Netlist, ids []circuit.NodeID) []string {
+		out := make([]string, len(ids))
+		for i, id := range ids {
+			out[i] = nl.NodeName(id)
+		}
+		return out
+	}
+	for i := range c.Nodes {
+		name := c.Nodes[i].Name
+		id, ok := s.Lookup(name)
+		if !ok || s.NodeName(id) != name {
+			t.Fatalf("staged netlist lacks %q", name)
+		}
+		kind, fanin, gate := s.Gate(id)
+		ckind, cfanin, cgate := c.Gate(circuit.NodeID(i))
+		if gate != cgate || kind != ckind || !slices.Equal(names(s, fanin), names(c, cfanin)) {
+			t.Fatalf("%q: staged %v %v %v, built %v %v %v", name, gate, kind, names(s, fanin), cgate, ckind, names(c, cfanin))
+		}
 	}
 }

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/logic"
 )
@@ -93,10 +94,10 @@ func enter(names map[string]NodeID, s string, id NodeID) error {
 	if s == "" {
 		return fmt.Errorf("empty signal name")
 	}
-	if _, dup := names[s]; dup {
+	n := len(names)
+	if names[s] = id; len(names) == n { // one hash of s, not two
 		return fmt.Errorf("signal %q defined twice", s)
 	}
-	names[s] = id
 	return nil
 }
 
@@ -166,42 +167,149 @@ func (d *Defs) order(fan []NodeID) ([]int32, error) {
 	return order, nil
 }
 
-// Build constructs and validates the circuit d describes, in one bulk pass:
-// primary inputs take IDs 0..len(Inputs)-1 in declaration order, gates
-// follow in definition order (Order), and primary outputs are declared in
-// file order. The result — node IDs, fanin and fanout order, names,
-// version — is the one AddPI, AddGate and AddPO calls in that order would
-// build, and Build makes their checks: unique non-empty names, valid kinds
-// and arities, and outputs driven by defined signals; fanins are resolved
-// by name, so they are in range. Validate runs at the end.
+// Staged is a netlist that passed Defs.Check, read in place: no node is
+// built, linked or validated. Its node IDs are provisional — input i is
+// node i and gate g is node len(Inputs)+g, in file order, not Build's
+// definition order — so they index nothing but the Staged itself. It
+// provides Netlist, the name-resolved access a structural comparison with
+// another netlist needs (the fingerprint extractor's), at a fraction of
+// what Build costs.
+type Staged struct {
+	d     *Defs
+	names map[string]NodeID // every input and gate output, by provisional ID
+	fan   []NodeID          // d.Args resolved through names
+}
+
+var (
+	_ Netlist = (*Staged)(nil)
+	_ Netlist = (*Circuit)(nil)
+)
+
+// Lookup returns the node driving the signal name, or (None, false).
+func (s *Staged) Lookup(name string) (NodeID, bool) {
+	id, ok := s.names[name]
+	if !ok {
+		return None, false
+	}
+	return id, true
+}
+
+// NodeName returns the name of the signal node id drives.
+func (s *Staged) NodeName(id NodeID) string {
+	if n := NodeID(len(s.d.Inputs)); id < n {
+		return s.d.Inputs[id]
+	}
+	return s.d.Gates[int(id)-len(s.d.Inputs)]
+}
+
+// Gate returns node id's kind and fanin, or ok false for a primary input.
+// The fanin slice is shared and must not be modified.
+func (s *Staged) Gate(id NodeID) (kind logic.Kind, fanin []NodeID, ok bool) {
+	g := int(id) - len(s.d.Inputs)
+	if g < 0 {
+		return 0, nil, false
+	}
+	lo, hi := s.d.args(g)
+	return s.d.Kinds[g], s.fan[lo:hi:hi], true
+}
+
+// Check makes every accept/reject decision Build makes, with the same
+// errors, without building a node: Build is Check plus construction, so
+// the two cannot disagree. The decisions are
+//   - Order's: unique non-empty signal names, every read signal defined,
+//     no combinational cycle;
+//   - AddGate's and AddPO's: valid kinds and arities, every output driven
+//     by a defined signal;
+//   - Validate's, which a built circuit would fail: at least one primary
+//     input and one output, no gate reading one signal on two pins, and
+//     non-empty, distinct output names.
+//
+// Validate's other checks — name index, fanout lists, PI fanin, fanin
+// range — are about a built circuit's bookkeeping, which Build derives
+// from d and cannot get wrong. The result keeps d, which must not change.
+func (d *Defs) Check(name string) (*Staged, error) {
+	s, _, err := d.check(name)
+	return s, err
+}
+
+// check is Check that also returns the definition order Build numbers the
+// gates in. Its errors come in the order Build and Validate would meet
+// them: names, kinds and arities, cycles, output drivers, then Validate's.
+func (d *Defs) check(name string) (*Staged, []int32, error) {
+	nIn, nG := len(d.Inputs), len(d.Gates)
+	if len(d.Kinds) != nG || len(d.Drivers) != len(d.Outputs) {
+		return nil, nil, fmt.Errorf("circuit %s: %d gates with %d kinds, %d outputs with %d drivers",
+			name, nG, len(d.Kinds), len(d.Outputs), len(d.Drivers))
+	}
+	s := &Staged{d: d, names: make(map[string]NodeID, nIn+nG)}
+	var err error
+	if s.fan, err = d.index(s.names); err != nil {
+		return nil, nil, fmt.Errorf("circuit %s: %w", name, err)
+	}
+	for g, kind := range d.Kinds {
+		if !kind.Valid() {
+			return nil, nil, fmt.Errorf("circuit %s: %sgate %q: invalid kind %d", name, d.at(g), d.Gates[g], uint8(kind))
+		}
+		lo, hi := d.args(g)
+		if err := checkArity(kind, int(hi-lo)); err != nil {
+			return nil, nil, fmt.Errorf("circuit %s: %sgate %q: %w", name, d.at(g), d.Gates[g], err)
+		}
+	}
+	order, err := d.order(s.fan)
+	if err != nil {
+		return nil, nil, fmt.Errorf("circuit %s: %w", name, err)
+	}
+	for i, po := range d.Outputs {
+		if _, ok := s.names[d.Drivers[i]]; !ok {
+			return nil, nil, fmt.Errorf("circuit %s: output %q has no driver", name, po)
+		}
+	}
+	if nIn == 0 {
+		return nil, nil, fmt.Errorf("circuit %s: no primary inputs", name)
+	}
+	if len(d.Outputs) == 0 {
+		return nil, nil, fmt.Errorf("circuit %s: no primary outputs", name)
+	}
+	for _, g := range order { // Validate walks the gates in node ID order
+		lo, hi := d.args(int(g))
+		pins := s.fan[lo:hi]
+		for j, f := range pins {
+			if slices.Contains(pins[:j], f) {
+				return nil, nil, fmt.Errorf("circuit %s: gate %q: duplicate fanin %q", name, d.Gates[g], s.NodeName(f))
+			}
+		}
+	}
+	listed := make(map[string]bool, len(d.Outputs))
+	for _, po := range d.Outputs {
+		if po == "" {
+			return nil, nil, fmt.Errorf("circuit %s: PO with empty name", name)
+		}
+		if listed[po] {
+			return nil, nil, fmt.Errorf("circuit %s: duplicate PO name %q", name, po)
+		}
+		listed[po] = true
+	}
+	return s, order, nil
+}
+
+// Build constructs the circuit d describes, in one bulk pass: primary
+// inputs take IDs 0..len(Inputs)-1 in declaration order, gates follow in
+// definition order (Order), and primary outputs are declared in file
+// order. The result — node IDs, fanin and fanout order, names, version —
+// is the one AddPI, AddGate and AddPO calls in that order would build.
+// Build rejects exactly what Check rejects, and its result is valid: its
+// Validate memo is set, so a later Validate is O(1).
 //
 // Fanins share one slab and fanouts another, each node's slice capped at
 // its length, so a later edit of one node reallocates rather than writing
 // into its neighbour's pins.
 func Build(name string, d *Defs) (*Circuit, error) {
+	s, order, err := d.check(name)
+	if err != nil {
+		return nil, err
+	}
 	nIn, nG := len(d.Inputs), len(d.Gates)
-	if len(d.Kinds) != nG || len(d.Drivers) != len(d.Outputs) {
-		return nil, fmt.Errorf("circuit %s: %d gates with %d kinds, %d outputs with %d drivers",
-			name, nG, len(d.Kinds), len(d.Outputs), len(d.Drivers))
-	}
-	c := &Circuit{Name: name, byName: make(map[string]NodeID, nIn+nG)}
-	fan, err := d.index(c.byName)
-	if err != nil {
-		return nil, fmt.Errorf("circuit %s: %w", name, err)
-	}
-	for g, kind := range d.Kinds {
-		if !kind.Valid() {
-			return nil, fmt.Errorf("circuit %s: %sgate %q: invalid kind %d", name, d.at(g), d.Gates[g], uint8(kind))
-		}
-		lo, hi := d.args(g)
-		if err := checkArity(kind, int(hi-lo)); err != nil {
-			return nil, fmt.Errorf("circuit %s: %sgate %q: %w", name, d.at(g), d.Gates[g], err)
-		}
-	}
-	order, err := d.order(fan)
-	if err != nil {
-		return nil, fmt.Errorf("circuit %s: %w", name, err)
-	}
+	c := &Circuit{Name: name, byName: s.names}
 
 	// id maps a provisional ID (index's numbering) to the final one.
 	id := make([]NodeID, nIn+nG)
@@ -216,8 +324,8 @@ func Build(name string, d *Defs) (*Circuit, error) {
 	}
 	c.Nodes = make([]Node, nIn+nG)
 	c.PIs = make([]NodeID, nIn)
-	for i, s := range d.Inputs {
-		c.Nodes[i] = Node{Name: s, IsPI: true}
+	for i, in := range d.Inputs {
+		c.Nodes[i] = Node{Name: in, IsPI: true}
 		c.PIs[i] = NodeID(i)
 	}
 	fanin := make([]NodeID, len(d.Args))
@@ -226,7 +334,7 @@ func Build(name string, d *Defs) (*Circuit, error) {
 	for pos, g := range order {
 		lo, hi := d.args(int(g))
 		pins := fanin[at : at+int(hi-lo) : at+int(hi-lo)]
-		for j, f := range fan[lo:hi] {
+		for j, f := range s.fan[lo:hi] {
 			pins[j] = id[f]
 			fanouts[id[f]]++
 		}
@@ -240,19 +348,14 @@ func Build(name string, d *Defs) (*Circuit, error) {
 
 	c.POs = make([]PO, len(d.Outputs))
 	for i, po := range d.Outputs {
-		drv, ok := c.byName[d.Drivers[i]]
-		if !ok {
-			return nil, fmt.Errorf("circuit %s: output %q has no driver", name, po)
-		}
+		drv := c.byName[d.Drivers[i]]
 		if po == d.Drivers[i] {
 			po = c.Nodes[drv].Name // share the node's copy of the name
 		}
 		c.POs[i] = PO{Name: po, Driver: drv}
 	}
 	c.version = uint64(nIn + nG + len(d.Outputs))
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
+	c.validVersion, c.validValid = c.version, true
 	return c, nil
 }
 

@@ -140,6 +140,9 @@ func TestOrderMatchesPassLoop(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", spec.Name, seed, err)
 			}
+			if err := built.ValidateUncached(); err != nil {
+				t.Fatalf("%s seed %d: Build's result is invalid: %v", spec.Name, seed, err)
+			}
 			sameCircuit(t, built, addOneByOne(t, spec.Name, d, want))
 		}
 	}
@@ -182,7 +185,7 @@ func TestOrderRejects(t *testing.T) {
 }
 
 // TestBuildChecks: Build makes AddGate's checks — kind, arity — and
-// AddPO's, and Validate's.
+// AddPO's, and Validate's; Check makes the same, with the same errors.
 func TestBuildChecks(t *testing.T) {
 	ok := func() *circuit.Defs {
 		return &circuit.Defs{
@@ -194,6 +197,9 @@ func TestBuildChecks(t *testing.T) {
 	if _, err := circuit.Build("ok", ok()); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := ok().Check("ok"); err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string]func(d *circuit.Defs){
 		"invalid kind":  func(d *circuit.Defs) { d.Kinds[0] = logic.Kind(logic.NumKinds) },
 		"arity":         func(d *circuit.Defs) { d.Kinds[0] = logic.Inv },
@@ -202,12 +208,20 @@ func TestBuildChecks(t *testing.T) {
 		"duplicate pin": func(d *circuit.Defs) { d.Args[1] = "a" },
 		"no outputs":    func(d *circuit.Defs) { d.Outputs, d.Drivers = nil, nil },
 		"kinds short":   func(d *circuit.Defs) { d.Kinds = nil },
+		"no inputs":     func(d *circuit.Defs) { d.Inputs, d.Args, d.Kinds[0] = nil, nil, logic.Const1; d.Ends[0] = 0 },
+		"empty PO name": func(d *circuit.Defs) { d.Outputs[0] = "" },
+		"cycle":         func(d *circuit.Defs) { d.Args[1] = "q" },
+		"undefined":     func(d *circuit.Defs) { d.Args[1] = "zz" },
 	}
 	for name, edit := range cases {
 		d := ok()
 		edit(d)
-		if _, err := circuit.Build(name, d); err == nil {
+		_, err := circuit.Build(name, d)
+		if err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+		if _, cerr := d.Check(name); fmt.Sprint(cerr) != fmt.Sprint(err) {
+			t.Errorf("%s: Check error %v, Build error %v", name, cerr, err)
 		}
 	}
 	d := ok()

@@ -127,6 +127,33 @@ func (c *Circuit) Lookup(name string) (NodeID, bool) {
 	return id, ok
 }
 
+// Netlist is read-only access to a netlist's signals by name: what a
+// structural comparison of two netlists reads, with node IDs that mean
+// something only to the Netlist that handed them out. *Circuit provides
+// it, and so does *Staged, which builds no nodes.
+type Netlist interface {
+	// Lookup returns the node driving the signal name, or (None, false).
+	Lookup(name string) (NodeID, bool)
+	// NodeName returns the name of the signal node id drives.
+	NodeName(id NodeID) string
+	// Gate returns node id's kind and fanin (shared, read-only), or ok
+	// false for a primary input.
+	Gate(id NodeID) (kind logic.Kind, fanin []NodeID, ok bool)
+}
+
+// NodeName returns node id's name.
+func (c *Circuit) NodeName(id NodeID) string { return c.Nodes[id].Name }
+
+// Gate returns node id's kind and fanin (owned by the circuit, read-only),
+// or ok false for a primary input.
+func (c *Circuit) Gate(id NodeID) (kind logic.Kind, fanin []NodeID, ok bool) {
+	nd := &c.Nodes[id]
+	if nd.IsPI {
+		return 0, nil, false
+	}
+	return nd.Kind, nd.Fanin, true
+}
+
 // MustLookup is Lookup but panics on a missing name; intended for tests and
 // generators where the name is known to exist.
 func (c *Circuit) MustLookup(name string) NodeID {

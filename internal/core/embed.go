@@ -16,13 +16,20 @@ import (
 type Assignment [][]int
 
 // EmptyAssignment returns the all-unmodified assignment for a.
+// The rows share one slab, each capped at its length.
 func EmptyAssignment(a *Analysis) Assignment {
 	asg := make(Assignment, len(a.Locations))
+	n := 0
 	for i := range a.Locations {
-		asg[i] = make([]int, len(a.Locations[i].Targets))
-		for j := range asg[i] {
-			asg[i][j] = -1
-		}
+		n += len(a.Locations[i].Targets)
+	}
+	slab := make([]int, n)
+	for k := range slab {
+		slab[k] = -1
+	}
+	for i := range a.Locations {
+		n := len(a.Locations[i].Targets)
+		asg[i], slab = slab[:n:n], slab[n:]
 	}
 	return asg
 }

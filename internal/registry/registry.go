@@ -7,11 +7,11 @@
 // registry cannot accidentally be used with the wrong netlist.
 //
 // A Registry is safe for concurrent use: IssueBatch, TraceExact, TraceScores,
-// Buyers, Save and AppendJSON may be called from any number of goroutines
-// (the serving daemon in internal/serve does exactly that). The expensive
-// circuit work — embedding a copy, extracting a suspect's assignment — runs
-// outside the internal lock; only the buyer-ordered record list and the
-// indexes derived from it are guarded.
+// ExactBuyer, Scores, Buyers, Save and AppendJSON may be called from any
+// number of goroutines (the serving daemon in internal/serve does exactly
+// that). The expensive circuit work — embedding a copy, extracting a
+// suspect's assignment — runs outside the internal lock; only the
+// buyer-ordered record list and the indexes derived from it are guarded.
 package registry
 
 import (
@@ -490,13 +490,32 @@ func (r *Registry) Value(buyer string) (string, bool) {
 }
 
 // TraceExact extracts the fingerprint of an untampered suspect copy and
-// returns the buyer it was issued to.
+// returns the buyer it was issued to: core.Extract, then ExactBuyer. It
+// and TraceScores serve callers that hold a built circuit: cmd/odcfp, the
+// examples and perfbench's traced replay.
 func (r *Registry) TraceExact(a *core.Analysis, suspect *circuit.Circuit) (string, error) {
-	if err := r.check(a); err != nil {
-		return "", err
-	}
 	asg, err := core.Extract(a, suspect)
 	if err != nil {
+		return "", err
+	}
+	return r.ExactBuyer(a, asg)
+}
+
+// TraceScores scores every registered buyer against a possibly tampered
+// suspect copy: core.ExtractTolerant, then Scores.
+func (r *Registry) TraceScores(a *core.Analysis, suspect *circuit.Circuit) ([]Score, error) {
+	got, _, err := core.ExtractTolerant(a, suspect)
+	if err != nil {
+		return nil, err
+	}
+	return r.Scores(a, got)
+}
+
+// ExactBuyer returns the buyer whose recorded fingerprint is asg, an
+// assignment extracted from an untampered suspect (core.Extract, or
+// core.ExtractTolerant with no tampered slot).
+func (r *Registry) ExactBuyer(a *core.Analysis, asg core.Assignment) (string, error) {
+	if err := r.check(a); err != nil {
 		return "", err
 	}
 	v, err := a.IntFromAssignment(asg)
@@ -519,17 +538,14 @@ func (r *Registry) TraceExact(a *core.Analysis, suspect *circuit.Circuit) (strin
 	return buyer, nil
 }
 
-// TraceScores scores every registered buyer against a possibly tampered
-// suspect with the marking-assumption scoring (Score), best first and ties
-// by buyer name. It scores against the resident table (built on the first
-// call), so a trace decodes no record, and ranks without comparing names
-// (table.scores).
-func (r *Registry) TraceScores(a *core.Analysis, suspect *circuit.Circuit) ([]Score, error) {
+// Scores scores every registered buyer against got, the assignment
+// core.ExtractTolerant extracted with a from a possibly tampered suspect
+// (so it has a's shape), with the marking-assumption scoring (Score),
+// best first and ties by buyer name. It scores against the resident table
+// (built on the first call), so a trace decodes no record, and ranks
+// without comparing names (table.scores).
+func (r *Registry) Scores(a *core.Analysis, got core.Assignment) ([]Score, error) {
 	if err := r.check(a); err != nil {
-		return nil, err
-	}
-	got, _, err := core.ExtractTolerant(a, suspect)
-	if err != nil {
 		return nil, err
 	}
 	r.mu.RLock()

@@ -81,7 +81,7 @@ type TraceResponse struct {
 }
 
 // SetScores fills the ?scores=1 fields from a registry ranking
-// (registry.TraceScores): Threshold, FullRemoval and Implicated at
+// (registry.Scores): Threshold, FullRemoval and Implicated at
 // threshold, and the scores the encoders write, which are read from
 // scores itself and not copied into Scores.
 func (r *TraceResponse) SetScores(scores []registry.Score, threshold float64) {
@@ -584,7 +584,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.withWorker(w, r, "trace", func(ctx context.Context) error {
-		suspect, err := parseNetlist(format, data)
+		suspect, err := stageSuspect(format, data)
 		if err != nil {
 			return apiErrorf(http.StatusBadRequest, "parsing %s suspect: %v", format, err)
 		}
@@ -596,10 +596,22 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
-		resp := TraceResponse{Digest: d.digest}
-		if exact, err := reg.TraceExact(a, suspect); err == nil {
-			resp.Exact = exact
+		// One extraction answers both questions. The suspect can match a
+		// buyer exactly only with no slot tampered, which is exactly when
+		// core.Extract succeeds, with this assignment.
+		asg, tampered, err := core.ExtractTolerant(a, suspect)
+		if err != nil {
+			return err
 		}
+		resp := TraceResponse{Digest: d.digest}
+		exact := func() {
+			if len(tampered) == 0 {
+				if buyer, err := reg.ExactBuyer(a, asg); err == nil {
+					resp.Exact = buyer
+				}
+			}
+		}
+		exact()
 		if resp.Exact == "" && s.cluster != nil {
 			// Read repair: a copy acknowledged by a now-dead leader may not
 			// have replicated here yet. A miss is cheap and rare, so pull the
@@ -609,14 +621,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 				mTraceRepairs.Inc()
 				if reg2, err := s.registryOf(d, a); err == nil {
 					reg = reg2
-					if exact, err := reg.TraceExact(a, suspect); err == nil {
-						resp.Exact = exact
-					}
+					exact()
 				}
 			}
 		}
 		if wantScores {
-			scores, err := reg.TraceScores(a, suspect)
+			scores, err := reg.Scores(a, asg)
 			if err != nil {
 				return apiErrorf(http.StatusUnprocessableEntity, "trace: %v", err)
 			}

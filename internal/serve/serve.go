@@ -441,6 +441,21 @@ func parseNetlist(format string, data []byte) (*circuit.Circuit, error) {
 	}
 }
 
+// stageSuspect reads a suspect netlist for a trace. A .bench or Verilog
+// suspect is staged (benchfmt.Stage, verilog.Stage): accepted and refused
+// exactly as parseNetlist would, with the same error, but no circuit is
+// built. Other formats go through parseNetlist; a BLIF suspect is
+// technology-mapped into a circuit.
+func stageSuspect(format string, data []byte) (circuit.Netlist, error) {
+	switch strings.ToLower(format) {
+	case "bench":
+		return benchfmt.Stage(bytes.NewReader(data))
+	case "v", "verilog":
+		return verilog.Stage(bytes.NewReader(data))
+	}
+	return parseNetlist(format, data)
+}
+
 // writeNetlist encodes c in the given output format ("bench" or "v").
 func writeNetlist(w io.Writer, format string, c *circuit.Circuit) error {
 	switch strings.ToLower(format) {

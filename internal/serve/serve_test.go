@@ -581,6 +581,58 @@ func TestServeErrors(t *testing.T) {
 	}
 }
 
+// TestTraceRejectsAsParse: a suspect of each reject class — the checks a
+// built circuit's Validate made, a cycle, an undefined signal, a duplicate
+// definition, an unknown kind and a bad arity — is refused by /trace,
+// which stages rather than builds it, with 400 and the error text
+// parseNetlist gives, in .bench and in Verilog.
+func TestTraceRejectsAsParse(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	info, _ := uploadDesign(t, ts.URL, benchBytes(t, "c432"))
+	module := func(body string) string {
+		return "module m (a, b, q);\n input a, b;\n output q;\n" + body + "endmodule\n"
+	}
+	cases := []struct{ name, format, src string }{
+		{"no inputs", "bench", "OUTPUT(q)\nq = VDD()\n"},
+		{"no outputs", "bench", "INPUT(a)\nq = NOT(a)\n"},
+		{"duplicate fanin", "bench", "INPUT(a)\nOUTPUT(q)\nq = AND(a, a)\n"},
+		{"output repeated after _dup", "bench", "INPUT(a)\nOUTPUT(a)\nOUTPUT(a)\nOUTPUT(a)\n"},
+		{"cycle", "bench", "INPUT(a)\nOUTPUT(q)\nx = NOT(y)\ny = NOT(x)\nq = AND(a, x)\n"},
+		{"undefined signal", "bench", "INPUT(a)\nOUTPUT(q)\nq = AND(a, zz)\n"},
+		{"duplicate definition", "bench", "INPUT(a)\nOUTPUT(q)\nq = NOT(a)\nq = BUFF(a)\n"},
+		{"unknown kind", "bench", "INPUT(a)\nOUTPUT(q)\nq = MUX(a)\n"},
+		{"bad arity", "bench", "INPUT(a)\nINPUT(b)\nOUTPUT(q)\nq = NOT(a, b)\n"},
+		{"no inputs", "v", "module m (q);\n output q;\n assign q = 1'b1;\nendmodule\n"},
+		{"no outputs", "v", "module m (a);\n input a;\n wire q;\n not g0 (q, a);\nendmodule\n"},
+		{"duplicate fanin", "v", module(" and g0 (q, a, a);\n")},
+		{"duplicate output", "v", "module m (a, q);\n input a;\n output q, q;\n not g0 (q, a);\nendmodule\n"},
+		{"cycle", "v", module(" wire x, y;\n not g0 (x, y);\n not g1 (y, x);\n and g2 (q, a, x);\n")},
+		{"undefined signal", "v", module(" and g0 (q, a, zz);\n")},
+		{"duplicate definition", "v", module(" not g0 (q, a);\n buf g1 (q, b);\n")},
+		{"bad arity", "v", module(" not g0 (q, a, b);\n")},
+	}
+	for _, tc := range cases {
+		_, perr := parseNetlist(tc.format, []byte(tc.src))
+		if perr == nil {
+			t.Fatalf("%s (%s): parseNetlist accepted it", tc.name, tc.format)
+		}
+		resp, err := http.Post(ts.URL+"/designs/"+info.Digest+"/trace?format="+tc.format, "text/plain", strings.NewReader(tc.src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("parsing %s suspect: %v", tc.format, perr)
+		if resp.StatusCode != http.StatusBadRequest || body.Error != want {
+			t.Errorf("%s (%s): %d %q, want 400 %q", tc.name, tc.format, resp.StatusCode, body.Error, want)
+		}
+	}
+}
+
 // TestTraceOutcomeSignals: every trace response carries the accusation
 // count in X-Odcfp-Accused, scored traces of a stripped/never-issued copy
 // report full_removal instead of an empty implication list, and both

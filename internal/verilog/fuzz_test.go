@@ -2,9 +2,12 @@ package verilog
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/sim"
 )
 
@@ -19,9 +22,14 @@ func FuzzParse(f *testing.F) {
 	f.Add("garbage")
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := Parse(strings.NewReader(src))
+		s, serr := Stage(strings.NewReader(src))
+		if fmt.Sprint(err) != fmt.Sprint(serr) {
+			t.Fatalf("Parse error %v, Stage error %v", err, serr)
+		}
 		if err != nil {
 			return
 		}
+		sameNetlist(t, s, c)
 		if err := c.Validate(); err != nil {
 			t.Fatalf("accepted circuit invalid: %v", err)
 		}
@@ -40,4 +48,30 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameNetlist fails unless the staged netlist s reads as the built circuit
+// c does through circuit.Netlist: the same signals, each a primary input
+// in both or a gate of the same kind reading the same signals in order.
+func sameNetlist(t *testing.T, s *circuit.Staged, c *circuit.Circuit) {
+	t.Helper()
+	names := func(nl circuit.Netlist, ids []circuit.NodeID) []string {
+		out := make([]string, len(ids))
+		for i, id := range ids {
+			out[i] = nl.NodeName(id)
+		}
+		return out
+	}
+	for i := range c.Nodes {
+		name := c.Nodes[i].Name
+		id, ok := s.Lookup(name)
+		if !ok || s.NodeName(id) != name {
+			t.Fatalf("staged netlist lacks %q", name)
+		}
+		kind, fanin, gate := s.Gate(id)
+		ckind, cfanin, cgate := c.Gate(circuit.NodeID(i))
+		if gate != cgate || kind != ckind || !slices.Equal(names(s, fanin), names(c, cfanin)) {
+			t.Fatalf("%q: staged %v %v %v, built %v %v %v", name, gate, kind, names(s, fanin), cgate, ckind, names(c, cfanin))
+		}
+	}
 }

@@ -200,9 +200,41 @@ func writeDecl(w io.Writer, kw string, names []string) {
 // Parse reads a structural Verilog module written in the subset produced by
 // Write (and by ABC's mapped-netlist output with primitive gates).
 func Parse(r io.Reader) (*circuit.Circuit, error) {
-	toks, err := tokenize(r)
+	name, d, err := stage(r)
 	if err != nil {
 		return nil, err
+	}
+	// Gates may read signals defined later in the file; Build adds them in
+	// definition order.
+	c, err := circuit.Build(name, d)
+	if err != nil {
+		return nil, fmt.Errorf("verilog: %w", err)
+	}
+	return c, nil
+}
+
+// Stage reads a module as Parse does and accepts or rejects it as Parse
+// would, with the same error, but builds no circuit: the result is the
+// staged netlist (circuit.Defs.Check). It is for reading a netlist once,
+// as a trace reads a suspect.
+func Stage(r io.Reader) (*circuit.Staged, error) {
+	name, d, err := stage(r)
+	if err != nil {
+		return nil, err
+	}
+	s, err := d.Check(name)
+	if err != nil {
+		return nil, fmt.Errorf("verilog: %w", err)
+	}
+	return s, nil
+}
+
+// stage reads a module into its name and definitions, making the reader's
+// own checks: tokens, statement syntax, identifiers, assign forms.
+func stage(r io.Reader) (string, *circuit.Defs, error) {
+	toks, err := tokenize(r)
+	if err != nil {
+		return "", nil, err
 	}
 	p := &parser{toks: toks}
 	return p.module()
@@ -297,22 +329,22 @@ type assignStmt struct {
 	rhs string // identifier, "1'b0" or "1'b1"
 }
 
-func (p *parser) module() (*circuit.Circuit, error) {
+func (p *parser) module() (string, *circuit.Defs, error) {
 	if err := p.expect("module"); err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	name := p.next()
 	if !validIdent(name) {
-		return nil, fmt.Errorf("verilog: bad module name %q", name)
+		return "", nil, fmt.Errorf("verilog: bad module name %q", name)
 	}
 	if err := p.expect("("); err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	if _, err := p.identList(")"); err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	if err := p.expect(";"); err != nil {
-		return nil, err
+		return "", nil, err
 	}
 
 	var inputs, outputs []string
@@ -324,25 +356,25 @@ func (p *parser) module() (*circuit.Circuit, error) {
 		t := p.next()
 		switch t {
 		case "":
-			return nil, fmt.Errorf("verilog: unexpected EOF (missing endmodule)")
+			return "", nil, fmt.Errorf("verilog: unexpected EOF (missing endmodule)")
 		case "endmodule":
-			return build(name, inputs, outputs, gates, assigns, wires)
+			return defs(name, inputs, outputs, gates, assigns, wires)
 		case "input":
 			l, err := p.identList(";")
 			if err != nil {
-				return nil, err
+				return "", nil, err
 			}
 			inputs = append(inputs, l...)
 		case "output":
 			l, err := p.identList(";")
 			if err != nil {
-				return nil, err
+				return "", nil, err
 			}
 			outputs = append(outputs, l...)
 		case "wire":
 			l, err := p.identList(";")
 			if err != nil {
-				return nil, err
+				return "", nil, err
 			}
 			for _, w := range l {
 				wires[w] = true
@@ -350,47 +382,47 @@ func (p *parser) module() (*circuit.Circuit, error) {
 		case "assign":
 			lhs := p.next()
 			if !validIdent(lhs) {
-				return nil, fmt.Errorf("verilog: bad assign LHS %q", lhs)
+				return "", nil, fmt.Errorf("verilog: bad assign LHS %q", lhs)
 			}
 			if err := p.expect("="); err != nil {
-				return nil, err
+				return "", nil, err
 			}
 			rhs := p.next()
 			if err := p.expect(";"); err != nil {
-				return nil, err
+				return "", nil, err
 			}
 			assigns = append(assigns, assignStmt{lhs, rhs})
 		default:
 			kind, ok := primitiveToKind[t]
 			if !ok {
-				return nil, fmt.Errorf("verilog: unsupported statement starting with %q", t)
+				return "", nil, fmt.Errorf("verilog: unsupported statement starting with %q", t)
 			}
 			// Optional instance name.
 			if p.peek() != "(" {
 				inst := p.next()
 				if !validIdent(inst) {
-					return nil, fmt.Errorf("verilog: bad instance name %q", inst)
+					return "", nil, fmt.Errorf("verilog: bad instance name %q", inst)
 				}
 			}
 			if err := p.expect("("); err != nil {
-				return nil, err
+				return "", nil, err
 			}
 			args, err := p.identList(")")
 			if err != nil {
-				return nil, err
+				return "", nil, err
 			}
 			if err := p.expect(";"); err != nil {
-				return nil, err
+				return "", nil, err
 			}
 			if len(args) < 2 {
-				return nil, fmt.Errorf("verilog: primitive %q needs output and inputs", t)
+				return "", nil, fmt.Errorf("verilog: primitive %q needs output and inputs", t)
 			}
 			gates = append(gates, gateStmt{kind: kind, out: args[0], in: args[1:]})
 		}
 	}
 }
 
-func build(name string, inputs, outputs []string, gates []gateStmt, assigns []assignStmt, wires map[string]bool) (*circuit.Circuit, error) {
+func defs(name string, inputs, outputs []string, gates []gateStmt, assigns []assignStmt, wires map[string]bool) (string, *circuit.Defs, error) {
 	isOutput := make(map[string]bool, len(outputs))
 	for _, o := range outputs {
 		isOutput[o] = true
@@ -413,7 +445,7 @@ func build(name string, inputs, outputs []string, gates []gateStmt, assigns []as
 			add(a.lhs, logic.Const1)
 		default:
 			if !validIdent(a.rhs) {
-				return nil, fmt.Errorf("verilog: unsupported assign RHS %q", a.rhs)
+				return "", nil, fmt.Errorf("verilog: unsupported assign RHS %q", a.rhs)
 			}
 			if isOutput[a.lhs] {
 				aliases[a.lhs] = a.rhs
@@ -432,11 +464,5 @@ func build(name string, inputs, outputs []string, gates []gateStmt, assigns []as
 		}
 	}
 	_ = wires // declarations are advisory in this subset
-	// Gates may read signals defined later in the file; Build adds them in
-	// definition order.
-	c, err := circuit.Build(name, &d)
-	if err != nil {
-		return nil, fmt.Errorf("verilog: %w", err)
-	}
-	return c, nil
+	return name, &d, nil
 }

@@ -10,8 +10,10 @@
 #   4. with KILL=1, `kill -9` one replica mid-run, once the replicas have
 #      served a quarter of the load's request count (their /metrics
 #      serve.requests, summed); a load that finishes first fails the smoke.
-#      The load must finish with zero failures — acknowledged issuances keep
-#      tracing from survivors
+#      The victim is the replica that has served the most requests by then,
+#      so the kill always lands on one carrying traffic. The load must
+#      finish with zero failures — acknowledged issuances keep tracing from
+#      survivors
 #   5. poll /cluster/status?sync=1 on every survivor until their per-design
 #      totals agree and sum to exactly the records issued (convergence, and
 #      no acknowledged record lost)
@@ -117,18 +119,31 @@ for node in $(echo "$NODES" | tr ',' ' '); do
     start_node "$port" "$WORK/store-$i" -cluster "$NODES" -node "$node" -rf "$RF"
     i=$((i + 1))
 done
-set -- $PIDS
-VICTIM_PID=$(eval echo \${$REPLICAS})
+# REPLICA_PIDS lists "port:pid" per replica, in node order; SURVIVORS the
+# replicas' ports still expected alive (all, until the kill).
+REPLICA_PIDS=""
+i=0
+for pid in $PIDS; do
+    REPLICA_PIDS="$REPLICA_PIDS $((BASE_PORT + 1 + i)):$pid"
+    i=$((i + 1))
+done
+SURVIVORS=""
+for pp in $REPLICA_PIDS; do SURVIVORS="$SURVIVORS ${pp%%:*}"; done
 
-# served — prints serve.requests summed over every replica's /metrics (peer
+# requests_of PORT — prints that replica's /metrics serve.requests (peer
 # traffic and these polls included; a dead replica counts 0).
+requests_of() {
+    v=$(curl -sf "http://127.0.0.1:$1/metrics" | tr -d ' \n' \
+        | grep -o '"name":"serve.requests"[^}]*' | grep -o '"value":[0-9]*' \
+        | tr -dc '0-9' || true)
+    echo "${v:-0}"
+}
+
+# served — prints serve.requests summed over every replica.
 served() {
     sum=0
-    for node in $(echo "$NODES" | tr ',' ' '); do
-        v=$(curl -sf "$node/metrics" | tr -d ' \n' \
-            | grep -o '"name":"serve.requests"[^}]*' | grep -o '"value":[0-9]*' \
-            | tr -dc '0-9' || true)
-        sum=$((sum + ${v:-0}))
+    for pp in $REPLICA_PIDS; do
+        sum=$((sum + $(requests_of "${pp%%:*}")))
     done
     echo "$sum"
 }
@@ -151,8 +166,20 @@ if [ "$KILL" = "1" ]; then
         echo "cluster-smoke: load finished before the kill ($SERVED requests served, kill due at $((N / 4)))"
         exit 1
     fi
-    kill -9 "$VICTIM_PID"
-    echo "cluster-smoke: killed replica $REPLICAS (pid $VICTIM_PID) mid-run, after $SERVED requests served"
+    # The victim is the replica that has served the most so far.
+    VICTIM="" MOST=-1 COUNTS=""
+    for pp in $REPLICA_PIDS; do
+        n=$(requests_of "${pp%%:*}")
+        COUNTS="$COUNTS ${pp%%:*}=$n"
+        if [ "$n" -gt "$MOST" ]; then VICTIM=$pp MOST=$n; fi
+    done
+    VICTIM_PORT=${VICTIM%%:*}
+    kill -9 "${VICTIM##*:}"
+    SURVIVORS=""
+    for pp in $REPLICA_PIDS; do
+        [ "$pp" = "$VICTIM" ] || SURVIVORS="$SURVIVORS ${pp%%:*}"
+    done
+    echo "cluster-smoke: killed replica :$VICTIM_PORT (pid ${VICTIM##*:}, busiest of per-replica requests$COUNTS) mid-run, after $SERVED requests served"
     wait "$LPID" || { echo "cluster-smoke: load failed after node kill"; exit 1; }
 else
     "$WORK/loadgen" -addr "$ADDRS" -designs "$DESIGNS" -preseed "$PRESEED" \
@@ -165,33 +192,25 @@ fi
 # duplicated. ?sync=1 makes each poll an anti-entropy pull, so a straggler
 # that lost its fan-out source to the kill still converges.
 EXPECT=$((DESIGNS * PRESEED + N / 2))
-SURVIVORS=$REPLICAS
-[ "$KILL" = "1" ] && SURVIVORS=$((REPLICAS - 1))
-echo "cluster-smoke: awaiting convergence on $SURVIVORS survivors ($EXPECT records)"
+echo "cluster-smoke: awaiting convergence on survivors$(echo "$SURVIVORS" | sed 's/ / :/g') ($EXPECT records)"
 tries=0
 while :; do
     agreed=""
     ok=1
-    i=0
-    while [ "$i" -lt "$SURVIVORS" ]; do
-        port=$((BASE_PORT + 1 + i))
+    for port in $SURVIVORS; do
         totals=$(curl -sf "http://127.0.0.1:$port/cluster/status?sync=1" \
             | tr -d ' \n\t' | grep -o '"totals":{[^}]*}' || true)
         sum=$(echo "$totals" | grep -o ':[0-9]*' | tr -d ':' | awk '{s+=$1} END{print s+0}')
         if [ -z "$totals" ] || [ "$sum" != "$EXPECT" ]; then ok=0; fi
         if [ -z "$agreed" ]; then agreed=$totals
         elif [ "$totals" != "$agreed" ]; then ok=0; fi
-        i=$((i + 1))
     done
     [ "$ok" = "1" ] && break
     tries=$((tries + 1))
     if [ "$tries" -gt 60 ]; then
         echo "cluster-smoke: survivors never converged (want sum $EXPECT)"
-        i=0
-        while [ "$i" -lt "$SURVIVORS" ]; do
-            port=$((BASE_PORT + 1 + i))
+        for port in $SURVIVORS; do
             curl -s "http://127.0.0.1:$port/cluster/status" || true; echo
-            i=$((i + 1))
         done
         exit 1
     fi
@@ -200,12 +219,11 @@ done
 echo "cluster-smoke: registries converged: $agreed"
 
 echo "cluster-smoke: draining survivors with SIGTERM"
-i=0
-for pid in $PIDS; do
-    i=$((i + 1))
-    [ "$KILL" = "1" ] && [ "$i" = "$REPLICAS" ] && continue
+for pp in $REPLICA_PIDS; do
+    port=${pp%%:*} pid=${pp##*:}
+    case " $SURVIVORS " in *" $port "*) ;; *) continue ;; esac
     kill -TERM "$pid"
-    wait "$pid" || { echo "cluster-smoke: replica $i exited non-zero; log tail:"; tail -n 40 "$WORK/daemon.$((BASE_PORT + i)).log"; exit 1; }
+    wait "$pid" || { echo "cluster-smoke: replica :$port exited non-zero; log tail:"; tail -n 40 "$WORK/daemon.$port.log"; exit 1; }
 done
 PIDS=""
 
