@@ -128,13 +128,14 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # One iteration of each root benchmark CI exercises: the verification
-# engines, the simulation kernels, registry tracing, snapshot writes and
-# replay, the ODC and SDC analysis scans, the .bench reader and writer,
+# engines, embedding issued copies, the simulation kernels, registry
+# tracing, snapshot writes and replay, the ODC and SDC analysis scans, the
+# .bench reader and writer,
 # a trace's suspect → assignment step in .bench and Verilog,
 # one 10 000-copy async job through an in-process daemon, and the design
 # digest (internal/core). Catches a benchmark that no longer builds or runs.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkVerifyWindows|BenchmarkCertifierCompose|BenchmarkSweepWorking|BenchmarkEmbedExtract|BenchmarkVerifySession|BenchmarkVerifyColdCEC|BenchmarkPackedSim|BenchmarkSimRun|BenchmarkExhaustive|BenchmarkTraceScores|BenchmarkTraceResponse|BenchmarkRegistrySave|BenchmarkRegistryAdopt|BenchmarkLocalAppendAfterGC|BenchmarkAnalyze|BenchmarkSDCAnalyze|BenchmarkBenchParse|BenchmarkBenchWrite|BenchmarkTraceExtract|BenchmarkAsyncJob' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkVerifyWindows|BenchmarkCertifierCompose|BenchmarkSweepWorking|BenchmarkEmbedExtract|BenchmarkEmbedIssue|BenchmarkVerifySession|BenchmarkVerifyColdCEC|BenchmarkPackedSim|BenchmarkSimRun|BenchmarkExhaustive|BenchmarkTraceScores|BenchmarkTraceResponse|BenchmarkRegistrySave|BenchmarkRegistryAdopt|BenchmarkLocalAppendAfterGC|BenchmarkAnalyze|BenchmarkSDCAnalyze|BenchmarkBenchParse|BenchmarkBenchWrite|BenchmarkTraceExtract|BenchmarkAsyncJob' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench '^BenchmarkDesignDigest$$' -benchtime 1x -benchmem ./internal/core/
 
 # Incremental-verification baseline: 64 fingerprint copies through the

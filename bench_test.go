@@ -433,6 +433,33 @@ func BenchmarkEmbedExtract(b *testing.B) {
 	})
 }
 
+// BenchmarkEmbedIssue builds c5315 copies as /issue does: each buyer's
+// value comes from the registry's derivation and is decoded and embedded.
+// The 256 seeded buyers cycle, so every copy is a different selection.
+func BenchmarkEmbedIssue(b *testing.B) {
+	a, _ := verifyFixture(b, "c5315", 0)
+	buyers := make([]string, 256)
+	for i := range buyers {
+		buyers[i] = fmt.Sprintf("buyer-%d", i)
+	}
+	items, err := registry.New(a).IssueBatchValues(context.Background(), a, buyers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		asg, err := a.AssignmentFromInt(items[i%len(items)].Value)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.Embed(a, asg); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}
+
 func BenchmarkSTA(b *testing.B) {
 	lib := cell.Default()
 	for _, name := range []string{"c880", "des"} {

@@ -256,7 +256,8 @@ func cmdFingerprint(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := res.Verify(); err != nil {
+	proof, err := res.Verify()
+	if err != nil {
 		return fmt.Errorf("embedded fingerprint failed verification: %w", err)
 	}
 	if err := writeCircuit(*out, res.Fingerprinted); err != nil {
@@ -266,7 +267,7 @@ func cmdFingerprint(args []string) error {
 		res.Assignment.CountActive(), res.Analysis.NumLocations(), res.Analysis.Capacity().Log2Combos)
 	fmt.Printf("overhead: area %+.2f%%  delay %+.2f%%  power %+.2f%%\n",
 		100*res.Overhead.Area, 100*res.Overhead.Delay, 100*res.Overhead.Power)
-	fmt.Printf("verified functionally equivalent (simulation + SAT)\n")
+	fmt.Printf("verified functionally equivalent (%s)\n", proof)
 	return nil
 }
 

@@ -37,7 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := res.Verify(); err != nil {
+	if _, err := res.Verify(); err != nil {
 		log.Fatal(err) // SAT-proved: the fingerprint never changes F
 	}
 	fmt.Println("embedded 1 bit; SAT proves the fingerprinted copy ≡ original")
@@ -61,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := res2.Verify(); err != nil {
+	if _, err := res2.Verify(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("buyer 42's copy: area %+0.2f%%, delay %+0.2f%%, power %+0.2f%%\n",

@@ -106,7 +106,7 @@ func TestFileLevelFingerprintFlow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := res.Verify(); err != nil {
+			if _, err := res.Verify(); err != nil {
 				t.Fatal(err)
 			}
 			// Serialise the fingerprinted netlist as Verilog and .bench,

@@ -311,17 +311,28 @@ func keepNames(d *circuit.Defs) {
 
 // Write emits the circuit in .bench form. POs whose name differs from the
 // driver get a BUFF alias so OUTPUT() lines reference real signals. The
-// netlist is built in one buffer and handed to w in a single Write; on an
-// error nothing is written.
+// netlist is built in one buffer (Bytes) and handed to w in a single Write;
+// on an error nothing is written.
 func Write(w io.Writer, c *circuit.Circuit) error {
+	b, err := Bytes(c)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// Bytes returns the bytes Write writes, in the one buffer it builds them
+// in.
+func Bytes(c *circuit.Circuit) ([]byte, error) {
 	for _, po := range c.POs {
 		if id, clash := c.Lookup(po.Name); clash && id != po.Driver {
-			return fmt.Errorf("benchfmt: PO %q collides with an unrelated node", po.Name)
+			return nil, fmt.Errorf("benchfmt: PO %q collides with an unrelated node", po.Name)
 		}
 	}
 	order, err := c.TopoOrder()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// A rough estimate of a gate line; append grows the buffer if needed.
 	b := make([]byte, 0, 32*len(c.Nodes))
@@ -351,7 +362,7 @@ func Write(w io.Writer, c *circuit.Circuit) error {
 			continue
 		}
 		if !nd.Kind.Valid() {
-			return fmt.Errorf("benchfmt: node %q has unsupported kind %v", nd.Name, nd.Kind)
+			return nil, fmt.Errorf("benchfmt: node %q has unsupported kind %v", nd.Name, nd.Kind)
 		}
 		b = append(b, nd.Name...)
 		b = append(b, " = "...)
@@ -375,6 +386,5 @@ func Write(w io.Writer, c *circuit.Circuit) error {
 		b = append(b, drv...)
 		b = append(b, ")\n"...)
 	}
-	_, err = w.Write(b)
-	return err
+	return b, nil
 }

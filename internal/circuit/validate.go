@@ -166,11 +166,9 @@ func sortNodeIDs(s []NodeID) {
 //
 // The kept nodes take IDs in the receiver's topological order, and the
 // result — node IDs, names, fanin and fanout order, PIs, POs and version —
-// is the one AddPI, AddGate and AddPOs calls in that order would build.
-// Like Build, it is built in bulk: fanins share one slab and fanouts
-// another, each node's slice capped at its length, so a later edit of one
-// node reallocates rather than writing into its neighbour's pins. The
-// receiver must be valid; so is the result.
+// is the one AddPI, AddGate and AddPOs calls in that order would build. It
+// is built in bulk by Assemble. The receiver must be valid; so is the
+// result.
 func (c *Circuit) Sweep() (*Circuit, int) {
 	keep := c.Reachable()
 	for _, pi := range c.PIs {
@@ -192,43 +190,78 @@ func (c *Circuit) Sweep() (*Circuit, int) {
 		n++
 		pins += len(c.Nodes[id].Fanin)
 	}
-	out := &Circuit{
-		Name:   c.Name,
-		Nodes:  make([]Node, n),
-		PIs:    make([]NodeID, 0, len(c.PIs)),
-		POs:    make([]PO, len(c.POs)),
-		byName: make(map[string]NodeID, n),
-		// One touch per AddPI and AddGate, and one per output, as AddPOs.
-		version: uint64(n + len(c.POs)),
-	}
+	nodes := make([]Node, n)
+	pis := make([]NodeID, 0, len(c.PIs))
 	fanin := make([]NodeID, pins)
 	fanouts := make([]int32, n+1) // fanout count, then each list's end
-	at := 0
+	names := make(map[string]NodeID, n)
 	for _, id := range order {
 		if !keep[id] {
 			continue
 		}
 		nd, nid := &c.Nodes[id], remap[id]
-		out.byName[nd.Name] = nid
+		names[nd.Name] = nid
 		if nd.IsPI {
-			out.Nodes[nid] = Node{Name: nd.Name, IsPI: true}
-			out.PIs = append(out.PIs, nid)
+			nodes[nid] = Node{Name: nd.Name, IsPI: true}
+			pis = append(pis, nid)
 			continue
 		}
 		var pin []NodeID
 		if k := len(nd.Fanin); k > 0 {
-			pin = fanin[at : at+k : at+k]
-			at += k
+			pin, fanin = fanin[:k:k], fanin[k:]
 			for j, f := range nd.Fanin {
 				pin[j] = remap[f]
 				fanouts[pin[j]]++
 			}
 		}
-		out.Nodes[nid] = Node{Name: nd.Name, Kind: nd.Kind, Fanin: pin}
+		nodes[nid] = Node{Name: nd.Name, Kind: nd.Kind, Fanin: pin}
 	}
-	out.linkFanouts(fanouts, pins)
+	pos := make([]PO, len(c.POs))
 	for i, po := range c.POs {
-		out.POs[i] = PO{Name: po.Name, Driver: remap[po.Driver]}
+		pos[i] = PO{Name: po.Name, Driver: remap[po.Driver]}
 	}
-	return out, removed
+	return assemble(c.Name, nodes, pis, pos, names, fanouts, pins), removed
+}
+
+// Assemble builds a circuit from finished node records in one bulk pass:
+// nodes[i] is node i with its name, PI flag, kind and fanin set, pis lists
+// the primary inputs and pos the outputs. It derives the fanout lists, each
+// in ascending sink order, and a name index sized for the nodes. The
+// result's version is the one AddPI and AddGate calls in ID order followed
+// by AddPOs would give it, so a circuit built node by node in that order is
+// identical to it.
+//
+// The circuit takes ownership of the three slices. Fanouts share one slab,
+// each list capped at its length; callers cap every fanin list likewise,
+// so a later edit of one node reallocates rather than writing into its
+// neighbour's pins. Assemble checks nothing and does not mark the result
+// valid: the caller vouches that every fanin is in range.
+func Assemble(name string, nodes []Node, pis []NodeID, pos []PO) *Circuit {
+	names := make(map[string]NodeID, len(nodes))
+	fanouts := make([]int32, len(nodes)+1)
+	edges := 0
+	for i := range nodes {
+		names[nodes[i].Name] = NodeID(i)
+		for _, f := range nodes[i].Fanin {
+			fanouts[f]++
+		}
+		edges += len(nodes[i].Fanin)
+	}
+	return assemble(name, nodes, pis, pos, names, fanouts, edges)
+}
+
+// assemble is Assemble given the name index, each node's fanout count in
+// fanouts, for len(nodes)+1 entries (the last 0), and their sum in edges.
+func assemble(name string, nodes []Node, pis []NodeID, pos []PO, names map[string]NodeID, fanouts []int32, edges int) *Circuit {
+	c := &Circuit{
+		Name:   name,
+		Nodes:  nodes,
+		PIs:    pis,
+		POs:    pos,
+		byName: names,
+		// One touch per AddPI and AddGate, and one per output, as AddPOs.
+		version: uint64(len(nodes) + len(pos)),
+	}
+	c.linkFanouts(fanouts, edges)
+	return c
 }

@@ -34,33 +34,46 @@ func (a *Analysis) Capacity() Capacity {
 // Combinations returns the exact total number of configurations as a big
 // integer (the paper notes these counts overflow ordinary words: "the
 // numbers were so large in some cases that the data could not be accurately
-// represented in our tables and in the program we wrote").
+// represented in our tables and in the program we wrote"). The product is
+// computed once per analysis; each call returns a fresh copy.
 func (a *Analysis) Combinations() *big.Int {
-	total := big.NewInt(1)
-	radix := new(big.Int)
-	for i := range a.Locations {
-		for j := range a.Locations[i].Targets {
-			radix.SetInt64(int64(1 + len(a.Locations[i].Targets[j].Variants)))
-			total.Mul(total, radix)
+	return new(big.Int).Set(a.shape())
+}
+
+// shape computes the slot radices and their product on first use and
+// returns the product; both are shared and read-only.
+func (a *Analysis) shape() *big.Int {
+	a.shapeOnce.Do(func() {
+		total := big.NewInt(1)
+		radix := new(big.Int)
+		a.radices = make([]int, 0, a.TotalTargets())
+		for i := range a.Locations {
+			for j := range a.Locations[i].Targets {
+				r := 1 + len(a.Locations[i].Targets[j].Variants)
+				a.radices = append(a.radices, r)
+				radix.SetInt64(int64(r))
+				total.Mul(total, radix)
+			}
 		}
-	}
-	return total
+		a.combos = total
+	})
+	return a.combos
 }
 
 // AssignmentFromInt decodes a fingerprint value in [0, Combinations()) into
 // an assignment using mixed-radix positional encoding: slot (i, j) has radix
 // 1 + |variants|, digit 0 meaning "unmodified" and digit d meaning variant
-// d−1. Values outside the range are rejected.
+// d−1. Values outside the range are rejected. The rows share one slab of
+// digits in Radices order.
 func (a *Analysis) AssignmentFromInt(value *big.Int) (Assignment, error) {
 	if value.Sign() < 0 {
 		return nil, fmt.Errorf("core: negative fingerprint value")
 	}
-	if value.Cmp(a.Combinations()) >= 0 {
-		return nil, fmt.Errorf("core: fingerprint value exceeds capacity (%s combinations)", a.Combinations().String())
+	if combos := a.shape(); value.Cmp(combos) >= 0 {
+		return nil, fmt.Errorf("core: fingerprint value exceeds capacity (%s combinations)", combos.String())
 	}
-	radices := a.Radices()
-	digits := make([]int, len(radices))
-	if err := DecodeDigits(value, radices, digits); err != nil {
+	digits := make([]int, len(a.radices))
+	if err := DecodeDigits(value, a.radices, digits); err != nil {
 		return nil, err
 	}
 	asg := make(Assignment, len(a.Locations))
@@ -73,15 +86,11 @@ func (a *Analysis) AssignmentFromInt(value *big.Int) (Assignment, error) {
 
 // Radices returns every modification slot's radix, 1 + its variant count,
 // in the positional order of AssignmentFromInt: location by location, and
-// within a location target by target.
+// within a location target by target. The slice is computed once and
+// shared; callers must treat it as read-only.
 func (a *Analysis) Radices() []int {
-	var radices []int
-	for i := range a.Locations {
-		for j := range a.Locations[i].Targets {
-			radices = append(radices, 1+len(a.Locations[i].Targets[j].Variants))
-		}
-	}
-	return radices
+	a.shape()
+	return a.radices
 }
 
 // DecodeDigits writes the mixed-radix digits of value over radices (see

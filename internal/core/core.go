@@ -11,8 +11,9 @@
 //     the FFC — the modification catalogue the paper references as a lookup
 //     table.
 //  2. An Assignment selects, per location and per target gate, one variant
-//     (or none). Embed applies an assignment to a clone; EmbedAll applies
-//     the canonical variant everywhere (what Table II measures).
+//     (or none). Embed builds the copy an assignment selects and checks it
+//     against the slot model; EmbedAll applies the canonical variant
+//     everywhere (what Table II measures).
 //  3. Extract recovers the assignment — and hence the fingerprint bits —
 //     by structurally diffing a (possibly copied) instance against the
 //     original, implementing the detection flow of §III-E.
@@ -24,6 +25,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/big"
 	"sync"
 
 	"repro/internal/cec"
@@ -190,6 +192,16 @@ type Analysis struct {
 	// digest is the design digest, computed once by Digest (digest.go).
 	digestOnce sync.Once
 	digest     string
+	// plan is the issue plan every copy is built from (issue.go), built
+	// once, on first use.
+	planOnce sync.Once
+	plan     *issuePlan
+	planErr  error
+	// combos and radices are the mixed-radix shape of a fingerprint value
+	// (bits.go), computed once.
+	shapeOnce sync.Once
+	combos    *big.Int
+	radices   []int
 
 	// Scan state: target gates already claimed by an earlier location, and
 	// the MFFC cone scratch reused across primaries.

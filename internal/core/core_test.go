@@ -651,7 +651,7 @@ func TestOverheadPositive(t *testing.T) {
 	if r.Modified.Gates < r.Base.Gates {
 		t.Error("gate count decreased")
 	}
-	if err := r.Verify(); err != nil {
+	if _, err := r.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
 }

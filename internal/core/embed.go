@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
-	"repro/internal/obs"
 )
 
 // Assignment selects, for every location and each of its targets, which
@@ -334,31 +333,13 @@ func (w *Working) Assignment() Assignment {
 }
 
 // Snapshot returns a swept, validated copy of the working netlist with only
-// the active modifications present (parked inverters removed).
+// the active modifications present (parked inverters removed). For a fresh
+// NewWorking(a, asg) it is the copy Embed(a, asg) builds in one pass, and
+// the tests use it as Embed's oracle.
 func (w *Working) Snapshot() (*circuit.Circuit, error) {
 	swept, _ := w.C.Sweep()
 	if err := swept.Validate(); err != nil {
 		return nil, err
 	}
 	return swept, nil
-}
-
-// Embed applies an assignment to a clone of the analysed circuit and returns
-// the swept, validated fingerprinted netlist. This is the paper's "output
-// new file" step of Fig. 6.
-func Embed(a *Analysis, asg Assignment) (*circuit.Circuit, error) {
-	sp := obs.Start("core.embed")
-	defer sp.End()
-	mEmbeds.Inc()
-	w, err := NewWorking(a, asg)
-	if err != nil {
-		return nil, err
-	}
-	return w.Snapshot()
-}
-
-// EmbedAll embeds the FullAssignment (every location modified once), the
-// configuration measured in Table II.
-func EmbedAll(a *Analysis) (*circuit.Circuit, error) {
-	return Embed(a, FullAssignment(a))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 
@@ -84,25 +85,26 @@ func finish(a *Analysis, asg Assignment, lib *cell.Library) (*Result, error) {
 }
 
 // Verify proves that the fingerprinted instance is functionally equivalent
-// to the analysed original (Requirement 1). Copies produced by the pipeline
-// are fully determined by their Assignment, so the proof runs on the
-// analysis-wide Verifier (SharedVerifier): window certificates first, the
-// incremental cec.Session if a window fails; an assignment the verifier
-// cannot serve falls back to a one-shot cec.Check of the materialized
-// netlist.
-func (r *Result) Verify() error {
-	v, err := r.Analysis.SharedVerifier().Verify(r.Assignment)
+// to the analysed original (Requirement 1) and names the proof that ran.
+// Copies produced by the pipeline are fully determined by their Assignment
+// and conform to it (Embed checks), so the proof runs on the analysis-wide
+// Verifier (SharedVerifier): window certificates first, the incremental
+// cec.Session if a window fails; an assignment the verifier cannot serve
+// falls back to a one-shot cec.Check of the materialized netlist.
+func (r *Result) Verify() (string, error) {
+	v, proof, err := r.Analysis.SharedVerifier().verify(context.Background(), r.Assignment)
 	if err != nil {
 		// The session path could not serve this assignment (e.g. shape
 		// drift); fall back to checking the concrete netlist.
 		mSessionFallbacks.Inc()
 		v, err = cec.Check(r.Analysis.Circuit, r.Fingerprinted, cec.DefaultOptions())
 		if err != nil {
-			return err
+			return "", err
 		}
+		proof = proofMiter
 	}
 	if !v.Equivalent {
-		return fmt.Errorf("core: fingerprinted instance differs on PO %q for input %v", v.PO, v.Counterexample)
+		return "", fmt.Errorf("core: fingerprinted instance differs on PO %q for input %v", v.PO, v.Counterexample)
 	}
-	return nil
+	return proof, nil
 }

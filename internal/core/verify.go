@@ -169,20 +169,36 @@ func (v *Verifier) Verify(asg Assignment) (cec.Verdict, error) {
 // interrupted — by ctx or by an injected budget exhaustion, which returns
 // an error wrapping cec.ErrBudgetExhausted — are retried by the next call.
 func (v *Verifier) VerifyCtx(ctx context.Context, asg Assignment) (cec.Verdict, error) {
+	verdict, _, err := v.verify(ctx, asg)
+	return verdict, err
+}
+
+// The proofs a verdict can rest on. The first two are about the slot
+// model, so they cover an issued copy together with its conformance check
+// (Embed); the one-shot miter reads a materialised copy itself.
+const (
+	proofCertificate = "window certificates over the slot model, and the copy's conformance to it"
+	proofSession     = "incremental SAT session over the slot model, and the copy's conformance to it"
+	proofOneShot     = "one-shot SAT miter of the materialised copy"
+	proofMiter       = "SAT miter of the fingerprinted netlist"
+)
+
+// verify is VerifyCtx, also naming the proof behind the verdict.
+func (v *Verifier) verify(ctx context.Context, asg Assignment) (cec.Verdict, string, error) {
 	choice, err := v.a.SlotChoice(asg)
 	if err != nil {
-		return cec.Verdict{}, err
+		return cec.Verdict{}, "", err
 	}
 	v.mu.Lock()
 	if v.cert != nil {
 		ok, err := v.cert.Certify(ctx)
 		if err != nil {
 			v.mu.Unlock()
-			return cec.Verdict{}, err
+			return cec.Verdict{}, "", err
 		}
 		if ok {
 			v.mu.Unlock()
-			return cec.Verdict{Equivalent: true, Proved: true}, nil
+			return cec.Verdict{Equivalent: true, Proved: true}, proofCertificate, nil
 		}
 		mSessionFallbacks.Inc()
 		v.fallBack()
@@ -190,14 +206,16 @@ func (v *Verifier) VerifyCtx(ctx context.Context, asg Assignment) (cec.Verdict, 
 	sess := v.sess
 	v.mu.Unlock()
 	if sess != nil {
-		return sess.VerifyCtx(ctx, choice)
+		verdict, err := sess.VerifyCtx(ctx, choice)
+		return verdict, proofSession, err
 	}
 	mOneShotFallbacks.Inc()
 	inst, err := Embed(v.a, asg)
 	if err != nil {
-		return cec.Verdict{}, err
+		return cec.Verdict{}, "", err
 	}
-	return cec.CheckCtx(ctx, v.a.Circuit, inst, cec.DefaultOptions())
+	verdict, err := cec.CheckCtx(ctx, v.a.Circuit, inst, cec.DefaultOptions())
+	return verdict, proofOneShot, err
 }
 
 // SharedVerifier returns the analysis-wide verifier, building it on first

@@ -232,7 +232,7 @@ func TestResultVerifyUsesSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Verify(); err != nil {
+	if _, err := res.Verify(); err != nil {
 		t.Fatal(err)
 	}
 	v := a.SharedVerifier()

@@ -220,6 +220,8 @@ type BatchItem struct {
 	Circuit *circuit.Circuit
 	// Value is the embedded fingerprint (mixed-radix integer).
 	Value *big.Int
+	// Assignment is Value decoded, set with Circuit.
+	Assignment core.Assignment
 	// Fresh reports whether this batch created the buyer's record (false:
 	// the buyer was already issued and the recorded value was re-minted).
 	Fresh bool
@@ -264,7 +266,7 @@ func (r *Registry) IssueBatch(ctx context.Context, a *core.Analysis, buyers []st
 			r.ReleaseItems(items)
 			return nil, fmt.Errorf("registry: embedding copy for %q: %w", items[i].Buyer, err)
 		}
-		items[i].Circuit = cp
+		items[i].Circuit, items[i].Assignment = cp, asg
 	}
 	return items, nil
 }

@@ -531,8 +531,8 @@ func (s *Server) handleIssue(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return issueError(ctx, "issue", err)
 		}
-		var buf bytes.Buffer
-		if err := writeNetlist(&buf, format, items[0].Circuit); err != nil {
+		body, err := netlistBytes(format, items[0].Circuit)
+		if err != nil {
 			return err
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -544,7 +544,7 @@ func (s *Server) handleIssue(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("X-Odcfp-Verified", labels[0])
 		}
 		w.WriteHeader(http.StatusOK)
-		w.Write(buf.Bytes())
+		w.Write(body)
 		return nil
 	})
 }
@@ -785,6 +785,11 @@ func issueError(ctx context.Context, op string, err error) error {
 		// The durable store gave out even after retries: nothing was
 		// acknowledged; the client should retry later.
 		return apiErrorf(http.StatusServiceUnavailable, "store unavailable: %v", err)
+	}
+	if errors.Is(err, core.ErrNonconforming) {
+		// The copy is not an instance of the certified slot model: refused
+		// as an inequivalent copy is.
+		return apiErrorf(http.StatusInternalServerError, "%s: %v", op, err)
 	}
 	return apiErrorf(http.StatusConflict, "%s: %v", op, err)
 }

@@ -22,7 +22,6 @@ package serve
 // and never duplicated.
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -390,11 +389,8 @@ func (s *Server) handleBatchIssue(w http.ResponseWriter, r *http.Request) {
 
 // encodeNetlist renders c in format as a string.
 func encodeNetlist(format string, c *circuit.Circuit) (string, error) {
-	var buf bytes.Buffer
-	if err := writeNetlist(&buf, format, c); err != nil {
-		return "", err
-	}
-	return buf.String(), nil
+	b, err := netlistBytes(format, c)
+	return string(b), err
 }
 
 // submitJob durably enqueues an async issuance job and answers 202. The

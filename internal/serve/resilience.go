@@ -148,7 +148,9 @@ func (b *breaker) isOpen() bool {
 
 // verifyIssued proves the issued copy equivalent to the master and returns
 // the label for the X-Odcfp-Verified response header: "equivalent" from a
-// SAT proof, "degraded" from the random-pattern fallback.
+// SAT proof, "degraded" from the random-pattern fallback. The proof is
+// about the item's assignment; core.Embed has already checked that the
+// netlist which ships conforms to that assignment's slot model.
 //
 // The flow is the breaker's: while closed, SAT verification runs under the
 // request context. A deadline/cancel counts a breaker failure and surfaces
@@ -157,14 +159,10 @@ func (b *breaker) isOpen() bool {
 // degrades inline. Once the breaker is open, SAT is skipped outright and
 // every verification degrades until a cooldown probe succeeds.
 func (s *Server) verifyIssued(ctx context.Context, a *core.Analysis, it registry.BatchItem) (string, error) {
-	asg, err := a.AssignmentFromInt(it.Value)
-	if err != nil {
-		return "", err
-	}
 	if !s.breaker.allow() {
 		return s.degradedVerify(a, it.Circuit)
 	}
-	verdict, err := a.SharedVerifier().VerifyCtx(ctx, asg)
+	verdict, err := a.SharedVerifier().VerifyCtx(ctx, it.Assignment)
 	switch {
 	case err == nil:
 		s.breaker.success()

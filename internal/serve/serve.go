@@ -40,7 +40,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -456,15 +455,18 @@ func stageSuspect(format string, data []byte) (circuit.Netlist, error) {
 	return parseNetlist(format, data)
 }
 
-// writeNetlist encodes c in the given output format ("bench" or "v").
-func writeNetlist(w io.Writer, format string, c *circuit.Circuit) error {
+// netlistBytes encodes c in the given output format ("bench" or "v"). A
+// .bench netlist is the writer's own buffer, returned as built.
+func netlistBytes(format string, c *circuit.Circuit) ([]byte, error) {
 	switch strings.ToLower(format) {
 	case "bench":
-		return benchfmt.Write(w, c)
+		return benchfmt.Bytes(c)
 	case "v", "verilog":
-		return verilog.Write(w, c)
+		var buf bytes.Buffer
+		err := verilog.Write(&buf, c)
+		return buf.Bytes(), err
 	default:
-		return fmt.Errorf("unknown output format %q (want bench or v)", format)
+		return nil, fmt.Errorf("unknown output format %q (want bench or v)", format)
 	}
 }
 
@@ -498,7 +500,7 @@ func detectFormat(data []byte) string {
 
 // outputFormat picks the issue-response encoding: an explicit query wins,
 // then the design's own upload format when it round-trips ("bench", "v"),
-// else structural Verilog. An explicit format writeNetlist cannot encode is
+// else structural Verilog. An explicit format netlistBytes cannot encode is
 // an error, so a request naming one is refused before anything is minted.
 func outputFormat(query, designFormat string) (string, error) {
 	if query != "" {

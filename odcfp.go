@@ -13,7 +13,7 @@
 //	a, _ := odcfp.Analyze(c, lib)             // find fingerprint locations
 //	fmt.Println(a.Capacity())                 // locations, log2(combinations)
 //	res, _ := odcfp.Fingerprint(c, lib, big.NewInt(12345))
-//	_ = res.Verify()                          // SAT-proved equivalence
+//	proof, _ := res.Verify()                  // names the equivalence proof
 //	asg, _ := odcfp.Extract(res.Analysis, res.Fingerprinted)
 //	id, _ := res.Analysis.IntFromAssignment(asg)   // == 12345
 //
@@ -161,7 +161,7 @@ func FingerprintBits(c *Circuit, lib *Library, bits []bool) (*Result, error) {
 	return core.FingerprintBits(c, lib, bits)
 }
 
-// Embed applies an assignment to a clone of the analysed circuit.
+// Embed builds the fingerprinted copy an assignment selects.
 func Embed(a *Analysis, asg Assignment) (*Circuit, error) { return core.Embed(a, asg) }
 
 // Extract recovers the fingerprint assignment from a (possibly pirated)

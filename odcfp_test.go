@@ -28,7 +28,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Verify(); err != nil {
+	if _, err := res.Verify(); err != nil {
 		t.Fatal(err)
 	}
 	asg, err := odcfp.Extract(res.Analysis, res.Fingerprinted)
