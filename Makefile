@@ -135,7 +135,7 @@ bench:
 # one 10 000-copy async job through an in-process daemon, and the design
 # digest (internal/core). Catches a benchmark that no longer builds or runs.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkVerifyWindows|BenchmarkCertifierCompose|BenchmarkSweepWorking|BenchmarkEmbedExtract|BenchmarkEmbedIssue|BenchmarkVerifySession|BenchmarkVerifyColdCEC|BenchmarkPackedSim|BenchmarkSimRun|BenchmarkExhaustive|BenchmarkTraceScores|BenchmarkTraceResponse|BenchmarkRegistrySave|BenchmarkRegistryAdopt|BenchmarkLocalAppendAfterGC|BenchmarkAnalyze|BenchmarkSDCAnalyze|BenchmarkBenchParse|BenchmarkBenchWrite|BenchmarkTraceExtract|BenchmarkAsyncJob' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkVerifyWindows|BenchmarkCertifierCompose|BenchmarkSweepWorking|BenchmarkEmbedExtract|BenchmarkEmbedIssue|BenchmarkVerifySession|BenchmarkVerifyColdCEC|BenchmarkPackedSim|BenchmarkSimRun|BenchmarkExhaustive|BenchmarkTraceScores|BenchmarkTraceResponse|BenchmarkRegistrySave|BenchmarkRegistryAdopt|BenchmarkLocalAppendAfterGC|BenchmarkAnalyze|BenchmarkSDCAnalyze|BenchmarkBenchParse|BenchmarkBenchWrite|BenchmarkTraceExtract|BenchmarkUpload|BenchmarkAsyncJob' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench '^BenchmarkDesignDigest$$' -benchtime 1x -benchmem ./internal/core/
 
 # Incremental-verification baseline: 64 fingerprint copies through the

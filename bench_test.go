@@ -447,8 +447,8 @@ func BenchmarkEmbedIssue(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	i := 0
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		asg, err := a.AssignmentFromInt(items[i%len(items)].Value)
 		if err != nil {
 			b.Fatal(err)
@@ -456,7 +456,6 @@ func BenchmarkEmbedIssue(b *testing.B) {
 		if _, err := core.Embed(a, asg); err != nil {
 			b.Fatal(err)
 		}
-		i++
 	}
 }
 
@@ -638,7 +637,8 @@ func BenchmarkCertifierCompose(b *testing.B) {
 	a, _ := verifyFixture(b, "c5315", 0)
 	slots, windows := a.Slots(), a.Windows()
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if _, err := cec.NewCertifier(a.Circuit, slots, windows, cec.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
@@ -655,7 +655,8 @@ func BenchmarkSweepWorking(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		w.C.Sweep()
 	}
 }
@@ -971,7 +972,7 @@ func httpJSON(b *testing.B, url string, body []byte, v any) {
 
 // benchNetlist is suite circuit name in .bench form, as an upload or a
 // suspect reaches /designs and /trace.
-func benchNetlist(b *testing.B, name string) []byte {
+func benchNetlist(b testing.TB, name string) []byte {
 	spec, err := bench.ByName(name)
 	if err != nil {
 		b.Fatal(err)

@@ -18,6 +18,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,6 +31,7 @@ import (
 	"repro"
 	"repro/internal/atomicfile"
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/registry"
 )
 
@@ -100,23 +102,30 @@ file extension.
 `)
 }
 
+// readNetlist reads the netlist at path and names its format by the
+// file extension, as ingest reads it.
+func readNetlist(path string) (format string, data []byte, err error) {
+	if data, err = os.ReadFile(path); err != nil {
+		return "", nil, err
+	}
+	switch strings.ToLower(filepath.Ext(path)) {
+	case ".blif":
+		return "blif", data, nil
+	case ".v", ".verilog":
+		return "v", data, nil
+	case ".bench":
+		return "bench", data, nil
+	}
+	return "", nil, fmt.Errorf("cannot infer format of %q (want .blif, .v or .bench)", path)
+}
+
+// readCircuit reads the netlist at path into a circuit, unswept.
 func readCircuit(path string) (*odcfp.Circuit, error) {
-	f, err := os.Open(path)
+	format, data, err := readNetlist(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var c *odcfp.Circuit
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".blif":
-		c, err = odcfp.ReadBLIF(f, odcfp.DefaultLibrary())
-	case ".v", ".verilog":
-		c, err = odcfp.ReadVerilog(f)
-	case ".bench":
-		c, err = odcfp.ReadBench(f)
-	default:
-		return nil, fmt.Errorf("cannot infer format of %q (want .blif, .v or .bench)", path)
-	}
+	c, err := ingest.Parse(format, data)
 	if err != nil {
 		return nil, err
 	}
@@ -127,6 +136,39 @@ func readCircuit(path string) (*odcfp.Circuit, error) {
 		return nil, fmt.Errorf("%s: invalid netlist: %w", path, err)
 	}
 	return c, nil
+}
+
+// loadAnalysis reads and analyses the original design as the daemon's
+// upload does (ingest.Analyze: swept, default options), so the digests of
+// its registries match the daemon's.
+func loadAnalysis(path string) (*odcfp.Analysis, error) {
+	format, data, err := readNetlist(path)
+	if err != nil {
+		return nil, err
+	}
+	a, err := ingest.Analyze(context.Background(), format, data)
+	return a, invalidAt(path, err)
+}
+
+// readSwept reads the netlist at path into the swept circuit loadAnalysis
+// analyses (ingest.Swept).
+func readSwept(path string) (*odcfp.Circuit, error) {
+	format, data, err := readNetlist(path)
+	if err != nil {
+		return nil, err
+	}
+	c, err := ingest.Swept(format, data)
+	return c, invalidAt(path, err)
+}
+
+// invalidAt words a netlist ingest refused as invalid as readCircuit does,
+// under its path; other errors pass unchanged.
+func invalidAt(path string, err error) error {
+	var re *ingest.ReadError
+	if errors.As(err, &re) && re.Invalid {
+		return fmt.Errorf("%s: invalid netlist: %w", path, re.Err)
+	}
+	return err
 }
 
 // writeCircuit writes c in the format path's extension names, as
@@ -281,13 +323,8 @@ func cmdExtract(args []string) error {
 	if *in == "" || *cp == "" {
 		return fmt.Errorf("-in and -copy are required")
 	}
-	orig, err := readCircuit(*in)
-	if err != nil {
-		return err
-	}
 	// Analysis runs on the swept original, exactly as Fingerprint does.
-	swept, _ := orig.Sweep()
-	a, err := odcfp.Analyze(swept, odcfp.DefaultLibrary())
+	a, err := loadAnalysis(*in)
 	if err != nil {
 		return err
 	}
@@ -331,17 +368,6 @@ func cmdVerify(args []string) error {
 	}
 	fmt.Println("equivalent (proved by simulation + SAT)")
 	return nil
-}
-
-// loadAnalysis reads and analyses the original design the way every
-// registry-facing command needs it (swept, default options).
-func loadAnalysis(path string) (*odcfp.Analysis, error) {
-	orig, err := readCircuit(path)
-	if err != nil {
-		return nil, err
-	}
-	swept, _ := orig.Sweep()
-	return odcfp.Analyze(swept, odcfp.DefaultLibrary())
 }
 
 func cmdIssue(args []string) error {
@@ -451,12 +477,7 @@ func cmdWatermark(args []string) error {
 	if *in == "" || *key == "" {
 		return fmt.Errorf("-in and -key are required")
 	}
-	orig, err := readCircuit(*in)
-	if err != nil {
-		return err
-	}
-	swept, _ := orig.Sweep()
-	a, err := odcfp.Analyze(swept, odcfp.DefaultLibrary())
+	a, err := loadAnalysis(*in)
 	if err != nil {
 		return err
 	}
@@ -509,11 +530,10 @@ func cmdSDC(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("-in is required")
 	}
-	c, err := readCircuit(*in)
+	swept, err := readSwept(*in)
 	if err != nil {
 		return err
 	}
-	swept, _ := c.Sweep()
 	a, err := odcfp.AnalyzeSDC(swept, odcfp.DefaultLibrary())
 	if err != nil {
 		return err
@@ -567,16 +587,11 @@ func cmdConstrain(args []string) error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("-in and -out are required")
 	}
-	c, err := readCircuit(*in)
+	a, err := loadAnalysis(*in)
 	if err != nil {
 		return err
 	}
 	lib := odcfp.DefaultLibrary()
-	swept, _ := c.Sweep()
-	a, err := odcfp.Analyze(swept, lib)
-	if err != nil {
-		return err
-	}
 	opts := odcfp.ConstrainOptions{Library: lib, DelayBudget: *budget, Seed: *seed, Workers: *jobs}
 	var res *odcfp.ConstrainResult
 	switch *method {

@@ -61,8 +61,12 @@ func sweepOracle(c *Circuit) (*Circuit, int) {
 
 // sameSweep reports the first difference between c.Sweep() and
 // sweepOracle(c): node count, names, kinds, fanins, fanout order, PIs,
-// POs, version, the name index, or the removed count.
+// POs, version, the name index, or the removed count. It also reports a
+// memo of c.Sweep() that the full check disagrees with: its topological
+// order must be Kahn's, and its Validate memo set if c's is, and only on a
+// valid circuit.
 func sameSweep(c *Circuit) error {
+	valid := c.validValid && c.validVersion == c.version
 	got, gotRemoved := c.Sweep()
 	want, wantRemoved := sweepOracle(c)
 	if gotRemoved != wantRemoved {
@@ -92,6 +96,18 @@ func sameSweep(c *Circuit) error {
 		w, wok := want.Lookup(name)
 		if g != w || gok != wok {
 			return fmt.Errorf("Lookup(%q) = %d %v, want %d %v", name, g, gok, w, wok)
+		}
+	}
+	order, err := got.topoOrderUncached()
+	if err != nil || !got.topoValid || got.topoVersion != got.version || !slices.Equal(got.topo, order) {
+		return fmt.Errorf("memoized order %v, Kahn's sort gives %v (%v)", got.topo, order, err)
+	}
+	if got.validValid != valid {
+		return fmt.Errorf("Validate memo %v, receiver's %v", got.validValid, valid)
+	}
+	if valid {
+		if err := got.validateUncached(); err != nil {
+			return fmt.Errorf("Validate memo set on an invalid circuit: %v", err)
 		}
 	}
 	return nil

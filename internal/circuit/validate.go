@@ -168,7 +168,8 @@ func sortNodeIDs(s []NodeID) {
 // result — node IDs, names, fanin and fanout order, PIs, POs and version —
 // is the one AddPI, AddGate and AddPOs calls in that order would build. It
 // is built in bulk by Assemble. The receiver must be valid; so is the
-// result.
+// result, and if the receiver's Validate memo is set, so is the result's.
+// The result's TopoOrder memo is always set.
 func (c *Circuit) Sweep() (*Circuit, int) {
 	keep := c.Reachable()
 	for _, pi := range c.PIs {
@@ -220,7 +221,19 @@ func (c *Circuit) Sweep() (*Circuit, int) {
 	for i, po := range c.POs {
 		pos[i] = PO{Name: po.Name, Driver: remap[po.Driver]}
 	}
-	return assemble(c.Name, nodes, pis, pos, names, fanouts, pins), removed
+	s := assemble(c.Name, nodes, pis, pos, names, fanouts, pins)
+	// s is numbered in a Kahn order of c and its fanout lists run in
+	// ascending ID order, so its own Kahn order (TopoOrder) is 0..n-1: it
+	// is memoized in remap, spent by now. A valid c makes s valid too.
+	topo := remap[:n:n]
+	for i := range topo {
+		topo[i] = NodeID(i)
+	}
+	s.topo, s.topoVersion, s.topoValid = topo, s.version, true
+	if c.validValid && c.validVersion == c.version {
+		s.validVersion, s.validValid = s.version, true
+	}
+	return s, removed
 }
 
 // Assemble builds a circuit from finished node records in one bulk pass:

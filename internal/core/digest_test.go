@@ -149,7 +149,8 @@ func BenchmarkDesignDigest(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		a.hashDesign()
 	}
 }

@@ -303,10 +303,12 @@ func (s *Server) adoptDesignFromPeers(ctx context.Context, digest string) *desig
 		if err != nil {
 			continue
 		}
-		if err := s.store.PutDesign(digest, meta, data); err != nil {
+		d, _, err := s.storeDesign(ctx, digest, meta, func() error {
+			return s.store.PutDesign(digest, meta, data)
+		})
+		if err != nil {
 			continue
 		}
-		d := s.registerDesign(digest, meta)
 		// Pull the design's issuance records too: a node that never saw the
 		// design must not serve an empty registry for acknowledged copies.
 		cs.store.Sync(ctx, []string{digest})
@@ -448,13 +450,15 @@ func (s *Server) handleDesignPush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	meta := designMeta(r.Header, data)
-	if !s.store.HasDesign(digest) {
-		if err := s.store.PutDesign(digest, meta, data); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
+	if _, _, err := s.storeDesign(r.Context(), digest, meta, func() error {
+		if s.store.HasDesign(digest) {
+			return nil
 		}
+		return s.store.PutDesign(digest, meta, data)
+	}); err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
-	s.registerDesign(digest, meta)
 	writeJSON(w, http.StatusOK, map[string]string{"digest": digest})
 }
 

@@ -16,8 +16,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/benchfmt"
 	"repro/internal/fault"
+	"repro/internal/ingest"
 	"repro/internal/registrystore"
 )
 
@@ -549,11 +549,7 @@ func TestClusterHungPeerIsBounded(t *testing.T) {
 		drain          = 3 * time.Second
 	)
 	netlist := benchBytes(t, "c432")
-	c, err := benchfmt.Parse(bytes.NewReader(netlist))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := analyzeUpload(context.Background(), c)
+	a, err := ingest.Analyze(context.Background(), "bench", netlist)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/jsonw"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -301,7 +302,7 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 // failure it writes the error response itself and reports false.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	data, err := io.ReadAll(r.Body)
+	data, err := readAll(r.Body, r.ContentLength)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -313,6 +314,22 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		return nil, false
 	}
 	return data, true
+}
+
+// maxPresize caps the buffer readAll reserves from a declared
+// Content-Length before any of the body has arrived.
+const maxPresize = 64 << 10
+
+// readAll is io.ReadAll with the buffer first sized for the declared
+// length, up to maxPresize, so a netlist of up to 64 KiB is read into one
+// allocation instead of a growing series of them. Past that the buffer
+// grows only as bytes arrive, so a body that is declared but never sent
+// holds at most maxPresize.
+func readAll(r io.Reader, declared int64) ([]byte, error) {
+	var b bytes.Buffer
+	b.Grow(int(min(max(declared, 0), maxPresize)) + bytes.MinRead)
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
 }
 
 // withWorker admits fn to the bounded pool under the per-request timeout
@@ -370,8 +387,9 @@ func designInfo(d *design, a *core.Analysis, reg *registry.Registry) DesignInfo 
 	}
 }
 
-// handleUpload implements POST /designs: parse, analyse once, persist, and
-// return the digest clients use for every later issue/trace call.
+// handleUpload implements POST /designs: read and analyse once, persist,
+// publish, and return the digest clients use for every later issue/trace
+// call.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	data, ok := s.readBody(w, r)
 	if !ok {
@@ -386,47 +404,34 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		format = detectFormat(data)
 	}
 	s.withWorker(w, r, "upload", func(ctx context.Context) error {
-		c, err := parseNetlist(format, data)
-		if err != nil {
-			return apiErrorf(http.StatusBadRequest, "parsing %s netlist: %v", format, err)
-		}
-		// Structural validation up front: a netlist that parses but is
-		// malformed (undriven inputs, combinational cycles, bad arities) gets
-		// a 400 with the diagnostic, not a late analysis failure.
-		if err := c.Validate(); err != nil {
-			return apiErrorf(http.StatusBadRequest, "invalid netlist: %v", err)
-		}
-		a, err := analyzeUpload(ctx, c)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
+		// A netlist that does not parse, or parses into a malformed circuit
+		// (undriven inputs, combinational cycles, bad arities), gets a 400
+		// with the diagnostic, not a late analysis failure.
+		a, err := readDesign(ctx, format, data)
+		var re *ingest.ReadError
+		switch {
+		case err == nil:
+		case errors.As(err, &re) && re.Invalid:
+			return apiErrorf(http.StatusBadRequest, "invalid netlist: %v", re.Err)
+		case errors.As(err, &re):
+			return apiErrorf(http.StatusBadRequest, "parsing %s netlist: %v", format, re.Err)
+		case ctx.Err() != nil:
+			return ctx.Err()
+		default:
 			return apiErrorf(http.StatusUnprocessableEntity, "analysis failed: %v", err)
 		}
 		digest := a.Digest()
-
-		s.mu.Lock()
-		d, existed := s.designs[digest]
-		if !existed {
-			d = &design{digest: digest, meta: DesignMeta{Design: a.Circuit.Name, Format: format}}
-			s.designs[digest] = d
-			gDesigns.Set(int64(len(s.designs)))
-		}
-		s.mu.Unlock()
-
-		if !existed {
-			if err := s.retryStore(ctx, func() error {
-				return s.store.PutDesign(digest, d.meta, data)
-			}); err != nil {
-				s.mu.Lock()
-				delete(s.designs, digest)
-				gDesigns.Set(int64(len(s.designs)))
-				s.mu.Unlock()
-				if isTransient(err) {
-					return apiErrorf(http.StatusServiceUnavailable, "store unavailable: %v", err)
-				}
-				return err
+		meta := DesignMeta{Design: a.Circuit.Name, Format: format}
+		d, existed, err := s.storeDesign(ctx, digest, meta, func() error {
+			return s.retryStore(ctx, func() error { return s.store.PutDesign(digest, meta, data) })
+		})
+		if err != nil {
+			if isTransient(err) {
+				return apiErrorf(http.StatusServiceUnavailable, "store unavailable: %v", err)
 			}
+			return err
+		}
+		if !existed {
 			// Cluster replicas learn new designs eagerly (background push);
 			// routed requests that outrun the push adopt the bytes on miss.
 			s.broadcastDesign(digest, d.meta, data)
@@ -445,6 +450,46 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, designInfo(d, a, reg))
 		return nil
 	})
+}
+
+// storeDesign makes a design durable and only then known, so nothing
+// answers for a design whose bytes could still be lost: a duplicate upload
+// gets its 200, and an issue its ack, only once a store of the design has
+// succeeded. put writes the design's files. Writers of one digest take
+// turns — two uploads of one design, perhaps in different formats, or an
+// upload and a peer's push — and a writer that finds the design known
+// writes nothing; writers of other digests do not wait. It returns the
+// design and whether it was known already.
+func (s *Server) storeDesign(ctx context.Context, digest string, meta DesignMeta, put func() error) (*design, bool, error) {
+	for {
+		s.mu.Lock()
+		if d := s.designs[digest]; d != nil {
+			s.mu.Unlock()
+			return d, true, nil
+		}
+		busy, ok := s.writing[digest]
+		if !ok {
+			done := make(chan struct{})
+			s.writing[digest] = done
+			s.mu.Unlock()
+			defer func() {
+				s.mu.Lock()
+				delete(s.writing, digest)
+				s.mu.Unlock()
+				close(done)
+			}()
+			if err := put(); err != nil {
+				return nil, false, err
+			}
+			return s.registerDesign(digest, meta), false, nil
+		}
+		s.mu.Unlock()
+		select {
+		case <-busy:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
+	}
 }
 
 // handleList implements GET /designs: light entries, no forced analysis.
@@ -584,7 +629,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.withWorker(w, r, "trace", func(ctx context.Context) error {
-		suspect, err := stageSuspect(format, data)
+		suspect, err := ingest.Stage(format, data)
 		if err != nil {
 			return apiErrorf(http.StatusBadRequest, "parsing %s suspect: %v", format, err)
 		}

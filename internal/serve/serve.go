@@ -48,16 +48,14 @@ import (
 	"time"
 
 	"repro/internal/benchfmt"
-	"repro/internal/blif"
-	"repro/internal/cell"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/registry"
 	"repro/internal/registrystore"
-	"repro/internal/techmap"
 	"repro/internal/verilog"
 )
 
@@ -177,6 +175,9 @@ type Server struct {
 
 	mu      sync.Mutex
 	designs map[string]*design
+	// writing holds, for each digest whose files a storeDesign call is
+	// writing, a channel closed when it is done.
+	writing map[string]chan struct{}
 
 	// Async issuance jobs (jobs.go): records mirror the durable job files,
 	// finished lists the done and failed ones in the order they finished,
@@ -224,6 +225,7 @@ func New(cfg Config) (*Server, error) {
 		breaker: newBreaker(breakerThreshold, breakerCooldown),
 		backoff: retryBase,
 		designs: make(map[string]*design),
+		writing: make(map[string]chan struct{}),
 		jobWake: make(chan struct{}, 1),
 	}
 	s.maxQueue = queuePerWorker * s.pool.Workers()
@@ -354,7 +356,7 @@ func (s *Server) lookupDesign(digest string) *design {
 }
 
 // analysis returns the design's cached analysis, re-running the upload
-// path (parse stored bytes → sweep → analyze) on a cache miss and
+// path (readDesign on the stored bytes) on a cache miss and
 // verifying the recomputed digest still matches the stored one. ctx bounds
 // only how long this caller waits: the load itself runs detached under its
 // own RequestTimeout deadline, so a caller that cancels mid-flight fails
@@ -369,11 +371,7 @@ func (s *Server) analysis(ctx context.Context, d *design) (*core.Analysis, error
 		if err != nil {
 			return nil, err
 		}
-		c, err := parseNetlist(meta.Format, raw)
-		if err != nil {
-			return nil, fmt.Errorf("serve: stored design %s: %w", d.digest, err)
-		}
-		a, err := analyzeUpload(lctx, c)
+		a, err := readDesign(lctx, meta.Format, raw)
 		if err != nil {
 			return nil, fmt.Errorf("serve: stored design %s: %w", d.digest, err)
 		}
@@ -407,52 +405,20 @@ func (s *Server) ensureRegistryLocked(d *design, a *core.Analysis) (*registry.Re
 	return r, nil
 }
 
-// analyzeUpload is the canonical upload pipeline: sweep dead logic, then
-// analyse with the default library and options — byte-identical to the
-// CLI's registry-facing commands, so daemon digests match odcfp's. ctx
-// cancels the scan (core.AnalyzeCtx).
-func analyzeUpload(ctx context.Context, c *circuit.Circuit) (*core.Analysis, error) {
-	swept, _ := c.Sweep()
+// readDesign reads and analyses a design as ingest.Analyze does, the one
+// path uploads and reloads take, and records each completed analysis — not
+// the read before it — in hAnalyzeUS.
+func readDesign(ctx context.Context, format string, data []byte) (*core.Analysis, error) {
+	c, err := ingest.Swept(format, data)
+	if err != nil {
+		return nil, err
+	}
 	start := time.Now()
-	a, err := core.AnalyzeCtx(ctx, swept, core.DefaultOptions(cell.Default()))
+	a, err := ingest.AnalyzeSwept(ctx, c)
 	if err == nil {
 		hAnalyzeUS.Observe(time.Since(start).Microseconds())
 	}
 	return a, err
-}
-
-// parseNetlist decodes data in the given format: "bench", "blif" or
-// "v"/"verilog". BLIF input is technology-mapped onto the default library.
-func parseNetlist(format string, data []byte) (*circuit.Circuit, error) {
-	switch strings.ToLower(format) {
-	case "bench":
-		return benchfmt.Parse(bytes.NewReader(data))
-	case "blif":
-		n, err := blif.Parse(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		return techmap.Map(n, techmap.DefaultOptions(cell.Default()))
-	case "v", "verilog":
-		return verilog.Parse(bytes.NewReader(data))
-	default:
-		return nil, fmt.Errorf("unknown netlist format %q (want bench, blif or v)", format)
-	}
-}
-
-// stageSuspect reads a suspect netlist for a trace. A .bench or Verilog
-// suspect is staged (benchfmt.Stage, verilog.Stage): accepted and refused
-// exactly as parseNetlist would, with the same error, but no circuit is
-// built. Other formats go through parseNetlist; a BLIF suspect is
-// technology-mapped into a circuit.
-func stageSuspect(format string, data []byte) (circuit.Netlist, error) {
-	switch strings.ToLower(format) {
-	case "bench":
-		return benchfmt.Stage(bytes.NewReader(data))
-	case "v", "verilog":
-		return verilog.Stage(bytes.NewReader(data))
-	}
-	return parseNetlist(format, data)
 }
 
 // netlistBytes encodes c in the given output format ("bench" or "v"). A

@@ -20,6 +20,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/benchfmt"
 	"repro/internal/circuit"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/redteam"
 )
@@ -585,14 +586,41 @@ func TestServeErrors(t *testing.T) {
 // built circuit's Validate made, a cycle, an undefined signal, a duplicate
 // definition, an unknown kind and a bad arity — is refused by /trace,
 // which stages rather than builds it, with 400 and the error text
-// parseNetlist gives, in .bench and in Verilog.
+// ingest.Parse gives, in .bench and in Verilog.
 func TestTraceRejectsAsParse(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	info, _ := uploadDesign(t, ts.URL, benchBytes(t, "c432"))
+	for _, tc := range rejectNetlists() {
+		_, perr := ingest.Parse(tc.format, []byte(tc.src))
+		if perr == nil {
+			t.Fatalf("%s (%s): ingest.Parse accepted it", tc.name, tc.format)
+		}
+		resp, err := http.Post(ts.URL+"/designs/"+info.Digest+"/trace?format="+tc.format, "text/plain", strings.NewReader(tc.src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("parsing %s suspect: %v", tc.format, perr)
+		if resp.StatusCode != http.StatusBadRequest || body.Error != want {
+			t.Errorf("%s (%s): %d %q, want 400 %q", tc.name, tc.format, resp.StatusCode, body.Error, want)
+		}
+	}
+}
+
+// rejectNetlists is one netlist per reject class, in .bench and in
+// Verilog: the checks a built circuit's Validate made, a cycle, an
+// undefined signal, a duplicate definition, an unknown kind and a bad
+// arity.
+func rejectNetlists() []struct{ name, format, src string } {
 	module := func(body string) string {
 		return "module m (a, b, q);\n input a, b;\n output q;\n" + body + "endmodule\n"
 	}
-	cases := []struct{ name, format, src string }{
+	return []struct{ name, format, src string }{
 		{"no inputs", "bench", "OUTPUT(q)\nq = VDD()\n"},
 		{"no outputs", "bench", "INPUT(a)\nq = NOT(a)\n"},
 		{"duplicate fanin", "bench", "INPUT(a)\nOUTPUT(q)\nq = AND(a, a)\n"},
@@ -610,26 +638,6 @@ func TestTraceRejectsAsParse(t *testing.T) {
 		{"undefined signal", "v", module(" and g0 (q, a, zz);\n")},
 		{"duplicate definition", "v", module(" not g0 (q, a);\n buf g1 (q, b);\n")},
 		{"bad arity", "v", module(" not g0 (q, a, b);\n")},
-	}
-	for _, tc := range cases {
-		_, perr := parseNetlist(tc.format, []byte(tc.src))
-		if perr == nil {
-			t.Fatalf("%s (%s): parseNetlist accepted it", tc.name, tc.format)
-		}
-		resp, err := http.Post(ts.URL+"/designs/"+info.Digest+"/trace?format="+tc.format, "text/plain", strings.NewReader(tc.src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var body struct{ Error string }
-		err = json.NewDecoder(resp.Body).Decode(&body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := fmt.Sprintf("parsing %s suspect: %v", tc.format, perr)
-		if resp.StatusCode != http.StatusBadRequest || body.Error != want {
-			t.Errorf("%s (%s): %d %q, want 400 %q", tc.name, tc.format, resp.StatusCode, body.Error, want)
-		}
 	}
 }
 
