@@ -161,8 +161,9 @@ cover:
 # Every fuzz target, as package:target: the three netlist parsers, the
 # .bench codec against its legacy oracle, the netlist text writer, the
 # red-team campaign-spec reader, the hand-written trace JSON appender and
-# registry snapshots (against encoding/json) and the SAT solver (against
-# brute force, and Reset against New). This is the one list; make ci and
+# registry snapshots (against encoding/json), the registry snapshot reader
+# (every loaded snapshot round-trips), and the SAT solver (against brute
+# force, and Reset against New). This is the one list; make ci and
 # the CI workflow run it through make fuzz FUZZTIME=10s.
 FUZZ_TARGETS = \
 	internal/blif:FuzzParse \
@@ -173,6 +174,7 @@ FUZZ_TARGETS = \
 	internal/redteam:FuzzParseSpec \
 	internal/serve:FuzzAppendJSON \
 	internal/registry:FuzzSnapshotJSON \
+	internal/registry:FuzzSnapshotLoad \
 	internal/sat:FuzzSolve
 FUZZTIME ?= 30s
 

@@ -17,8 +17,8 @@ import (
 
 const hex = "0123456789abcdef"
 
-// plain marks the ASCII bytes AppendString copies through unescaped.
-var plain = func() (t [utf8.RuneSelf]bool) {
+// plainByte marks the ASCII bytes AppendString copies through unescaped.
+var plainByte = func() (t [utf8.RuneSelf]bool) {
 	for b := 0x20; b < utf8.RuneSelf; b++ {
 		t[b] = true
 	}
@@ -27,6 +27,28 @@ var plain = func() (t [utf8.RuneSelf]bool) {
 	}
 	return t
 }()
+
+// Plain reports whether AppendString writes s as itself between quotes:
+// s holds no control byte, '"', '\\', '<', '>', '&', invalid UTF-8,
+// U+2028 or U+2029. A writer that checked a string once can then copy
+// it between quotes itself.
+func Plain(s string) bool {
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if !plainByte[b] {
+				return false
+			}
+			i++
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if c == utf8.RuneError && size == 1 || c == '\u2028' || c == '\u2029' {
+			return false
+		}
+		i += size
+	}
+	return true
+}
 
 // AppendString appends s as a quoted JSON string with encoding/json's
 // HTML-safe escaping: '"' and '\\' are backslash-escaped; '\b', '\f',
@@ -38,7 +60,7 @@ func AppendString(dst []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		if b := s[i]; b < utf8.RuneSelf {
-			if plain[b] {
+			if plainByte[b] {
 				i++
 				continue
 			}

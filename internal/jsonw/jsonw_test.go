@@ -8,7 +8,9 @@ import (
 	"testing"
 )
 
-// checkString compares AppendString with encoding/json, the oracle.
+// checkString compares AppendString with encoding/json, the oracle, and
+// checks that Plain(s) holds exactly when the oracle writes s as itself
+// in quotes.
 func checkString(t *testing.T, s string) {
 	t.Helper()
 	want, err := json.Marshal(s)
@@ -17,6 +19,9 @@ func checkString(t *testing.T, s string) {
 	}
 	if got := AppendString([]byte("x"), s); string(got) != "x"+string(want) {
 		t.Errorf("AppendString(%q) = %s, want %s", s, got[1:], want)
+	}
+	if got, same := Plain(s), string(want) == `"`+s+`"`; got != same {
+		t.Errorf("Plain(%q) = %v, want %v", s, got, same)
 	}
 }
 
@@ -41,7 +46,7 @@ func TestAppendString(t *testing.T) {
 		"", "alice", `"quoted" \back\slash/`, "<script>&amp;</script>",
 		"line\u2028sep\u2029end", "Zoë 日本 😀", "\x7f\u0080\u00a0",
 		"bad\xff\xfeutf8", "\xed\xa0\x80", "trunc\xe6\x97", "\xf4\x90\x80\x80",
-		"\b\f\n\r\t\x00\x1f", "\ufffd",
+		"\b\f\n\r\t\x00\x1f", "\ufffd", "buyer-00042", "31415926535",
 	} {
 		checkString(t, s)
 	}

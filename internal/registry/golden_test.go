@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math/big"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -139,4 +140,61 @@ func TestSnapshotJSONRandom(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		checkSnapshotJSON(t, str(), str(), str(), str())
 	}
+}
+
+// FuzzSnapshotLoad: a fuzzed c432 snapshot either fails to load, or loads
+// the records encoding/json decodes from it into a map, in a registry in
+// which no two records name one number and which AppendJSON then Load
+// carry over unchanged. The seeds hold a buyer listed with two values and
+// two spellings of one number, both of which must fail.
+func FuzzSnapshotLoad(f *testing.F) {
+	a := analyzed(f, "c432")
+	snapshot := func(issued string) []byte {
+		return []byte(`{"design": "c432", "digest": "` + a.Digest() + `", "issued": {` + issued + `}}`)
+	}
+	f.Add(snapshot(`"alice": "5", "bob": "8", "alice": "3411"`))
+	f.Add(snapshot(`"alice": "5", "bob": "05"`))
+	f.Add(snapshot(`"alice": "5", "bob": "0", "alice": "5"`))
+	f.Add(snapshot(`"<b>&co": "12", "Zo\u00eb \u2028": "7", "q\"\\": "31", ` + "\"bad\xff\": \"9\""))
+	f.Add(snapshot(``))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := Load(bytes.NewReader(data), a)
+		if err != nil {
+			return
+		}
+		var oracle struct {
+			Issued map[string]string `json:"issued"`
+		}
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&oracle); err != nil {
+			t.Fatalf("loaded a snapshot encoding/json rejects: %v", err)
+		}
+		if got := r.Records(); len(got) != len(oracle.Issued) {
+			t.Fatalf("loaded %q, encoding/json decodes %q", got, oracle.Issued)
+		}
+		owner := map[string]string{}
+		for _, rec := range r.Records() {
+			v, ok := new(big.Int).SetString(rec.Value, 10)
+			if !ok {
+				t.Fatalf("loaded %q with value %q", rec.Buyer, rec.Value)
+			}
+			if other, dup := owner[v.String()]; dup {
+				t.Fatalf("%q and %q both record %s", other, rec.Buyer, v)
+			}
+			owner[v.String()] = rec.Buyer
+			if want := oracle.Issued[rec.Buyer]; rec.Value != want {
+				t.Fatalf("loaded %q = %q, encoding/json decodes %q", rec.Buyer, rec.Value, want)
+			}
+		}
+		snap := r.AppendJSON(nil)
+		r2, err := Load(bytes.NewReader(snap), a)
+		if err != nil {
+			t.Fatalf("reloading %q: %v", snap, err)
+		}
+		if got, want := r2.Records(), r.Records(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reloaded %q, want %q", got, want)
+		}
+		if again := r2.AppendJSON(nil); !bytes.Equal(again, snap) {
+			t.Fatalf("second snapshot %q, want %q", again, snap)
+		}
+	})
 }

@@ -24,6 +24,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
@@ -42,12 +43,19 @@ type Record struct {
 	Value string `json:"value"`
 }
 
-// entry is a Record as the registry holds it, with its score-table row.
+// entry is a Record as the registry holds it, with its score-table row
+// and whether snapshots may copy it verbatim. The flag fits in the
+// padding after the 32-bit row, so an entry is no larger than a record
+// and an int, and insert moves no more bytes per record.
 type entry struct {
 	Record
 	// row is the record's row in the score table; meaningless while the
 	// table is not built.
-	row int
+	row int32
+	// plain reports that encoding/json writes both the buyer and the
+	// value as themselves in quotes (jsonw.Plain), so AppendJSON copies
+	// them without an escape pass. insert sets it.
+	plain bool
 }
 
 // compareEntries orders records by buyer name, byte-wise — the order
@@ -126,7 +134,7 @@ func (r *Registry) buildTable(a *core.Analysis) error {
 		if err := t.addValue(e.Buyer, v); err != nil {
 			return err
 		}
-		e.row = i
+		e.row = int32(i)
 	}
 	r.table = t
 	return nil
@@ -144,18 +152,20 @@ func (r *Registry) addRow(e *entry, value *big.Int) {
 		r.table = nil
 		return
 	}
-	e.row = r.table.len() - 1
+	e.row = int32(r.table.len() - 1)
 }
 
 // insert merges add — sorted by buyer, none of them recorded yet — into the
 // records in one backward pass: each run of existing records moves once,
 // so a batch of k costs Θ(n + k log n), not k shifts of the whole slice.
-// The caller must hold mu for writing.
+// It is the one way in for a record, so it is where each record's plain
+// flag is set. The caller must hold mu for writing.
 func (r *Registry) insert(add []entry) {
 	n, k := len(r.records), len(add)
 	r.records = slices.Grow(r.records, k)[:n+k]
 	hi := n // records[:hi] have not moved yet
 	for j := k - 1; j >= 0; j-- {
+		add[j].plain = jsonw.Plain(add[j].Buyer) && jsonw.Plain(add[j].Value)
 		pos, _ := search(r.records[:hi], add[j].Buyer)
 		copy(r.records[pos+j+1:], r.records[pos:hi])
 		r.records[pos+j] = add[j]
@@ -176,9 +186,9 @@ func (r *Registry) remove(idx []int) {
 			// The table moves its last row into the freed one; repoint
 			// that row's record. Nothing is compacted yet, so every name
 			// still resolves.
-			r.table.delete(e.row)
-			if e.row < r.table.len() {
-				j, _ := search(r.records, r.table.name(e.row))
+			r.table.delete(int(e.row))
+			if int(e.row) < r.table.len() {
+				j, _ := search(r.records, r.table.name(int(e.row)))
 				r.records[j].row = e.row
 			}
 		}
@@ -359,8 +369,8 @@ func (r *Registry) Adopt(buyer, value string) error {
 // peer catch-up and snapshot Load — in any order, sorting them once and
 // merging them in at once. Adopting a record identical to an existing one
 // (or twice) is a no-op; two values for one buyer, a value colliding with
-// another buyer's, an empty buyer or a value that is not a plain run of
-// decimal digits is corruption and errors without mutating the registry.
+// another buyer's, an empty buyer or a value that is not a canonical
+// decimal (decimal) is corruption and errors without mutating the registry.
 // Because issuance is deterministic per (digest, buyer), adopted records
 // are byte-identical to the ones local issuance would have derived.
 func (r *Registry) AdoptAll(recs []Record) error {
@@ -415,10 +425,13 @@ func (r *Registry) AdoptAll(recs []Record) error {
 	return nil
 }
 
-// decimal reports whether s is a non-empty run of ASCII digits: the form
-// of every value issuance records (a non-negative big.Int's String).
+// decimal reports whether s is a canonical decimal: "0", or a run of
+// ASCII digits with no leading zero — the only form a non-negative
+// big.Int's String writes, and so of every value issuance records. Only
+// canonical values keep one number to one string, which the collision
+// check and ExactBuyer's lookup of v.String() rely on.
 func decimal(s string) bool {
-	if s == "" {
+	if s == "" || s[0] == '0' && len(s) > 1 {
 		return false
 	}
 	for i := 0; i < len(s); i++ {
@@ -581,9 +594,11 @@ func (r *Registry) check(a *core.Analysis) error {
 // SetIndent("", "  ") Encoder writes it, trailing newline included. It
 // walks the records in their kept order under the read lock, so a
 // snapshot racing concurrent IssueBatch calls is a consistent
-// (point-in-time) state. Durable callers (internal/registrystore) must
-// write the output via temp file + fsync + rename, never
-// truncate-in-place.
+// (point-in-time) state. A plain record (every issued value, and any
+// buyer name encoding/json leaves as it is) is copied straight between
+// its quotes; only the others go through jsonw.AppendString. Durable
+// callers (internal/registrystore) must write the output via temp file +
+// fsync + rename, never truncate-in-place.
 func (r *Registry) AppendJSON(dst []byte) []byte {
 	dst = append(dst, "{\n  \"design\": "...)
 	dst = jsonw.AppendString(dst, r.Design)
@@ -597,6 +612,14 @@ func (r *Registry) AppendJSON(dst []byte) []byte {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, "\n    "...)
+		if e.plain {
+			dst = append(dst, '"')
+			dst = append(dst, e.Buyer...)
+			dst = append(dst, `": "`...)
+			dst = append(dst, e.Value...)
+			dst = append(dst, '"')
+			continue
+		}
 		dst = jsonw.AppendString(dst, e.Buyer)
 		dst = append(dst, ": "...)
 		dst = jsonw.AppendString(dst, e.Value)
@@ -614,13 +637,15 @@ func (r *Registry) Save(w io.Writer) error {
 }
 
 // Load reads a registry snapshot of the analysed design. Its records go
-// through AdoptAll, so a snapshot holding a record AdoptAll rejects (an
-// empty buyer, a non-decimal value, two buyers with one value) fails to
-// load rather than loading a registry that traces ambiguously.
+// through AdoptAll in the order the snapshot lists them, so a snapshot
+// holding a record AdoptAll rejects (an empty buyer, a value that is not a
+// canonical decimal, two buyers with one value, one buyer listed with two
+// values) fails to load rather than loading a registry that traces
+// ambiguously.
 func Load(rd io.Reader, a *core.Analysis) (*Registry, error) {
 	var w struct {
-		Digest string            `json:"digest"`
-		Issued map[string]string `json:"issued"`
+		Digest string          `json:"digest"`
+		Issued snapshotRecords `json:"issued"`
 	}
 	if err := json.NewDecoder(rd).Decode(&w); err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
@@ -629,12 +654,79 @@ func Load(rd io.Reader, a *core.Analysis) (*Registry, error) {
 	if w.Digest != r.Digest {
 		return nil, fmt.Errorf("registry: design digest mismatch (snapshot %s, analysis %s)", w.Digest, r.Digest)
 	}
-	recs := make([]Record, 0, len(w.Issued))
-	for buyer, value := range w.Issued {
-		recs = append(recs, Record{Buyer: buyer, Value: value})
-	}
-	if err := r.AdoptAll(recs); err != nil {
+	if err := r.AdoptAll(w.Issued); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// snapshotRecords is a snapshot's "issued" object, buyer → value, read in
+// document order with every key kept. Decoding into a map would keep only
+// a repeated buyer's last value and so hide the conflict from AdoptAll.
+type snapshotRecords []Record
+
+// UnmarshalJSON appends the records of one JSON object of strings; null
+// appends none, as it leaves a map nil. encoding/json hands it one whole
+// value it has already checked, so only the value's shape can be wrong.
+func (s *snapshotRecords) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	if len(b) == 0 || b[0] != '{' {
+		return fmt.Errorf("issued: want an object of buyer → value, got %.20s", b)
+	}
+	i := 1
+	for {
+		i = skipSpace(b, i)
+		if i < len(b) && b[i] == ',' {
+			i = skipSpace(b, i+1)
+		}
+		if i >= len(b) || b[i] == '}' {
+			return nil
+		}
+		var rec Record
+		var err error
+		if rec.Buyer, i, err = unquote(b, i); err != nil {
+			return err
+		}
+		i = skipSpace(b, skipSpace(b, i)+1) // past the ':'
+		if i >= len(b) || b[i] != '"' {
+			return fmt.Errorf("issued: value for %q is not a string", rec.Buyer)
+		}
+		if rec.Value, i, err = unquote(b, i); err != nil {
+			return err
+		}
+		*s = append(*s, rec)
+	}
+}
+
+// skipSpace returns the index of the first byte of b at or after i that
+// is not JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// unquote decodes the JSON string starting at b[i], a '"', returning it
+// and the index past its closing quote. A string with no escape and valid
+// UTF-8 is its bytes; any other goes through encoding/json.
+func unquote(b []byte, i int) (string, int, error) {
+	escaped := false
+	for j := i + 1; j < len(b); j++ {
+		switch b[j] {
+		case '"':
+			if raw := b[i+1 : j]; !escaped && utf8.Valid(raw) {
+				return string(raw), j + 1, nil
+			}
+			var str string
+			err := json.Unmarshal(b[i:j+1], &str)
+			return str, j + 1, err
+		case '\\':
+			escaped = true
+			j++
+		}
+	}
+	return "", len(b), fmt.Errorf("issued: unterminated string")
 }

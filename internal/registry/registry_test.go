@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/bench"
 	"repro/internal/benchfmt"
@@ -138,20 +139,21 @@ func TestDigestMismatchRejected(t *testing.T) {
 }
 
 // TestLoadRejectsCorruptRecords: a snapshot's records go through the same
-// checks as AdoptAll, so a snapshot giving two buyers one value (which
-// TraceExact could resolve to either), an empty buyer or a non-decimal
-// value (anything but a plain run of digits) fails to load instead of
-// loading silently.
+// checks as AdoptAll, in the order the snapshot lists them, so a snapshot
+// giving two buyers one value (which TraceExact could resolve to either),
+// one buyer two values, an empty buyer or a value that is not a canonical
+// decimal fails to load instead of loading silently. A record listed twice
+// alike loads once.
 func TestLoadRejectsCorruptRecords(t *testing.T) {
 	a := analyzed(t, "c432")
 	snapshot := func(issued string) string {
 		return `{"design": "c432", "digest": "` + a.Digest() + `", "issued": {` + issued + `}}`
 	}
-	r, err := Load(strings.NewReader(snapshot(`"alice": "7", "bob": "8"`)), a)
+	r, err := Load(strings.NewReader(snapshot(`"alice": "7", "bob": "8", "carol": "0", "alice": "7"`)), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Records(); !reflect.DeepEqual(got, []Record{{"alice", "7"}, {"bob", "8"}}) {
+	if got := r.Records(); !reflect.DeepEqual(got, []Record{{"alice", "7"}, {"bob", "8"}, {"carol", "0"}}) {
 		t.Errorf("loaded %v", got)
 	}
 	for _, issued := range []string{
@@ -159,10 +161,42 @@ func TestLoadRejectsCorruptRecords(t *testing.T) {
 		`"alice": "7", "bob": "0x8"`,
 		`"alice": "7", "bob": "+8"`,
 		`"alice": "7", "": "8"`,
+		`"alice": "5", "bob": "8", "alice": "3411"`,
+		`"alice": "5", "bob": "05"`,
+		`"alice": "00"`,
+		`"alice": 5`,
 	} {
 		if _, err := Load(strings.NewReader(snapshot(issued)), a); err == nil {
 			t.Errorf("snapshot {%s} loaded", issued)
 		}
+	}
+}
+
+// TestEntrySize: the plain flag rides in the padding after the 32-bit row,
+// so an entry is no larger than a record and an int, and insert moves no
+// more bytes per record than it did before the flag.
+func TestEntrySize(t *testing.T) {
+	if got, want := unsafe.Sizeof(entry{}), unsafe.Sizeof(struct {
+		Record
+		int
+	}{}); got > want {
+		t.Errorf("entry is %d bytes, want at most %d", got, want)
+	}
+}
+
+// TestAdoptRejectsNonCanonicalDecimal: "05" names the number "5" names, so
+// adopting both would record two buyers with one fingerprint, and an exact
+// trace of either copy would name whichever v.String() finds.
+func TestAdoptRejectsNonCanonicalDecimal(t *testing.T) {
+	r := New(analyzed(t, "c432"))
+	if err := r.AdoptAll([]Record{{"alice", "5"}, {"bob", "05"}}); err == nil {
+		t.Fatal("adopted bob at 05 beside alice at 5")
+	}
+	if n := r.NumIssued(); n != 0 {
+		t.Errorf("failed AdoptAll recorded %d buyers", n)
+	}
+	if err := r.AdoptAll([]Record{{"alice", "5"}, {"bob", "0"}, {"carol", "3411"}}); err != nil {
+		t.Fatal(err)
 	}
 }
 

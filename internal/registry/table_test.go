@@ -158,7 +158,7 @@ func TestTableRankingMatchesComparisonSort(t *testing.T) {
 					tb.digits = append(tb.digits, digitByte(d))
 				}
 				digits[name] = ds
-				recs = append(recs, entry{Record: Record{Buyer: name}, row: tb.len() - 1})
+				recs = append(recs, entry{Record: Record{Buyer: name}, row: int32(tb.len() - 1)})
 			}
 			slices.SortFunc(recs, compareEntries)
 
@@ -292,7 +292,7 @@ func TestTableScoresMatchesByteOracle(t *testing.T) {
 				for range n {
 					tb.digits = append(tb.digits, digitByte(rowDigits[rng.Intn(len(rowDigits))]))
 				}
-				recs = append(recs, entry{Record: Record{Buyer: name}, row: tb.len() - 1})
+				recs = append(recs, entry{Record: Record{Buyer: name}, row: int32(tb.len() - 1)})
 			}
 			slices.SortFunc(recs, compareEntries)
 			for trial := 0; trial < 4; trial++ {
