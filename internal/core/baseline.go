@@ -220,8 +220,8 @@ func (a *Analysis) baselineVariantsFor(loc Location, g circuit.NodeID) []Variant
 	return out
 }
 
-// baselineRerouteVariants is the pre-arena rerouteVariants: every variant's
-// literal slice is an individual allocation.
+// baselineRerouteVariants is rerouteVariants without the scan buffers:
+// every variant's literal slice is an individual allocation.
 func (a *Analysis) baselineRerouteVariants(loc Location, targetKind logic.Kind, targetIdentity bool) []Variant {
 	c := a.Circuit
 	t := loc.Trigger

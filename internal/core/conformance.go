@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/cec"
 	"repro/internal/circuit"
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -13,8 +12,9 @@ import (
 // This file checks an issued copy against the slot model the verifier
 // certifies (Slots): a certificate proves every copy the model describes
 // equivalent to the master, and conformance proves the netlist at hand is
-// one of those copies. It reads only the slots and the circuit API, not
-// the code that builds copies (issue.go) or the Working route.
+// one of those copies. It reads the catalogue in Slots order, in place, and
+// the circuit API, not the code that builds copies (issue.go) or the
+// Working route.
 
 // ErrNonconforming wraps every conformance failure: the copy is not the
 // master with exactly the chosen modifications, so no certificate about
@@ -37,30 +37,41 @@ var mConformanceFailures = obs.NewCounter("core", "conformance_failures")
 // cp and builds no map; a failure wraps ErrNonconforming and counts in
 // core.conformance_failures.
 func (a *Analysis) Conforms(cp *circuit.Circuit, choice []int) error {
-	if err := conforms(a.Circuit, a.Slots(), cp, choice); err != nil {
+	if err := conforms(a.Circuit, a.Locations, cp, choice); err != nil {
 		mConformanceFailures.Inc()
 		return fmt.Errorf("%w: %v", ErrNonconforming, err)
 	}
 	return nil
 }
 
-func conforms(master *circuit.Circuit, slots []cec.Slot, cp *circuit.Circuit, choice []int) error {
-	if len(choice) != len(slots) {
-		return fmt.Errorf("%d choices for %d slots", len(choice), len(slots))
-	}
+func conforms(master *circuit.Circuit, locs []Location, cp *circuit.Circuit, choice []int) error {
 	n, m := len(cp.Nodes), len(master.Nodes)
-	slab := make([]int32, 3*n+2*m)
+	slab := make([]int32, 3*n+4*m)
 	// toMaster[i] is copy node i's master node + 1, 0 for a node no name
 	// or target accounts for yet, and −1 for a claimed helper inverter;
-	// fromMaster is its inverse, and slotOf gives each master node's slot
-	// + 1, or 0.
+	// fromMaster is its inverse. The target gate of a modified slot has its
+	// location + 1 in modLoc, its target index in modTgt and its chosen
+	// variant in modVar; modLoc is 0 for every other master node.
 	toMaster, uses, drives := slab[:n], slab[n:2*n], slab[2*n:3*n]
-	fromMaster, slotOf := slab[3*n:3*n+m], slab[3*n+m:]
-	for s, d := range choice {
-		if d < -1 || d >= len(slots[s].Options) {
-			return fmt.Errorf("slot %d: option %d out of range", s, d)
+	fromMaster, modLoc := slab[3*n:3*n+m], slab[3*n+m:3*n+2*m]
+	modTgt, modVar := slab[3*n+2*m:3*n+3*m], slab[3*n+3*m:]
+	s := 0 // slots so far, in Slots order
+	for i := range locs {
+		for j, t := range locs[i].Targets {
+			if s < len(choice) {
+				d := choice[s]
+				if d < -1 || d >= len(t.Variants) {
+					return fmt.Errorf("slot %d: option %d out of range", s, d)
+				}
+				if d >= 0 {
+					modLoc[t.Gate], modTgt[t.Gate], modVar[t.Gate] = int32(i)+1, int32(j), int32(d)
+				}
+			}
+			s++
 		}
-		slotOf[slots[s].Gate] = int32(s) + 1
+	}
+	if s != len(choice) {
+		return fmt.Errorf("%d choices for %d slots", len(choice), s)
 	}
 	for i := range cp.Nodes {
 		nd := &cp.Nodes[i]
@@ -85,10 +96,10 @@ func conforms(master *circuit.Circuit, slots []cec.Slot, cp *circuit.Circuit, ch
 		if nd.IsPI {
 			continue
 		}
-		kind, lits := mn.Kind, []cec.Lit(nil)
-		if s := slotOf[id]; s != 0 && choice[s-1] >= 0 {
-			opt := &slots[s-1].Options[choice[s-1]]
-			kind, lits = opt.Kind, opt.Lits
+		kind, lits := mn.Kind, []Lit(nil)
+		if li := modLoc[id]; li != 0 {
+			v := &locs[li-1].Targets[modTgt[id]].Variants[modVar[id]]
+			kind, lits = v.NewGateKind, v.Lits
 		}
 		w := len(mn.Fanin)
 		if nd.Kind != kind || len(nd.Fanin) != w+len(lits) {

@@ -202,66 +202,157 @@ type Analysis struct {
 	shapeOnce sync.Once
 	combos    *big.Int
 	radices   []int
+}
 
-	// Scan state: target gates already claimed by an earlier location, and
-	// the MFFC cone scratch reused across primaries.
+// scanner is one scan's working state: the claimed-target marks, the
+// library table, and the catalogue as the scan builds it. Scanners are
+// pooled and reused across analyses; finish copies the catalogue out into
+// exact storage before the scanner goes back, so no Analysis ever points
+// into a scanner.
+//
+// The hot loop produces tens of thousands of tiny Lit/Variant/Target
+// slices. Each is carved out of one of the growing buffers below, capacity
+// clamped. A buffer that grows moves to a new array, but the slices already
+// carved keep pointing at the old one; nothing rewrites the elements a
+// carved slice covers, so they stay valid until finish copies them.
+type scanner struct {
+	a    *Analysis
+	view *circuit.ScanView
+	// claimed marks target gates already claimed by an earlier location.
 	claimed []bool
-	coneBuf []circuit.NodeID
-	// hasCell densely caches Options.Library.Has per (kind, fanin).
+	// hasCell densely caches Options.Library.Has per (kind, fanin); its
+	// rows share hasSlab.
 	hasCell [logic.NumKinds][]bool
-
-	// Chunked arenas and scratch buffers for the scan's result slices. The
-	// hot loop produces tens of thousands of tiny Lit/Variant/Target slices;
-	// carving them out of shared chunks instead of individual allocations is
-	// one of the packed path's main wins. Arena chunks are never reallocated
-	// in place, so handed-out sub-slices (capacity-clamped) stay valid.
-	litArena  arena[Lit]
-	varArena  arena[Variant]
-	tgtArena  arena[Target]
-	nodeArena arena[circuit.NodeID]
-	varBuf    []Variant // variantsFor scratch
-	rrBuf     []Variant // rerouteVariants scratch
-	tgtBuf    []Target  // locationAt target scratch
+	hasSlab []bool
+	// The catalogue in scan order: the locations found so far and the
+	// storage their cones, targets, variants and literals point into.
+	locs  []Location
+	cones []circuit.NodeID
+	tgts  []Target
+	vars  []Variant
+	lits  []Lit
 }
 
-// arenaChunk is the element capacity of one arena chunk.
-const arenaChunk = 4096
+var scannerPool sync.Pool
 
-// arena hands out capacity-clamped sub-slices of large shared chunks. A
-// chunk is abandoned (still referenced by its sub-slices, never reused) once
-// the next request no longer fits; a request larger than arenaChunk gets a
-// chunk of its own size.
-type arena[T any] struct {
-	cur []T
-}
-
-func (ar *arena[T]) alloc(n int) []T {
-	if n > cap(ar.cur)-len(ar.cur) {
-		ar.cur = make([]T, 0, max(arenaChunk, n))
+// getScanner takes a scanner from the pool, or makes one, and sets it up to
+// scan a on view (nil when only variantsFor is called).
+func getScanner(a *Analysis, view *circuit.ScanView) *scanner {
+	s, _ := scannerPool.Get().(*scanner)
+	if s == nil {
+		s = new(scanner)
 	}
-	lo := len(ar.cur)
-	ar.cur = ar.cur[:lo+n]
-	return ar.cur[lo : lo+n : lo+n]
-}
-
-// clone copies s into the arena.
-func (ar *arena[T]) clone(s []T) []T {
-	out := ar.alloc(len(s))
-	copy(out, s)
-	return out
-}
-
-// lit1 and lit2 build arena-backed literal slices.
-func (a *Analysis) lit1(l Lit) []Lit {
-	s := a.litArena.alloc(1)
-	s[0] = l
+	s.a, s.view = a, view
+	n := len(a.Circuit.Nodes)
+	s.claimed = reserve(s.claimed, n)[:n]
+	clear(s.claimed)
+	// Sized from the node count at about twice what most suite circuits
+	// need, so a scanner new to a design seldom grows its buffers.
+	s.locs = reserve(s.locs, n/2)
+	s.cones = reserve(s.cones, 2*n)
+	s.tgts = reserve(s.tgts, n)
+	s.vars = reserve(s.vars, 2*n)
+	s.lits = reserve(s.lits, 2*n)
+	lib := a.Options.Library
+	cells := 0
+	for k := range s.hasCell {
+		cells += lib.MaxFanin(logic.Kind(k)) + 1
+	}
+	slab := reserve(s.hasSlab, cells)
+	for k := range s.hasCell {
+		kind, lo := logic.Kind(k), len(slab)
+		for w := range lib.MaxFanin(kind) + 1 {
+			slab = append(slab, lib.Has(kind, w))
+		}
+		s.hasCell[k] = slab[lo:len(slab):len(slab)]
+	}
+	s.hasSlab = slab
 	return s
 }
 
-func (a *Analysis) lit2(l0, l1 Lit) []Lit {
-	s := a.litArena.alloc(2)
-	s[0], s[1] = l0, l1
-	return s
+// reserve returns buf emptied, with room for at least n elements.
+func reserve[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
+	}
+	return buf[:0]
+}
+
+// release empties s and puts it back in the pool. Call it only once the
+// catalogue has been copied out (finish).
+func (s *scanner) release() {
+	s.a, s.view = nil, nil
+	// Drop the slices into superseded buffer arrays, so the pool keeps
+	// only the current ones alive.
+	clear(s.locs)
+	clear(s.tgts)
+	clear(s.vars)
+	s.locs, s.cones, s.tgts = s.locs[:0], s.cones[:0], s.tgts[:0]
+	s.vars, s.lits = s.vars[:0], s.lits[:0]
+	scannerPool.Put(s)
+}
+
+// lit1 and lit2 carve literal slices out of the scan's literal buffer.
+func (s *scanner) lit1(l Lit) []Lit {
+	lo := len(s.lits)
+	s.lits = append(s.lits, l)
+	return s.lits[lo : lo+1 : lo+1]
+}
+
+func (s *scanner) lit2(l0, l1 Lit) []Lit {
+	lo := len(s.lits)
+	s.lits = append(s.lits, l0, l1)
+	return s.lits[lo : lo+2 : lo+2]
+}
+
+// finish copies the catalogue out of the scanner into exact storage: one
+// Locations slice and one slab each for cones, targets, variants and
+// literals, every sub-slice capacity-clamped. It returns nil when the scan
+// found no location.
+func (s *scanner) finish() []Location {
+	if len(s.locs) == 0 {
+		return nil
+	}
+	var nc, nt, nv, nl int
+	for i := range s.locs {
+		loc := &s.locs[i]
+		nc += len(loc.Cone)
+		nt += len(loc.Targets)
+		for _, t := range loc.Targets {
+			nv += len(t.Variants)
+			for _, v := range t.Variants {
+				nl += len(v.Lits)
+			}
+		}
+	}
+	locs := make([]Location, len(s.locs))
+	cones := make([]circuit.NodeID, nc)
+	tgts := make([]Target, nt)
+	vars := make([]Variant, nv)
+	lits := make([]Lit, nl)
+	for i, loc := range s.locs {
+		loc.Cone, cones = carve(cones, loc.Cone)
+		loc.Targets, tgts = carve(tgts, loc.Targets)
+		for j := range loc.Targets {
+			t := &loc.Targets[j]
+			t.Variants, vars = carve(vars, t.Variants)
+			for k := range t.Variants {
+				v := &t.Variants[k]
+				v.Lits, lits = carve(lits, v.Lits)
+			}
+		}
+		locs[i] = loc
+	}
+	return locs
+}
+
+// carve copies src to the front of slab, returning the copy (capacity
+// clamped) and the rest of slab.
+func carve[T any](slab, src []T) (dst, rest []T) {
+	n := len(src)
+	dst = slab[:n:n]
+	copy(dst, src)
+	return dst, slab[n:]
 }
 
 // Analyze scans the circuit and returns all fingerprint locations with their
@@ -292,23 +383,9 @@ func AnalyzeCtx(ctx context.Context, c *circuit.Circuit, opts Options) (*Analysi
 	mAnalyses.Inc()
 	view := circuit.NewScanView(c)
 	defer view.Release()
-	a := &Analysis{
-		Circuit: c,
-		Options: opts,
-		levels:  c.Levels(),
-		claimed: make([]bool, len(c.Nodes)),
-		// Locations come to a few percent of the gate count; sizing up
-		// front avoids append-growth garbage.
-		Locations: make([]Location, 0, len(c.Nodes)/16+8),
-	}
-	for k := range a.hasCell {
-		kind := logic.Kind(k)
-		t := make([]bool, opts.Library.MaxFanin(kind)+1)
-		for w := range t {
-			t[w] = opts.Library.Has(kind, w)
-		}
-		a.hasCell[k] = t
-	}
+	a := &Analysis{Circuit: c, Options: opts, levels: c.Levels()}
+	sc := getScanner(a, view)
+	defer sc.release()
 
 	// Scan primary-gate candidates in topological order for determinism.
 	// Counters are batched locally: one atomic per gate is measurable at
@@ -332,27 +409,27 @@ func AnalyzeCtx(ctx context.Context, c *circuit.Circuit, opts Options) (*Analysi
 		if !odc.HasLocalODC(nd.Kind, len(nd.Fanin)) {
 			continue
 		}
-		loc, ok := a.locationAt(view, p)
+		loc, ok := sc.locationAt(p)
 		if !ok {
 			continue
 		}
 		for _, t := range loc.Targets {
-			a.claimed[t.Gate] = true
+			sc.claimed[t.Gate] = true
 		}
-		a.Locations = append(a.Locations, loc)
+		sc.locs = append(sc.locs, loc)
 	}
+	// A fingerprint-free circuit reports no list at all.
+	a.Locations = sc.finish()
 	mODCChecks.Add(checks)
 	mLocationsFound.Add(int64(a.NumLocations()))
 	mTargetsFound.Add(int64(a.TotalTargets()))
-	if len(a.Locations) == 0 {
-		a.Locations = nil // a fingerprint-free circuit reports no list at all
-	}
 	return a, nil
 }
 
 // locationAt attempts to build a location with primary gate p. Cone gates
 // already claimed by an earlier location are not offered as targets.
-func (a *Analysis) locationAt(view *circuit.ScanView, p circuit.NodeID) (Location, bool) {
+func (s *scanner) locationAt(p circuit.NodeID) (Location, bool) {
+	a := s.a
 	c := a.Circuit
 	nd := &c.Nodes[p]
 	cv, _ := nd.Kind.ControllingValue()
@@ -368,7 +445,7 @@ func (a *Analysis) locationAt(view *circuit.ScanView, p circuit.NodeID) (Locatio
 		if fn.Kind == logic.Const0 || fn.Kind == logic.Const1 {
 			continue
 		}
-		if view.SinkCount(f) != 1 {
+		if s.view.SinkCount(f) != 1 {
 			continue
 		}
 		if yPin < 0 || a.levels[f] > a.levels[nd.Fanin[yPin]] {
@@ -409,8 +486,9 @@ func (a *Analysis) locationAt(view *circuit.ScanView, p circuit.NodeID) (Locatio
 	}
 	x := nd.Fanin[xPin]
 
-	a.coneBuf = view.AppendMFFC(y, a.coneBuf[:0])
-	cone := a.nodeArena.clone(a.coneBuf)
+	c0 := len(s.cones)
+	s.cones = s.view.AppendMFFC(y, s.cones)
+	cone := s.cones[c0:len(s.cones):len(s.cones)]
 	loc := Location{
 		Primary:      p,
 		FFCRoot:      y,
@@ -421,10 +499,11 @@ func (a *Analysis) locationAt(view *circuit.ScanView, p circuit.NodeID) (Locatio
 		Cone:         cone,
 	}
 
-	// Criterion 3: enumerate modifiable cone gates.
-	targets := a.tgtBuf[:0]
+	// Criterion 3: enumerate modifiable cone gates, straight into the
+	// target buffer.
+	t0 := len(s.tgts)
 	for _, g := range cone {
-		if a.claimed[g] {
+		if s.claimed[g] {
 			continue
 		}
 		gd := &c.Nodes[g]
@@ -434,14 +513,15 @@ func (a *Analysis) locationAt(view *circuit.ScanView, p circuit.NodeID) (Locatio
 		if gd.Kind.SingleInput() && !a.Options.AllowConvert {
 			continue
 		}
-		variants := a.variantsFor(loc, g)
+		variants := s.variantsFor(loc, g)
 		if len(variants) == 0 {
 			continue
 		}
-		targets = append(targets, Target{Gate: g, Variants: variants})
+		s.tgts = append(s.tgts, Target{Gate: g, Variants: variants})
 	}
-	a.tgtBuf = targets[:0]
+	targets := s.tgts[t0:]
 	if len(targets) == 0 {
+		s.cones = s.cones[:c0] // nothing keeps the rejected cone
 		return Location{}, false
 	}
 	// Deepest target first: the canonical pick of §IV-A ("the input gate
@@ -459,9 +539,10 @@ func (a *Analysis) locationAt(view *circuit.ScanView, p circuit.NodeID) (Locatio
 		targets[j] = t
 	}
 	if m := a.Options.MaxTargetsPerLocation; m > 0 && len(targets) > m {
-		targets = targets[:m]
+		clear(targets[m:])
+		s.tgts = s.tgts[:t0+m]
 	}
-	loc.Targets = a.tgtArena.clone(targets)
+	loc.Targets = s.tgts[t0:len(s.tgts):len(s.tgts)]
 	return loc, true
 }
 

@@ -34,19 +34,21 @@ func litNeg(baseVal, identity bool) bool { return baseVal != identity }
 
 // variantsFor enumerates the legal variants for target gate g of location
 // loc, applying library-width and duplicate-pin feasibility checks.
-func (a *Analysis) variantsFor(loc Location, g circuit.NodeID) []Variant {
+// The variants are carved out of the scanner's variant buffer.
+func (s *scanner) variantsFor(loc Location, g circuit.NodeID) []Variant {
+	a := s.a
 	c := a.Circuit
 	gd := &c.Nodes[g]
 	cv := loc.TriggerValue
 	nonTrigger := !cv // value of X under which the cone must be unchanged
 
-	out := a.varBuf[:0]
+	v0 := len(s.vars)
 	addIfFeasible := func(v Variant) {
 		// Width check: the modified gate needs a library cell. The dense
 		// hasCell table mirrors lib.Has; the per-variant map lookup was hot
 		// in the scan profile.
 		newFanin := len(gd.Fanin) + len(v.Lits)
-		if ht := a.hasCell[v.NewGateKind]; newFanin >= len(ht) || !ht[newFanin] {
+		if ht := s.hasCell[v.NewGateKind]; newFanin >= len(ht) || !ht[newFanin] {
 			return
 		}
 		// Duplicate-pin check: non-inverted literals must not repeat an
@@ -76,7 +78,7 @@ func (a *Analysis) variantsFor(loc Location, g circuit.NodeID) []Variant {
 				return
 			}
 		}
-		out = append(out, v)
+		s.vars = append(s.vars, v)
 	}
 
 	switch {
@@ -85,53 +87,49 @@ func (a *Analysis) variantsFor(loc Location, g circuit.NodeID) []Variant {
 		base := Variant{
 			Kind:        AddLiteral,
 			NewGateKind: gd.Kind,
-			Lits:        a.lit1(Lit{Node: loc.Trigger, Neg: litNeg(nonTrigger, id)}),
+			Lits:        s.lit1(Lit{Node: loc.Trigger, Neg: litNeg(nonTrigger, id)}),
 		}
 		addIfFeasible(base)
 		if a.Options.AllowReroute {
-			for _, v := range a.rerouteVariants(loc, gd.Kind, id) {
-				addIfFeasible(v)
-			}
+			s.rerouteVariants(loc, gd.Kind, id, addIfFeasible)
 		}
 	case gd.Kind == logic.Inv:
 		// INV(a) → NAND(a, L) with L = 1 at non-trigger.
 		addIfFeasible(Variant{
 			Kind:        ConvertSingle,
 			NewGateKind: logic.Nand,
-			Lits:        a.lit1(Lit{Node: loc.Trigger, Neg: litNeg(nonTrigger, true)}),
+			Lits:        s.lit1(Lit{Node: loc.Trigger, Neg: litNeg(nonTrigger, true)}),
 		})
 		// INV(a) → NOR(a, L) with L = 0 at non-trigger.
 		addIfFeasible(Variant{
 			Kind:        ConvertSingle,
 			NewGateKind: logic.Nor,
-			Lits:        a.lit1(Lit{Node: loc.Trigger, Neg: litNeg(nonTrigger, false)}),
+			Lits:        s.lit1(Lit{Node: loc.Trigger, Neg: litNeg(nonTrigger, false)}),
 		})
 	case gd.Kind == logic.Buf:
 		addIfFeasible(Variant{
 			Kind:        ConvertSingle,
 			NewGateKind: logic.And,
-			Lits:        a.lit1(Lit{Node: loc.Trigger, Neg: litNeg(nonTrigger, true)}),
+			Lits:        s.lit1(Lit{Node: loc.Trigger, Neg: litNeg(nonTrigger, true)}),
 		})
 		addIfFeasible(Variant{
 			Kind:        ConvertSingle,
 			NewGateKind: logic.Or,
-			Lits:        a.lit1(Lit{Node: loc.Trigger, Neg: litNeg(nonTrigger, false)}),
+			Lits:        s.lit1(Lit{Node: loc.Trigger, Neg: litNeg(nonTrigger, false)}),
 		})
 	}
-	a.varBuf = out[:0]
-	return a.varArena.clone(out)
+	return s.vars[v0:len(s.vars):len(s.vars)]
 }
 
 // rerouteVariants builds the Fig. 5 alternatives: literals drawn from the
 // inputs of the trigger's driver gate T, valid when X = ¬cv forces all of
-// T's inputs to a known value. The returned slice is scratch, valid until
-// the next call; callers copy what they keep.
-func (a *Analysis) rerouteVariants(loc Location, targetKind logic.Kind, targetIdentity bool) []Variant {
-	c := a.Circuit
+// T's inputs to a known value. Each one goes to add, in catalogue order.
+func (s *scanner) rerouteVariants(loc Location, targetKind logic.Kind, targetIdentity bool, add func(Variant)) {
+	c := s.a.Circuit
 	t := loc.Trigger
 	tn := &c.Nodes[t]
 	if tn.IsPI || !tn.Kind.HasControllingValue() {
-		return nil
+		return
 	}
 	nonTrigger := !loc.TriggerValue
 	// Output value of T that forces all its inputs: the complement of its
@@ -150,29 +148,26 @@ func (a *Analysis) rerouteVariants(loc Location, targetKind logic.Kind, targetId
 		forcingOutput, forcedInput = true, false
 	}
 	if forcingOutput != nonTrigger {
-		return nil // X = ¬cv does not pin T's inputs; Fig. 5 inapplicable
+		return // X = ¬cv does not pin T's inputs; Fig. 5 inapplicable
 	}
 	neg := litNeg(forcedInput, targetIdentity)
 	ins := tn.Fanin
-	out := a.rrBuf[:0]
 	// Singles, then pairs: n + n(n−1)/2 = n(n+1)/2 variants (§III-C).
 	for i, u := range ins {
-		out = append(out, Variant{
+		add(Variant{
 			Kind:        Reroute,
 			NewGateKind: targetKind,
-			Lits:        a.lit1(Lit{Node: u, Neg: neg}),
+			Lits:        s.lit1(Lit{Node: u, Neg: neg}),
 		})
 		for _, w := range ins[i+1:] {
 			if w == u {
 				continue
 			}
-			out = append(out, Variant{
+			add(Variant{
 				Kind:        Reroute,
 				NewGateKind: targetKind,
-				Lits:        a.lit2(Lit{Node: u, Neg: neg}, Lit{Node: w, Neg: neg}),
+				Lits:        s.lit2(Lit{Node: u, Neg: neg}, Lit{Node: w, Neg: neg}),
 			})
 		}
 	}
-	a.rrBuf = out
-	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -143,4 +144,72 @@ func TestAnalyzeGoldenLocations(t *testing.T) {
 			t.Errorf("%s: first primaries %v, want %v", name, primaries[:min(len(primaries), 4)], want.first)
 		}
 	}
+}
+
+// TestAnalysisOwnsItsCatalogue: a finished analysis shares no memory with
+// the pooled scan scratch. A c880 analysis stays equal to the baseline
+// analysis, digest included, after many later analyses of other circuits
+// and options, one after another and concurrently, have reused the scratch;
+// each of those matches its own baseline too.
+func TestAnalysisOwnsItsCatalogue(t *testing.T) {
+	build := func(name string) *circuit.Circuit {
+		spec, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec.Build()
+	}
+	analyze := func(c *circuit.Circuit, opts Options, base bool) *Analysis {
+		run := Analyze
+		if base {
+			run = AnalyzeBaseline
+		}
+		a, err := run(c, opts)
+		if err != nil {
+			t.Error(err)
+		}
+		return a
+	}
+	same := func(label string, got, want *Analysis) {
+		if !reflect.DeepEqual(got.Locations, want.Locations) {
+			t.Errorf("%s: catalogue differs from the baseline", label)
+		}
+		if got.Digest() != want.Digest() {
+			t.Errorf("%s: digest %s, baseline %s", label, got.Digest(), want.Digest())
+		}
+	}
+
+	opts := DefaultOptions(cell.Default())
+	c880 := build("c880")
+	kept, want := analyze(c880, opts, false), analyze(c880, opts, true)
+	type job struct {
+		label string
+		c     *circuit.Circuit
+		opts  Options
+		want  *Analysis
+	}
+	var jobs []job
+	for _, name := range []string{"c432", "c1908", "vda", "c5315"} {
+		c := build(name)
+		for oname, o := range optionSets() {
+			jobs = append(jobs, job{name + "/" + oname, c, o, analyze(c, o, true)})
+		}
+	}
+	for _, j := range jobs {
+		same(j.label, analyze(j.c, j.opts, false), j.want)
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(jobs); i += workers {
+				j := jobs[i]
+				same(j.label+" (concurrent)", analyze(j.c, j.opts, false), j.want)
+			}
+		}()
+	}
+	wg.Wait()
+	same("c880 after the later analyses", kept, want)
 }

@@ -213,9 +213,12 @@ func TestWindowCertificatesRejectPlanted(t *testing.T) {
 			return func(i int) bool {
 				loc := &a.Locations[i]
 				loc.TriggerValue = !loc.TriggerValue
+				// The scanner is never released: its buffers hold the
+				// re-catalogued variants.
+				sc := getScanner(a, nil)
 				any := false
 				for j := range loc.Targets {
-					loc.Targets[j].Variants = a.variantsFor(*loc, loc.Targets[j].Gate)
+					loc.Targets[j].Variants = sc.variantsFor(*loc, loc.Targets[j].Gate)
 					any = any || len(loc.Targets[j].Variants) > 0
 				}
 				return any

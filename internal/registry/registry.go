@@ -641,14 +641,19 @@ func (r *Registry) Save(w io.Writer) error {
 // holding a record AdoptAll rejects (an empty buyer, a value that is not a
 // canonical decimal, two buyers with one value, one buyer listed with two
 // values) fails to load rather than loading a registry that traces
-// ambiguously.
+// ambiguously. A snapshot is one JSON object: anything but whitespace after
+// it, such as a second snapshot, fails the load as well.
 func Load(rd io.Reader, a *core.Analysis) (*Registry, error) {
 	var w struct {
 		Digest string          `json:"digest"`
 		Issued snapshotRecords `json:"issued"`
 	}
-	if err := json.NewDecoder(rd).Decode(&w); err != nil {
+	dec := json.NewDecoder(rd)
+	if err := dec.Decode(&w); err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("registry: data after the snapshot")
 	}
 	r := New(a)
 	if w.Digest != r.Digest {

@@ -8,6 +8,7 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -169,6 +170,38 @@ func TestLoadRejectsCorruptRecords(t *testing.T) {
 		if _, err := Load(strings.NewReader(snapshot(issued)), a); err == nil {
 			t.Errorf("snapshot {%s} loaded", issued)
 		}
+	}
+}
+
+// TestLoadRejectsTrailingData: a snapshot is one JSON object. Two
+// concatenated saves, or a save followed by junk, fail to load instead of
+// loading the first object's records; trailing whitespace loads.
+func TestLoadRejectsTrailingData(t *testing.T) {
+	a := analyzed(t, "c432")
+	r := New(a)
+	if err := r.Adopt("alice", "5"); err != nil {
+		t.Fatal(err)
+	}
+	first := r.AppendJSON(nil)
+	if err := r.Adopt("bob", "8"); err != nil {
+		t.Fatal(err)
+	}
+	second := r.AppendJSON(nil)
+	for name, data := range map[string][]byte{
+		"two saves": append(slices.Clip(first), second...),
+		"junk":      append(slices.Clip(first), "junk"...),
+		"object":    append(slices.Clip(first), `{"issued": {"bob": "6"}}`...),
+	} {
+		if _, err := Load(bytes.NewReader(data), a); err == nil {
+			t.Errorf("%s: loaded", name)
+		}
+	}
+	got, err := Load(bytes.NewReader(append(slices.Clip(second), " \n\t\r\n"...)), a)
+	if err != nil {
+		t.Fatalf("trailing whitespace: %v", err)
+	}
+	if !reflect.DeepEqual(got.Records(), r.Records()) {
+		t.Errorf("loaded %v, saved %v", got.Records(), r.Records())
 	}
 }
 

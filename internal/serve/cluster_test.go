@@ -564,9 +564,11 @@ func TestClusterHungPeerIsBounded(t *testing.T) {
 	}
 	ln, self := listen()
 	// The ring is a pure function of the node URLs: bind until the hung
-	// node's URL leads the design.
+	// node's URL leads the design. Rejected listeners stay open until the
+	// loop ends, so every try binds a port no earlier try had.
 	var hung net.Listener
 	var hungURL string
+	var rejected []net.Listener
 	for i := 0; hung == nil; i++ {
 		if i == 64 {
 			t.Fatal("no listener address led the design in 64 tries")
@@ -575,8 +577,11 @@ func TestClusterHungPeerIsBounded(t *testing.T) {
 		if registrystore.NewRing([]string{self, u}).Order(digest)[0] == u {
 			hung, hungURL = l, u
 		} else {
-			l.Close()
+			rejected = append(rejected, l)
 		}
+	}
+	for _, l := range rejected {
+		l.Close()
 	}
 	var mu sync.Mutex
 	var conns []net.Conn
